@@ -28,9 +28,9 @@ from .errors import (
     ParseError,
     ZeroDenominator,
 )
-from .rational import Order, Rational, compare, make_rational, parse_rational, render
+from .rational import Rational, parse_rational, render
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "CRN",
@@ -43,15 +43,12 @@ __all__ = [
     "NotACover",
     "NotNiceCover",
     "NotSeparated",
-    "Order",
     "ParseError",
     "Rational",
     "ZeroDenominator",
     "approx_to",
-    "compare",
     "compare_apart",
     "from_rational",
-    "make_rational",
     "parse_rational",
     "render",
     "validate_regulator",

@@ -16,7 +16,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .crn import CRN, approx_to
+from .crn import CRN
 from .errors import BudgetExceeded, NotSeparated, ParseError
 from .machine import Halted, Program, load_program, run_for
 from .rational import ONE, Rational, parse_natural, parse_rational, pow2, render
@@ -113,19 +113,16 @@ def halting_reduction(
     program: Program,
     input_value: int,
     targets: CRN,
-    probe: DiscreteMap,
     probe_precision: int,
 ) -> HaltsAt | NoHaltWithin:
     """Probe a waiting value at finite precision; the verdict is step-certified.
 
-    Evaluating the probe on the level-`probe_precision` approximation
-    forces a run of exactly s = targets.regulator(probe_precision + 1)
-    steps.  A halt inside that window is reported with its exact step
-    count; otherwise all that is known, and all that is claimed, is that
-    no halt happened within s steps.
+    The level-`probe_precision` approximation of the waiting value is
+    decided by a run of exactly s = targets.regulator(probe_precision + 1)
+    steps, and that one run is all this does.  A halt inside that window
+    is reported with its exact step count; otherwise all that is known,
+    and all that is claimed, is that no halt happened within s steps.
     """
-    waiting = waiting_crn(program, input_value, targets)
-    probe.label(approx_to(waiting, probe_precision))
     probed_steps = targets.regulator(probe_precision + 1)
     outcome = run_for(program, input_value, probed_steps)
     if isinstance(outcome, Halted):
@@ -223,31 +220,6 @@ def bisect_limit(f: DiscreteMap, lo: Rational, hi: Rational) -> CRN:
     """The bisection limit alone, with the transcript left implicit."""
     limit, _ = bisect_to_precision(f, lo, hi, 0)
     return limit
-
-
-def constancy_check(
-    f: DiscreteMap, lo: Rational, hi: Rational, sample_count: int
-) -> tuple[Rational, Rational] | None:
-    """Look for two points where the labels differ.
-
-    Scans the evenly spaced grid of `sample_count` points from lo to hi
-    and returns the first adjacent pair with different labels, or None if
-    every sample carries the same label.
-    """
-    if not lo < hi:
-        raise ValueError("constancy check needs lo < hi")
-    if sample_count < 2:
-        raise ValueError("need at least two samples")
-    spacing = (hi - lo) / (sample_count - 1)
-    prev_t = lo
-    prev_label = f.label(lo)
-    for k in range(1, sample_count):
-        t = lo + spacing * k
-        label = f.label(t)
-        if label != prev_label:
-            return (prev_t, t)
-        prev_t, prev_label = t, label
-    return None
 
 
 def expression_builtins() -> dict[str, Callable[[Sequence[str]], CRN]]:

@@ -15,76 +15,57 @@ from pathlib import Path
 from typing import Sequence
 
 from . import analysis, cover as cover_mod, crn, expressions, machine
-from .errors import DomainError, InvalidProgram, ParseError, ZeroDenominator
-from .rational import parse_rational, render
+from .errors import DomainError, ParseError, ZeroDenominator
+from .rational import Rational, parse_natural, parse_rational, render
 
 
-def _rational_flag(text: str):
-    try:
-        return parse_rational(text)
-    except (ParseError, ZeroDenominator) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _flag(parse):
+    """Adapt a parser to argparse; its error message is kept as it is.
+
+    argparse would turn a bare ValueError into "invalid ... value".
+    """
+
+    def flag(text: str):
+        try:
+            return parse(text)
+        except (ParseError, ZeroDenominator) as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+
+    return flag
 
 
-def _natural_flag(text: str) -> int:
-    if not text.strip().isdigit():
-        raise argparse.ArgumentTypeError(f"not a natural number: {text!r}")
-    return int(text)
-
-
-def _inputs_flag(text: str) -> range:
+def _parse_inputs(text: str) -> range:
     m = re.fullmatch(r"(\d+)\.\.(\d+)", text.strip())
     if m is None:
-        raise argparse.ArgumentTypeError(f"expected A..B, got {text!r}")
+        raise ParseError(f"expected A..B, got {text!r}")
     first, last = int(m.group(1)), int(m.group(2))
     if last < first:
-        raise argparse.ArgumentTypeError(f"empty input range {text!r}")
+        raise ParseError(f"empty input range {text!r}")
     return range(first, last + 1)
 
 
-def _selected_flag(text: str) -> list[int]:
+def _parse_selected(text: str) -> list[int]:
     parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts or not all(p.isdigit() for p in parts):
-        raise argparse.ArgumentTypeError(f"expected comma-separated indices, got {text!r}")
+    if not parts or not all(p.isdecimal() for p in parts):
+        raise ParseError(f"expected comma-separated indices, got {text!r}")
     return [int(p) for p in parts]
 
 
-def _oracle_flag(text: str):
-    try:
-        return analysis.parse_oracle(text)
-    except (ParseError, ZeroDenominator) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _targets_flag(text: str):
-    try:
-        return analysis.parse_targets(text)
-    except ParseError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _modulus_flag(text: str):
+def _parse_modulus(text: str) -> Rational | None:
+    """`lebesgue` gives None; `const:<r>` gives the constant radius r."""
     s = text.strip()
     if s == "lebesgue":
-        return ("lebesgue", None)
+        return None
     if s.startswith("const:"):
-        try:
-            return ("const", parse_rational(s[len("const:") :]))
-        except (ParseError, ZeroDenominator) as exc:
-            raise argparse.ArgumentTypeError(str(exc))
-    raise argparse.ArgumentTypeError(
-        f"expected `lebesgue` or `const:<rational>`, got {text!r}"
-    )
+        return parse_rational(s[len("const:") :])
+    raise ParseError(f"expected `lebesgue` or `const:<rational>`, got {text!r}")
 
 
-def _samples_flag(text: str):
+def _parse_samples(text: str) -> tuple[Rational, ...]:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
-        raise argparse.ArgumentTypeError("expected comma-separated rationals")
-    try:
-        return tuple(parse_rational(p) for p in parts)
-    except (ParseError, ZeroDenominator) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+        raise ParseError("expected comma-separated rationals")
+    return tuple(parse_rational(p) for p in parts)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,40 +83,41 @@ def build_parser() -> argparse.ArgumentParser:
     crn_sub = crn_cmd.add_subparsers(dest="subcommand", required=True)
     crn_approx = crn_sub.add_parser("approx", help="approximate a value expression")
     crn_approx.add_argument("--expr", required=True, help="value expression; builtins: waiting(...), bisect_limit(...)")
-    crn_approx.add_argument("--prec", required=True, type=_natural_flag, help="precision level n; answer is within 2^-n")
+    crn_approx.add_argument("--prec", required=True, type=_flag(parse_natural), help="precision level n; answer is within 2^-n")
 
     machine_cmd = commands.add_parser("machine", help="counter-machine sandbox")
     machine_sub = machine_cmd.add_subparsers(dest="subcommand", required=True)
     machine_run = machine_sub.add_parser("run", help="run a program under a step budget")
     machine_run.add_argument("--prog", required=True, help="program file")
-    machine_run.add_argument("--input", required=True, type=_natural_flag)
-    machine_run.add_argument("--budget", required=True, type=_natural_flag)
+    machine_run.add_argument("--input", required=True, type=_flag(parse_natural))
+    machine_run.add_argument("--budget", required=True, type=_flag(parse_natural))
     machine_dovetail = machine_sub.add_parser("dovetail", help="enumerate halting inputs")
     machine_dovetail.add_argument("--prog", required=True, help="program file")
-    machine_dovetail.add_argument("--inputs", required=True, type=_inputs_flag, help="inclusive range A..B")
-    machine_dovetail.add_argument("--budget", required=True, type=_natural_flag, help="total steps across all runs")
+    machine_dovetail.add_argument("--inputs", required=True, type=_flag(_parse_inputs), help="inclusive range A..B")
+    machine_dovetail.add_argument("--budget", required=True, type=_flag(parse_natural), help="total steps across all runs")
 
     waiting_cmd = commands.add_parser("waiting", help="waiting-sequence values")
     waiting_sub = waiting_cmd.add_subparsers(dest="subcommand", required=True)
     waiting_approx = waiting_sub.add_parser("approx", help="approximate a waiting value")
     waiting_approx.add_argument("--prog", required=True, help="monitored program file")
-    waiting_approx.add_argument("--input", required=True, type=_natural_flag)
-    waiting_approx.add_argument("--targets", default="geometric", type=_targets_flag)
-    waiting_approx.add_argument("--prec", required=True, type=_natural_flag)
-    waiting_approx.add_argument("--max-steps", type=_natural_flag, default=None, help="cap on machine steps per entry")
+    waiting_approx.add_argument("--input", required=True, type=_flag(parse_natural))
+    waiting_approx.add_argument("--targets", default="geometric", type=_flag(analysis.parse_targets))
+    waiting_approx.add_argument("--prec", required=True, type=_flag(parse_natural))
+    waiting_approx.add_argument("--max-steps", type=_flag(parse_natural), default=None, help="cap on machine steps per entry")
 
     reduce_cmd = commands.add_parser("reduce", help="step-certified halting probe of a waiting value")
     reduce_cmd.add_argument("--prog", required=True, help="monitored program file")
-    reduce_cmd.add_argument("--input", required=True, type=_natural_flag)
-    reduce_cmd.add_argument("--prec", required=True, type=_natural_flag, help="probe precision level")
-    reduce_cmd.add_argument("--targets", default="geometric", type=_targets_flag)
-    reduce_cmd.add_argument("--oracle", default="step@1/2", type=_oracle_flag, help="discrete map used as the probe")
+    reduce_cmd.add_argument("--input", required=True, type=_flag(parse_natural))
+    reduce_cmd.add_argument("--prec", required=True, type=_flag(parse_natural), help="probe precision level")
+    reduce_cmd.add_argument("--targets", default="geometric", type=_flag(analysis.parse_targets))
+    reduce_cmd.add_argument("--oracle", default="step@1/2", type=_flag(analysis.parse_oracle),
+                            help="validated, but does not change the verdict")
 
     bisect_cmd = commands.add_parser("bisect", help="bisection search for a discontinuity")
-    bisect_cmd.add_argument("--oracle", required=True, type=_oracle_flag, help="step@<r> or stair:<r1>,...")
-    bisect_cmd.add_argument("--lo", required=True, type=_rational_flag)
-    bisect_cmd.add_argument("--hi", required=True, type=_rational_flag)
-    bisect_cmd.add_argument("--steps", required=True, type=_natural_flag)
+    bisect_cmd.add_argument("--oracle", required=True, type=_flag(analysis.parse_oracle), help="step@<r> or stair:<r1>,...")
+    bisect_cmd.add_argument("--lo", required=True, type=_flag(parse_rational))
+    bisect_cmd.add_argument("--hi", required=True, type=_flag(parse_rational))
+    bisect_cmd.add_argument("--steps", required=True, type=_flag(parse_natural))
     bisect_cmd.add_argument("--transcript", default=None, help="write the transcript to this TSV file")
 
     cover_cmd = commands.add_parser("cover", help="interval covers and finite subcovers")
@@ -144,11 +126,14 @@ def build_parser() -> argparse.ArgumentParser:
     cover_lebesgue.add_argument("--cover", required=True, help="cover file")
     cover_subcover = cover_sub.add_parser("subcover", help="extract a certified finite subcover")
     cover_subcover.add_argument("--cover", required=True, help="cover file")
-    cover_subcover.add_argument("--modulus", default=("lebesgue", None), type=_modulus_flag, help="lebesgue | const:<r>")
-    cover_subcover.add_argument("--samples", default=None, type=_samples_flag, help="constancy sample points, comma-separated")
+    cover_subcover.add_argument("--modulus", default=None, type=_flag(_parse_modulus), help="lebesgue | const:<r>")
+    cover_subcover.add_argument(
+        "--samples", default=cover_mod.DEFAULT_SAMPLE_POINTS, type=_flag(_parse_samples),
+        help="constancy sample points, comma-separated",
+    )
     cover_verify = cover_sub.add_parser("verify", help="check that selected elements cover [0,1]")
     cover_verify.add_argument("--cover", required=True, help="cover file")
-    cover_verify.add_argument("--selected", required=True, type=_selected_flag)
+    cover_verify.add_argument("--selected", required=True, type=_flag(_parse_selected))
     cover_verify_cert = cover_sub.add_parser("verify-cert", help="re-check a subcover certificate")
     cover_verify_cert.add_argument("--cover", required=True, help="cover file")
     cover_verify_cert.add_argument("--cert", required=True, help="certificate file")
@@ -200,9 +185,7 @@ def _cmd_waiting_approx(args) -> int:
 
 def _cmd_reduce(args) -> int:
     program = machine.load_program(args.prog)
-    verdict = analysis.halting_reduction(
-        program, args.input, args.targets, args.oracle, args.prec
-    )
+    verdict = analysis.halting_reduction(program, args.input, args.targets, args.prec)
     if isinstance(verdict, analysis.HaltsAt):
         print(f"halts-at steps={verdict.steps}")
     else:
@@ -235,13 +218,11 @@ def _cmd_cover_lebesgue(args) -> int:
 
 def _cmd_cover_subcover(args) -> int:
     intervals = cover_mod.load_cover(args.cover)
-    kind, const_radius = args.modulus
-    if kind == "const":
-        modulus = cover_mod.ConstantModulus(const_radius)
-    else:
+    if args.modulus is None:
         modulus = cover_mod.LebesgueModulus(intervals)
-    samples = args.samples if args.samples else cover_mod.DEFAULT_SAMPLE_POINTS
-    certificate = cover_mod.extract_finite_subcover(intervals, modulus, samples)
+    else:
+        modulus = cover_mod.ConstantModulus(args.modulus)
+    certificate = cover_mod.extract_finite_subcover(intervals, modulus, args.samples)
     sys.stdout.write(cover_mod.render_certificate(certificate))
     return 0
 
@@ -298,13 +279,7 @@ def dispatch(argv: Sequence[str]) -> int:
     except DomainError as exc:
         print(f"{_kebab(exc)} {exc}".rstrip())
         return 1
-    except (ParseError, ZeroDenominator, InvalidProgram) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, ZeroDenominator, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,6 +21,12 @@ Node = Union[
 
 BuiltinMap = Mapping[str, Callable[[Sequence[str]], crn.CRN]]
 
+# Most levels of nesting an expression may have: each parenthesis pair,
+# unary minus and binary operator is one level, and so is the innermost
+# literal or call.  The parser and both evaluators recurse once per level,
+# so the cap keeps them inside Python's stack.
+MAX_DEPTH = 200
+
 
 class _Cursor:
     def __init__(self, text: str):
@@ -46,51 +52,63 @@ class _Cursor:
             raise ParseError(f"expected {char!r} at position {self.pos} in expression")
 
 
+def _check_depth(levels: int) -> None:
+    if levels > MAX_DEPTH:
+        raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels")
+
+
 def parse_expression(text: str) -> Node:
     cursor = _Cursor(text)
-    node = _parse_sum(cursor)
+    node, _ = _parse_sum(cursor, 0)
     cursor.skip_ws()
     if cursor.pos != len(cursor.text):
         raise ParseError(f"trailing input at position {cursor.pos}: {text!r}")
     return node
 
 
-def _parse_sum(cursor: _Cursor) -> Node:
-    node = _parse_product(cursor)
-    while True:
-        ch = cursor.peek()
-        if ch == "+":
-            cursor.take("+")
-            node = ("add", node, _parse_product(cursor))
-        elif ch == "-":
-            cursor.take("-")
-            node = ("sub", node, _parse_product(cursor))
-        else:
-            return node
+# Each parser below is handed the number of levels above what it parses
+# and returns the node together with its own height in levels.
+Parsed = tuple[Node, int]
 
 
-def _parse_product(cursor: _Cursor) -> Node:
-    node = _parse_atom(cursor)
-    while cursor.peek() == "*":
-        cursor.take("*")
-        node = ("mul", node, _parse_atom(cursor))
-    return node
+def _join(kind: str, left: Parsed, right: Parsed, depth: int) -> Parsed:
+    height = max(left[1], right[1]) + 1
+    _check_depth(depth + height)
+    return (kind, left[0], right[0]), height
 
 
-def _parse_atom(cursor: _Cursor) -> Node:
+def _parse_sum(cursor: _Cursor, depth: int) -> Parsed:
+    parsed = _parse_product(cursor, depth)
+    while (ch := cursor.peek()) in ("+", "-"):
+        cursor.take(ch)
+        kind = "add" if ch == "+" else "sub"
+        parsed = _join(kind, parsed, _parse_product(cursor, depth), depth)
+    return parsed
+
+
+def _parse_product(cursor: _Cursor, depth: int) -> Parsed:
+    parsed = _parse_atom(cursor, depth)
+    while cursor.take("*"):
+        parsed = _join("mul", parsed, _parse_atom(cursor, depth), depth)
+    return parsed
+
+
+def _parse_atom(cursor: _Cursor, depth: int) -> Parsed:
     ch = cursor.peek()
+    if ch in ("-", "("):
+        _check_depth(depth + 2)  # this level and at least one below it
+        cursor.take(ch)
     if ch == "-":
-        cursor.take("-")
-        return ("neg", _parse_atom(cursor))
+        node, height = _parse_atom(cursor, depth + 1)
+        return ("neg", node), height + 1
     if ch == "(":
-        cursor.take("(")
-        node = _parse_sum(cursor)
+        node, height = _parse_sum(cursor, depth + 1)
         cursor.expect(")")
-        return node
+        return node, height + 1
     if ch.isdigit():
-        return ("rat", _parse_literal(cursor))
+        return ("rat", _parse_literal(cursor)), 1
     if ch.isalpha() or ch == "_":
-        return _parse_call(cursor)
+        return _parse_call(cursor), 1
     raise ParseError(f"unexpected character {ch!r} at position {cursor.pos}")
 
 

@@ -9,7 +9,6 @@ ever rounds.
 from __future__ import annotations
 
 import re
-from enum import Enum
 from fractions import Fraction
 
 from .errors import ParseError, ZeroDenominator
@@ -18,38 +17,6 @@ Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-class Order(Enum):
-    LESS = "less"
-    EQUAL = "equal"
-    GREATER = "greater"
-
-
-def make_rational(num: int, den: int = 1) -> Rational:
-    """Build num/den in canonical form; the sign lives on the numerator."""
-    if den == 0:
-        raise ZeroDenominator(f"{num}/0")
-    return Fraction(num, den)
-
-
-def arith(a: Rational, b: Rational, op: str) -> Rational:
-    """Apply one of "add" | "sub" | "mul" exactly."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def compare(a: Rational, b: Rational) -> Order:
-    if a < b:
-        return Order.LESS
-    if a > b:
-        return Order.GREATER
-    return Order.EQUAL
 
 
 _RATIONAL_RE = re.compile(r"(-?)(\d+)(?:/(\d+)|\.(\d+))?")
@@ -75,7 +42,7 @@ def parse_rational(text: str) -> Rational:
 def parse_natural(text: str) -> int:
     """Parse a decimal natural number (no sign)."""
     s = text.strip()
-    if not s.isdigit():
+    if not s.isdecimal():
         raise ParseError(f"not a natural number: {text!r}")
     return int(s)
 

@@ -10,7 +10,6 @@ from nicecover.analysis import (
     bisect_limit,
     bisect_step,
     bisect_to_precision,
-    constancy_check,
     expression_builtins,
     geometric_targets,
     halting_reduction,
@@ -18,6 +17,7 @@ from nicecover.analysis import (
     parse_targets,
     waiting_crn,
 )
+from nicecover import analysis
 from nicecover.crn import approx_to, validate_regulator
 from nicecover.errors import BudgetExceeded, NotSeparated, ParseError, ZeroDenominator
 from nicecover.machine import Halted, StillRunning, run_for
@@ -111,17 +111,17 @@ class TestWaiting:
 class TestHaltingReduction:
     def test_halt_inside_window(self, countdown):
         assert halting_reduction(
-            countdown, 2, geometric_targets(), StepMap(Fraction(1, 2)), 10
+            countdown, 2, geometric_targets(), 10
         ) == HaltsAt(8)
 
     def test_no_halt_reported_with_window(self, looper):
         assert halting_reduction(
-            looper, 0, geometric_targets(), StepMap(Fraction(1, 2)), 10
+            looper, 0, geometric_targets(), 10
         ) == NoHaltWithin(11)
 
     def test_window_too_small_for_late_halt(self, countdown):
         assert halting_reduction(
-            countdown, 2, geometric_targets(), StepMap(Fraction(1, 2)), 5
+            countdown, 2, geometric_targets(), 5
         ) == NoHaltWithin(6)
 
     def test_verdicts_are_step_certified(self, countdown, looper, mod3):
@@ -129,7 +129,7 @@ class TestHaltingReduction:
         for program, input_value in cases:
             for prec in (0, 3, 9, 20):
                 verdict = halting_reduction(
-                    program, input_value, geometric_targets(), StepMap(Fraction(1, 2)), prec
+                    program, input_value, geometric_targets(), prec
                 )
                 if isinstance(verdict, HaltsAt):
                     assert run_for(program, input_value, verdict.steps) == Halted(verdict.steps)
@@ -137,6 +137,19 @@ class TestHaltingReduction:
                     outcome = run_for(program, input_value, verdict.steps)
                     assert outcome == StillRunning(verdict.steps)
                     assert verdict.steps == geometric_targets().regulator(prec + 1)
+
+    def test_runs_the_machine_once(self, countdown, looper, monkeypatch):
+        calls = []
+
+        def counting_run_for(*args):
+            calls.append(args)
+            return run_for(*args)
+
+        monkeypatch.setattr(analysis, "run_for", counting_run_for)
+        for program in (countdown, looper):
+            calls.clear()
+            halting_reduction(program, 2, geometric_targets(), 10)
+            assert calls == [(program, 2, 11)]
 
 
 class TestBisectStep:
@@ -226,27 +239,6 @@ class TestBisectToPrecision:
     def test_unseparated_endpoints_rejected(self):
         with pytest.raises(NotSeparated):
             bisect_to_precision(StepMap(THIRD), Fraction(1, 2), Fraction(1), 3)
-
-
-class TestConstancyCheck:
-    def test_finds_flip(self):
-        pair = constancy_check(StepMap(THIRD), Fraction(0), Fraction(1), 5)
-        assert pair == (Fraction(1, 4), Fraction(1, 2))
-
-    def test_constant_region(self):
-        assert constancy_check(StepMap(THIRD), Fraction(1, 2), Fraction(1), 5) is None
-
-    def test_stair_first_flip(self):
-        pair = constancy_check(
-            StairMap((Fraction(1, 4), Fraction(3, 4))), Fraction(0), Fraction(1), 5
-        )
-        assert pair == (Fraction(0), Fraction(1, 4))
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            constancy_check(StepMap(THIRD), Fraction(1), Fraction(0), 5)
-        with pytest.raises(ValueError):
-            constancy_check(StepMap(THIRD), Fraction(0), Fraction(1), 1)
 
 
 class TestExpressionBuiltins:

@@ -40,6 +40,32 @@ class TestRat:
         assert "error:" in err
 
 
+    # `--` and `--expr=` keep argparse from reading a leading `-` as an option
+    EXPRESSION_COMMANDS = {
+        "rat": (lambda text: ["rat", "--", text], "{}\n"),
+        "crn": (lambda text: ["crn", "approx", "--prec", "8", f"--expr={text}"], "{} ± 2^-8\n"),
+    }
+
+    @pytest.mark.parametrize(
+        "text",
+        ["(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1", "+".join(["1"] * 3000)],
+        ids=["parens", "unary-minus", "flat-sum"],
+    )
+    @pytest.mark.parametrize("command", EXPRESSION_COMMANDS)
+    def test_deep_expression_exits_2(self, capsys, command, text):
+        argv, _ = self.EXPRESSION_COMMANDS[command]
+        assert run(capsys, *argv(text)) == (2, "", "error: expression nests deeper than 200 levels\n")
+
+    @pytest.mark.parametrize(
+        "text,value",
+        [("(" * 199 + "1" + ")" * 199, "1"), ("-" * 199 + "1", "-1"), ("+".join(["1"] * 200), "200")],
+        ids=["parens", "unary-minus", "flat-sum"],
+    )
+    @pytest.mark.parametrize("command", EXPRESSION_COMMANDS)
+    def test_expression_at_depth_cap_evaluates(self, capsys, command, text, value):
+        argv, out = self.EXPRESSION_COMMANDS[command]
+        assert run(capsys, *argv(text)) == (0, out.format(value), "")
+
 class TestCrnApprox:
     def test_plain_expression(self, capsys):
         code, out, _ = run(capsys, "crn", "approx", "--expr", "1/3 + 1/3", "--prec", "8")
@@ -136,6 +162,14 @@ class TestWaitingAndReduce:
             capsys, "reduce", "--prog", str(looper_file), "--input", "0", "--prec", "10",
         )
         assert (code, out) == (0, "no-halt-within steps=11\n")
+
+
+    def test_reduce_oracle_does_not_change_the_verdict(self, capsys, countdown_file):
+        argv = ["reduce", "--prog", str(countdown_file), "--input", "2", "--prec", "10"]
+        plain = run(capsys, *argv)
+        assert plain == (0, "halts-at steps=8\n", "")
+        assert run(capsys, *argv, "--oracle", "stair:1/4,3/4") == plain
+        assert run(capsys, *argv, "--oracle", "nope")[0] == 2
 
 
 class TestBisect:
@@ -257,6 +291,86 @@ class TestUsage:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "nicecover" in out
+
+
+# Every exit-2 path with its exact stderr; `{prog}`, `{cover}` and `{missing}`
+# stand for an existing program, an existing cover and a path that does not exist.
+USAGE_ERRORS = [
+    (["crn", "approx", "--expr", "1", "--prec", "x"],
+     "usage: nicecover crn approx [-h] --expr EXPR --prec PREC\n"
+     "nicecover crn approx: error: argument --prec: not a natural number: 'x'\n"),
+    (["machine", "run", "--prog", "{prog}", "--input", "1.5", "--budget", "1"],
+     "usage: nicecover machine run [-h] --prog PROG --input INPUT --budget BUDGET\n"
+     "nicecover machine run: error: argument --input: not a natural number: '1.5'\n"),
+    (["bisect", "--oracle", "step@1/3", "--lo", "x", "--hi", "1", "--steps", "1"],
+     "usage: nicecover bisect [-h] --oracle ORACLE --lo LO --hi HI --steps STEPS [--transcript TRANSCRIPT]\n"
+     "nicecover bisect: error: argument --lo: not a rational: 'x'\n"),
+    (["bisect", "--oracle", "step@1/3", "--lo", "0", "--hi", "1/0", "--steps", "1"],
+     "usage: nicecover bisect [-h] --oracle ORACLE --lo LO --hi HI --steps STEPS [--transcript TRANSCRIPT]\n"
+     "nicecover bisect: error: argument --hi: 1/0\n"),
+    (["machine", "dovetail", "--prog", "{prog}", "--inputs", "1-3", "--budget", "10"],
+     "usage: nicecover machine dovetail [-h] --prog PROG --inputs INPUTS --budget BUDGET\n"
+     "nicecover machine dovetail: error: argument --inputs: expected A..B, got '1-3'\n"),
+    (["machine", "dovetail", "--prog", "{prog}", "--inputs", "3..1", "--budget", "10"],
+     "usage: nicecover machine dovetail [-h] --prog PROG --inputs INPUTS --budget BUDGET\n"
+     "nicecover machine dovetail: error: argument --inputs: empty input range '3..1'\n"),
+    (["cover", "verify", "--cover", "{cover}", "--selected", "a,b"],
+     "usage: nicecover cover verify [-h] --cover COVER --selected SELECTED\n"
+     "nicecover cover verify: error: argument --selected: expected comma-separated indices, got 'a,b'\n"),
+    (["cover", "verify", "--cover", "{cover}", "--selected", ","],
+     "usage: nicecover cover verify [-h] --cover COVER --selected SELECTED\n"
+     "nicecover cover verify: error: argument --selected: expected comma-separated indices, got ','\n"),
+    (["waiting", "approx", "--prog", "{prog}", "--input", "0", "--prec", "3", "--targets", "harmonic"],
+     "usage: nicecover waiting approx [-h] --prog PROG --input INPUT [--targets TARGETS] --prec PREC"
+     " [--max-steps MAX_STEPS]\n"
+     "nicecover waiting approx: error: argument --targets: unknown target sequence 'harmonic'"
+     " (expected: geometric)\n"),
+    (["reduce", "--prog", "{prog}", "--input", "2", "--prec", "10", "--oracle", "nope"],
+     "usage: nicecover reduce [-h] --prog PROG --input INPUT --prec PREC [--targets TARGETS] [--oracle ORACLE]\n"
+     "nicecover reduce: error: argument --oracle: unknown oracle 'nope' (expected step@<r> or stair:<r1>,...)\n"),
+    (["reduce", "--prog", "{prog}", "--input", "2", "--prec", "10", "--oracle", "step@1/0"],
+     "usage: nicecover reduce [-h] --prog PROG --input INPUT --prec PREC [--targets TARGETS] [--oracle ORACLE]\n"
+     "nicecover reduce: error: argument --oracle: 1/0\n"),
+    (["bisect", "--oracle", "stair:", "--lo", "0", "--hi", "1", "--steps", "1"],
+     "usage: nicecover bisect [-h] --oracle ORACLE --lo LO --hi HI --steps STEPS [--transcript TRANSCRIPT]\n"
+     "nicecover bisect: error: argument --oracle: stair oracle needs at least one threshold\n"),
+    (["cover", "subcover", "--cover", "{cover}", "--modulus", "wavy"],
+     "usage: nicecover cover subcover [-h] --cover COVER [--modulus MODULUS] [--samples SAMPLES]\n"
+     "nicecover cover subcover: error: argument --modulus: expected `lebesgue` or `const:<rational>`,"
+     " got 'wavy'\n"),
+    (["cover", "subcover", "--cover", "{cover}", "--modulus", "const:x"],
+     "usage: nicecover cover subcover [-h] --cover COVER [--modulus MODULUS] [--samples SAMPLES]\n"
+     "nicecover cover subcover: error: argument --modulus: not a rational: 'x'\n"),
+    (["cover", "subcover", "--cover", "{cover}", "--modulus", "const:1/0"],
+     "usage: nicecover cover subcover [-h] --cover COVER [--modulus MODULUS] [--samples SAMPLES]\n"
+     "nicecover cover subcover: error: argument --modulus: 1/0\n"),
+    (["cover", "subcover", "--cover", "{cover}", "--samples", ","],
+     "usage: nicecover cover subcover [-h] --cover COVER [--modulus MODULUS] [--samples SAMPLES]\n"
+     "nicecover cover subcover: error: argument --samples: expected comma-separated rationals\n"),
+    (["cover", "subcover", "--cover", "{cover}", "--samples", "1/2,x"],
+     "usage: nicecover cover subcover [-h] --cover COVER [--modulus MODULUS] [--samples SAMPLES]\n"
+     "nicecover cover subcover: error: argument --samples: not a rational: 'x'\n"),
+    (["cover", "subcover", "--cover", "{cover}", "--samples", "0,1/0"],
+     "usage: nicecover cover subcover [-h] --cover COVER [--modulus MODULUS] [--samples SAMPLES]\n"
+     "nicecover cover subcover: error: argument --samples: 1/0\n"),
+    (["machine", "run", "--prog", "{missing}", "--input", "0", "--budget", "1"],
+     "error: [Errno 2] No such file or directory: '{missing}'\n"),
+    (["cover", "lebesgue", "--cover", "{missing}"],
+     "error: [Errno 2] No such file or directory: '{missing}'\n"),
+    (["cover", "verify", "--cover", "{cover}", "--selected", "0,5"],
+     "error: selected index 5 out of range\n"),
+    (["bisect", "--oracle", "step@1/3", "--lo", "1", "--hi", "0", "--steps", "1"],
+     "error: bisection needs lo < hi\n"),
+    (["rat", "1/0"], "error: 1/0\n"),
+]
+
+
+@pytest.mark.parametrize("argv,stderr", USAGE_ERRORS, ids=[" ".join(a) for a, _ in USAGE_ERRORS])
+def test_usage_error_stderr(capsys, monkeypatch, tmp_path, countdown_file, cover_file, argv, stderr):
+    monkeypatch.setenv("COLUMNS", "200")  # argparse wraps its usage line to the terminal width
+    paths = {"prog": str(countdown_file), "cover": cover_file, "missing": str(tmp_path / "missing")}
+    argv = [arg.format(**paths) for arg in argv]
+    assert run(capsys, *argv) == (2, "", stderr.format(**paths))
 
 
 def test_module_entry_point():

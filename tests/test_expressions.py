@@ -1,12 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nicecover.crn import approx_to, from_rational
 from nicecover.errors import ParseError
-from nicecover.expressions import eval_crn, eval_rational, parse_expression
+from nicecover.expressions import MAX_DEPTH, eval_crn, eval_rational, parse_expression
+from nicecover.rational import render
 
 F = Fraction
+rationals = st.fractions(max_denominator=10**6)
 
 
 def value_of(text):
@@ -40,6 +44,25 @@ class TestRationalEvaluation:
     )
     def test_rejected(self, text):
         with pytest.raises(ParseError):
+            parse_expression(text)
+
+    @given(rationals, rationals, rationals)
+    def test_distributes(self, a, b, c):
+        x, y, z = (f"({render(q)})" for q in (a, b, c))
+        assert value_of(f"{x} * ({y} + {z})") == value_of(f"{x} * {y} + {x} * {z}")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(" * MAX_DEPTH + "1" + ")" * MAX_DEPTH,
+            "-" * MAX_DEPTH + "1",
+            " + ".join(["1"] * (MAX_DEPTH + 1)),
+            "(2 * " * (MAX_DEPTH // 2) + "1" + ")" * (MAX_DEPTH // 2),
+        ],
+        ids=["parens", "unary-minus", "flat-sum", "mixed"],
+    )
+    def test_one_level_past_the_depth_cap_is_rejected(self, text):
+        with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} levels"):
             parse_expression(text)
 
     def test_literal_slash_binds_tighter_than_anything(self):

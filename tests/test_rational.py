@@ -5,13 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nicecover.errors import ParseError, ZeroDenominator
+from nicecover.expressions import eval_rational, parse_expression
 from nicecover.rational import (
     ONE,
     ZERO,
-    Order,
-    arith,
-    compare,
-    make_rational,
     parse_natural,
     parse_rational,
     pow2,
@@ -21,69 +18,12 @@ from nicecover.rational import (
 rationals = st.fractions(max_denominator=10**6)
 
 
-class TestMakeRational:
-    def test_canonical_form(self):
-        assert make_rational(2, 4) == Fraction(1, 2)
-        assert make_rational(-2, 4) == Fraction(-1, 2)
-        assert make_rational(2, -4) == Fraction(-1, 2)
-        assert make_rational(-2, -4) == Fraction(1, 2)
-        assert make_rational(0, 7) == ZERO
-
-    def test_integer_default_denominator(self):
-        assert make_rational(5) == Fraction(5)
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ZeroDenominator):
-            make_rational(1, 0)
-        with pytest.raises(ZeroDenominator):
-            make_rational(0, 0)
+def value_of(text):
+    return eval_rational(parse_expression(text))
 
 
-class TestArith:
-    def test_exact_results(self):
-        assert arith(Fraction(1, 3), Fraction(1, 6), "add") == Fraction(1, 2)
-        assert arith(Fraction(1, 3), Fraction(1, 6), "sub") == Fraction(1, 6)
-        assert arith(Fraction(2, 3), Fraction(3, 4), "mul") == Fraction(1, 2)
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            arith(ONE, ONE, "div")
-
-    @given(rationals, rationals)
-    def test_add_commutes(self, a, b):
-        assert arith(a, b, "add") == arith(b, a, "add")
-
-    @given(rationals, rationals)
-    def test_mul_commutes(self, a, b):
-        assert arith(a, b, "mul") == arith(b, a, "mul")
-
-    @given(rationals, rationals, rationals)
-    def test_distributes(self, a, b, c):
-        left = arith(a, arith(b, c, "add"), "mul")
-        right = arith(arith(a, b, "mul"), arith(a, c, "mul"), "add")
-        assert left == right
-
-    @given(rationals, rationals)
-    def test_sub_inverts_add(self, a, b):
-        assert arith(arith(a, b, "add"), b, "sub") == a
-
-
-class TestCompare:
-    def test_all_orders(self):
-        assert compare(ZERO, ONE) is Order.LESS
-        assert compare(ONE, ZERO) is Order.GREATER
-        assert compare(Fraction(2, 4), Fraction(1, 2)) is Order.EQUAL
-
-    @given(rationals, rationals)
-    def test_agrees_with_difference_sign(self, a, b):
-        result = compare(a, b)
-        diff = a - b
-        if diff < 0:
-            assert result is Order.LESS
-        elif diff > 0:
-            assert result is Order.GREATER
-        else:
-            assert result is Order.EQUAL
+def operand(q):
+    return f"({render(q)})"
 
 
 class TestParseRational:
@@ -124,13 +64,36 @@ class TestParseRational:
         assert parse_rational(render(q)) == q
 
 
+class TestArith:
+    # exact +, -, * on rationals, through the expression evaluator the CLI uses
+    def test_exact_results(self):
+        assert value_of("1/3 + 1/6") == Fraction(1, 2)
+        assert value_of("1/3 - 1/6") == Fraction(1, 6)
+        assert value_of("2/3 * 3/4") == Fraction(1, 2)
+
+    @given(rationals, rationals)
+    def test_add_commutes(self, a, b):
+        x, y = operand(a), operand(b)
+        assert value_of(f"{x} + {y}") == a + b == value_of(f"{y} + {x}")
+
+    @given(rationals, rationals)
+    def test_mul_commutes(self, a, b):
+        x, y = operand(a), operand(b)
+        assert value_of(f"{x} * {y}") == a * b == value_of(f"{y} * {x}")
+
+    @given(rationals, rationals)
+    def test_sub_inverts_add(self, a, b):
+        x, y = operand(a), operand(b)
+        assert value_of(f"{x} + {y} - {y}") == a
+
+
 class TestParseNatural:
     def test_accepted(self):
         assert parse_natural("0") == 0
         assert parse_natural("17") == 17
         assert parse_natural(" 5 ") == 5
 
-    @pytest.mark.parametrize("text", ["-1", "1/2", "", "x", "1.0"])
+    @pytest.mark.parametrize("text", ["-1", "1/2", "", "x", "1.0", "²"])
     def test_rejected(self, text):
         with pytest.raises(ParseError):
             parse_natural(text)
