@@ -8,15 +8,27 @@ number of the cover), lays down a finite net of that spacing, assigns
 each net point an element containing its ball, and packages the result as
 a certificate that an independent sweep can verify with rational
 arithmetic alone.
+
+Every step is a sorted sweep: the Lebesgue number walks the elements in
+midpoint order (O(k log k) for k elements), coverage checks walk the
+intervals once in order of left end (O(k log k), or O(N log N) for the N
+balls of a certificate's net), and net assignment keeps a heap of
+candidate elements while walking the ascending net (O((N + k) log k)).
+`lebesgue_candidates` evaluated with `uniform_radius_at` is the
+brute-force O(k^3) reference the Lebesgue sweep is tested against.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
+    BudgetExceeded,
     NoContainingElement,
     NonpositiveRadius,
     NotACover,
@@ -74,7 +86,7 @@ def uniform_radius_at(cover: CoverList, x: Rational) -> Rational:
     """Largest r with (x - r, x + r) inside some single element.
 
     This is max over elements of min(x - lo, hi - x); non-positive when no
-    element strictly contains x.
+    element strictly contains x.  O(k) per point.
     """
     return max(min(x - e.lo, e.hi - x) for e in cover)
 
@@ -87,6 +99,10 @@ def lebesgue_candidates(cover: CoverList) -> list[Rational]:
     ascending piece (x - lo_j) with a descending piece (hi_k - x), which
     solves to (lo_j + hi_k) / 2.  Element endpoints falling inside [0, 1]
     are included as well.  Sorted, for deterministic scans.
+
+    There are O(k^2) candidates, so evaluating `uniform_radius_at` on all
+    of them is O(k^3).  Kept as the brute-force reference that the
+    acceptance gate and the tests check `lebesgue_number` against.
     """
     candidates = {ZERO, ONE}
     for e in cover:
@@ -104,20 +120,42 @@ def lebesgue_candidates(cover: CoverList) -> list[Rational]:
 def lebesgue_number(cover: CoverList) -> Rational:
     """Exact uniform containment radius of the cover over [0, 1].
 
-    Evaluates the radius envelope on the finite candidate set and returns
-    the minimum.  A positive result L certifies that around every point of
-    [0, 1] the open L-ball fits inside some single element; a non-positive
-    envelope value is proof that some point has no interior margin at all,
-    which is reported as NotACover with that witness point.
+    Returns the minimum over [0, 1] of the radius envelope (see
+    `uniform_radius_at`).  A positive result L certifies that around every
+    point of [0, 1] the open L-ball fits inside some single element; a
+    non-positive minimum is proof that some point has no interior margin
+    at all, which is reported as NotACover with the smallest such point.
+
+    An element's margin min(x - lo, hi - x) rises up to its midpoint and
+    falls after it.  So between two consecutive midpoints, in midpoint
+    order, the envelope is max(x - A, B - x): A is the smallest lo of the
+    elements whose midpoint is still ahead, B the largest hi of those
+    already passed.  That is a V with its bottom at (A + B) / 2, so its
+    minimum on the piece is at that bottom clamped to the piece.  Before
+    the first midpoint the envelope is x - A and after the last it is
+    B - x, so there the minimum is at 0 or at 1.  One sort, a suffix
+    minimum and a prefix maximum make this O(k log k).  The candidates
+    ascend and `min` keeps the first of equal values, so the witness is the
+    smallest minimiser, as in a scan of the sorted `lebesgue_candidates`.
     """
     if not cover:
         raise ValueError("cover must be nonempty")
-    best: Rational | None = None
-    witness: Rational | None = None
-    for x in lebesgue_candidates(cover):
-        value = uniform_radius_at(cover, x)
-        if best is None or value < best:
-            best, witness = value, x
+    order = sorted(cover, key=lambda e: e.lo + e.hi)
+    mids = [(e.lo + e.hi) / 2 for e in order]
+    ahead_lo = list(accumulate((e.lo for e in reversed(order)), min))[::-1]
+    passed_hi = list(accumulate((e.hi for e in order), max))
+    candidates = []
+    if mids[0] >= ZERO:
+        candidates.append((ZERO, -ahead_lo[0]))
+    for i in range(1, len(order)):
+        left, right = max(mids[i - 1], ZERO), min(mids[i], ONE)
+        if left <= right:
+            a, b = ahead_lo[i], passed_hi[i - 1]
+            x = min(max((a + b) / 2, left), right)
+            candidates.append((x, max(x - a, b - x)))
+    if mids[-1] <= ONE:
+        candidates.append((ONE, passed_hi[-1] - ONE))
+    witness, best = min(candidates, key=itemgetter(1))
     if best <= 0:
         raise NotACover(
             f"point {render(witness)} of [0,1] has no interior margin "
@@ -190,17 +228,29 @@ def extract_constant_radius(
     return first
 
 
+MAX_NET_POINTS = 10**6
+
+
 def build_eps_net(eps: Rational) -> list[Rational]:
     """The grid 0, eps, 2*eps, ... capped at 1, with 1 appended when missed.
 
     Every point of [0, 1] ends up strictly within eps of some net point,
-    and the net has at most ceil(1/eps) + 1 points.
+    and the net has at most ceil(1/eps) + 1 points, ascending.  A net of
+    more than MAX_NET_POINTS points raises BudgetExceeded before any point
+    is built.
     """
     if eps <= 0:
         raise NonpositiveRadius(f"net spacing {render(eps)} is not positive")
     count = int(ONE // eps)
+    hits_one = eps * count == ONE
+    size = count + 1 if hits_one else count + 2
+    if size > MAX_NET_POINTS:
+        raise BudgetExceeded(
+            f"net spacing {render(eps)} needs {size} points, "
+            f"more than MAX_NET_POINTS = {MAX_NET_POINTS}"
+        )
     net = [eps * k for k in range(count + 1)]
-    if net[-1] != ONE:
+    if not hits_one:
         net.append(ONE)
     return net
 
@@ -208,7 +258,11 @@ def build_eps_net(eps: Rational) -> list[Rational]:
 def find_containing_element(
     cover: CoverList, center: Rational, radius: Rational
 ) -> int:
-    """Smallest element index whose interval contains the ball around `center`."""
+    """Smallest element index whose interval contains the ball around `center`.
+
+    O(k) scan; `extract_finite_subcover` calls it only for a ball that no
+    element contains, to raise NoContainingElement.
+    """
     if radius <= 0:
         raise NonpositiveRadius(f"ball radius {render(radius)} is not positive")
     for index, e in enumerate(cover):
@@ -242,19 +296,36 @@ def extract_finite_subcover(
 ) -> SubcoverCertificate:
     """The whole pipeline: radius, net, per-point assignment, certificate.
 
-    First-match assignment and the fixed net make the certificate
-    byte-reproducible for identical inputs.
+    Each net point is assigned the smallest index whose element contains
+    its ball, the answer `find_containing_element` gives.  First-match
+    assignment and the fixed net make the certificate byte-reproducible
+    for identical inputs.
+
+    Element j contains the ball around c exactly when c lies in
+    [lo_j + r, hi_j - r].  The net ascends, so an element joins a min-heap
+    of indices once its lower bound is <= c, and leaves it for good once
+    its upper bound is < c; the heap's top is then the first match.
+    O((N + k) log k) for N net points and k elements.
     """
     if not cover:
         raise ValueError("cover must be nonempty")
     radius = extract_constant_radius(modulus, sample_points)
     net = build_eps_net(radius)
-    assignments = tuple(
-        (k, find_containing_element(cover, point, radius))
-        for k, point in enumerate(net)
-    )
+    centres = [(e.lo + radius, e.hi - radius) for e in cover]
+    by_lo = sorted(range(len(cover)), key=lambda j: centres[j][0])
+    joined = 0
+    heap: list[int] = []
+    assignments = []
+    for k, point in enumerate(net):
+        while joined < len(by_lo) and centres[by_lo[joined]][0] <= point:
+            heapq.heappush(heap, by_lo[joined])
+            joined += 1
+        while heap and centres[heap[0]][1] < point:
+            heapq.heappop(heap)
+        element = heap[0] if heap else find_containing_element(cover, point, radius)
+        assignments.append((k, element))
     selected = tuple(sorted({element for _, element in assignments}))
-    return SubcoverCertificate(radius, tuple(net), assignments, selected)
+    return SubcoverCertificate(radius, tuple(net), tuple(assignments), selected)
 
 
 @dataclass(frozen=True)
@@ -270,25 +341,36 @@ class Uncovered:
 def verify_subcover(cover: CoverList, selected: Sequence[int]) -> Covered | Uncovered:
     """Exact sweep deciding whether the selected elements cover [0, 1].
 
-    Maintains `reach`, the first point not yet known covered, starting at
-    0.  Any selected element with lo < reach < hi pushes reach to its hi;
-    when none does, `reach` itself (0, a gap endpoint, or 1) is a point of
-    [0, 1] inside no selected element and is returned as the witness.
-    Covered means reach moved strictly past 1.
+    `selected` may be in any order and may repeat indices; an index out of
+    range raises ValueError.  See `_reach` for the sweep and its witness.
+    O(k log k) for k selected elements.
     """
-    elements = []
+    spans = []
     for index in selected:
         if not 0 <= index < len(cover):
             raise ValueError(f"element index {index} out of range")
-        elements.append(cover[index])
+        spans.append((cover[index].lo, cover[index].hi))
+    return _reach(spans)
+
+
+def _reach(spans: Iterable[tuple[Rational, Rational]]) -> Covered | Uncovered:
+    """Whether the open intervals (lo, hi), given in any order, cover [0, 1].
+
+    Walks the intervals by lo, keeping `reach`: [0, reach) lies inside the
+    intervals walked so far and none of them extends past reach.  An
+    interval with lo < reach moves reach up to its hi when that is further.
+    The first interval with lo >= reach ends the walk, and every later one
+    starts at least as far, so no interval contains reach: it is the least
+    point >= 0 outside all of them.  That point (0, a gap endpoint, or 1)
+    is the witness, unless it lies past 1.  O(k log k) for k intervals.
+    """
     reach = ZERO
-    while True:
-        extensions = [e.hi for e in elements if e.lo < reach < e.hi]
-        if not extensions:
-            return Uncovered(reach)
-        reach = max(extensions)
-        if reach > ONE:
-            return Covered()
+    for lo, hi in sorted(spans, key=itemgetter(0)):
+        if not lo < reach:
+            break
+        if hi > reach:
+            reach = hi
+    return Covered() if reach > ONE else Uncovered(reach)
 
 
 def render_certificate(certificate: SubcoverCertificate) -> str:
@@ -348,6 +430,11 @@ def verify_certificate(cover: CoverList, certificate: SubcoverCertificate) -> li
     selected list matches the assignments, the net with this radius leaves
     no point of [0, 1] farther than the radius from a net point, and the
     selected elements really cover [0, 1].
+
+    Both coverage checks are the `_reach` sweep: the net's balls
+    (c - r, c + r), in whatever order and with whatever repeats the
+    certificate lists them, and the selected elements.  O(N log N + k log k)
+    for N net points and k elements.
     """
     problems: list[str] = []
     r = certificate.radius
@@ -357,16 +444,20 @@ def verify_certificate(cover: CoverList, certificate: SubcoverCertificate) -> li
 
     if [k for k, _ in certificate.assignments] != list(range(len(certificate.net))):
         problems.append("assignments do not list each net point exactly once, in order")
+    balls = [(c - r, c + r) for c in certificate.net]
     for net_index, element in certificate.assignments:
         if not 0 <= element < len(cover):
             problems.append(f"assignment {net_index}: element {element} out of range")
             continue
-        point = certificate.net[net_index]
-        if not cover[element].contains_ball(point, r):
-            e = cover[element]
+        if not 0 <= net_index < len(balls):
+            problems.append(f"assignment {net_index}: net point {net_index} out of range")
+            continue
+        lo, hi = balls[net_index]
+        e = cover[element]
+        if not (e.lo <= lo and hi <= e.hi):  # `contains_ball`, on the ball built once
             problems.append(
-                f"ball ({render(point - r)}, {render(point + r)}) around net point "
-                f"{render(point)} is not inside element {element} "
+                f"ball ({render(lo)}, {render(hi)}) around net point "
+                f"{render(certificate.net[net_index])} is not inside element {element} "
                 f"({render(e.lo)}, {render(e.hi)})"
             )
 
@@ -376,8 +467,7 @@ def verify_certificate(cover: CoverList, certificate: SubcoverCertificate) -> li
             "selected list does not match the set of assigned elements"
         )
 
-    balls = [OpenInterval(c - r, c + r) for c in certificate.net]
-    density = verify_subcover(balls, range(len(balls)))
+    density = _reach(balls)
     if isinstance(density, Uncovered):
         problems.append(
             f"net with radius {render(r)} leaves {render(density.witness)} uncovered"

@@ -23,7 +23,7 @@ class DomainError(Exception):
 
 
 class BudgetExceeded(DomainError):
-    """A machine-backed evaluation ran past its configured step cap."""
+    """A computation would need more work than its cap allows (see `cover.MAX_NET_POINTS`)."""
 
 
 class NotSeparated(DomainError):

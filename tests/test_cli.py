@@ -241,6 +241,17 @@ class TestCover:
         assert code == 0
         assert out.startswith("r=1/10\n")
 
+    def test_net_over_the_size_cap_is_refused(self, capsys, cover_file):
+        # a billion-point net: refused before any point is built
+        assert run(
+            capsys, "cover", "subcover", "--cover", cover_file, "--modulus", "const:1/1000000000",
+        ) == (
+            1,
+            "budget-exceeded net spacing 1/1000000000 needs 1000000001 points, "
+            "more than MAX_NET_POINTS = 1000000\n",
+            "",
+        )
+
     def test_non_constant_oracle_modulus_rejected_at_usage_level(self, capsys, cover_file):
         code, _, _ = run(
             capsys, "cover", "subcover", "--cover", cover_file, "--modulus", "wavy",

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import nicecover.cover as cover_mod
 from nicecover.cover import (
     DEFAULT_SAMPLE_POINTS,
     ConstantModulus,
@@ -28,12 +29,14 @@ from nicecover.cover import (
     verify_subcover,
 )
 from nicecover.errors import (
+    BudgetExceeded,
     NoContainingElement,
     NonpositiveRadius,
     NotACover,
     NotNiceCover,
     ParseError,
 )
+from nicecover.rational import render
 
 F = Fraction
 
@@ -178,6 +181,14 @@ class TestEpsNet:
         with pytest.raises(NonpositiveRadius):
             build_eps_net(F(0))
 
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setattr(cover_mod, "MAX_NET_POINTS", 10)
+        assert len(build_eps_net(F(1, 9))) == 10
+        with pytest.raises(BudgetExceeded, match="needs 11 points, more than MAX_NET_POINTS = 10"):
+            build_eps_net(F(1, 10))
+        with pytest.raises(BudgetExceeded, match="needs 11 points"):
+            build_eps_net(F(2, 19))  # 0, 2/19, ..., 18/19, then 1
+
     @given(unit_rationals, st.fractions(min_value="1/64", max_value=2, max_denominator=64))
     def test_density(self, x, eps):
         net = build_eps_net(eps)
@@ -321,6 +332,156 @@ class TestCertificateVerification:
         bad = SubcoverCertificate(c.radius, c.net, assignments, (7,))
         assert verify_certificate(TWO_INTERVALS, bad)
 
+    def test_out_of_range_net_index_reported_not_crashed(self):
+        c = self.cert()
+        bad = SubcoverCertificate(c.radius, c.net, c.assignments + ((99, 0),), c.selected)
+        assert verify_certificate(TWO_INTERVALS, bad) == [
+            "assignments do not list each net point exactly once, in order",
+            "assignment 99: net point 99 out of range",
+        ]
+
     def test_wrong_cover_detected(self):
         problems = verify_certificate(ONE_INTERVAL, self.cert())
         assert problems
+
+
+# The scans that the sweeps in nicecover.cover must agree with: the
+# candidate scan for the Lebesgue number, the rescan loop for coverage and
+# a per-point first match for assignment.
+
+
+def scan_lebesgue_number(cover):
+    best = witness = None
+    for x in lebesgue_candidates(cover):
+        value = uniform_radius_at(cover, x)
+        if best is None or value < best:
+            best, witness = value, x
+    if best <= 0:
+        raise NotACover(
+            f"point {render(witness)} of [0,1] has no interior margin "
+            f"(best radius {render(best)})"
+        )
+    return best
+
+
+def rescan_verify_subcover(cover, selected):
+    elements = [cover[j] for j in selected]
+    reach = F(0)
+    while True:
+        extensions = [e.hi for e in elements if e.lo < reach < e.hi]
+        if not extensions:
+            return Uncovered(reach)
+        reach = max(extensions)
+        if reach > 1:
+            return Covered()
+
+
+def scan_subcover(cover, radius):
+    net = build_eps_net(radius)
+    assignments = tuple(
+        (k, find_containing_element(cover, point, radius)) for k, point in enumerate(net)
+    )
+    selected = tuple(sorted({j for _, j in assignments}))
+    return SubcoverCertificate(radius, tuple(net), assignments, selected)
+
+
+def rescan_verify_certificate(cover, certificate):
+    """verify_certificate with both coverage checks done by the rescan loop."""
+    problems = []
+    r = certificate.radius
+    if r <= 0:
+        return [f"radius {render(r)} is not positive"]
+    if [k for k, _ in certificate.assignments] != list(range(len(certificate.net))):
+        problems.append("assignments do not list each net point exactly once, in order")
+    for net_index, element in certificate.assignments:
+        if not 0 <= element < len(cover):
+            problems.append(f"assignment {net_index}: element {element} out of range")
+            continue
+        point = certificate.net[net_index]
+        e = cover[element]
+        if not e.contains_ball(point, r):
+            problems.append(
+                f"ball ({render(point - r)}, {render(point + r)}) around net point "
+                f"{render(point)} is not inside element {element} "
+                f"({render(e.lo)}, {render(e.hi)})"
+            )
+    if certificate.selected != tuple(sorted({j for _, j in certificate.assignments})):
+        problems.append("selected list does not match the set of assigned elements")
+    balls = [OpenInterval(c - r, c + r) for c in certificate.net]
+    density = rescan_verify_subcover(balls, range(len(balls)))
+    if isinstance(density, Uncovered):
+        problems.append(f"net with radius {render(r)} leaves {render(density.witness)} uncovered")
+    in_range = sorted({j for _, j in certificate.assignments if 0 <= j < len(cover)})
+    coverage = rescan_verify_subcover(cover, in_range)
+    if isinstance(coverage, Uncovered):
+        problems.append(f"selected elements leave {render(coverage.witness)} uncovered")
+    return problems
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (NotACover, NoContainingElement) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def covers(draw):
+    """Few distinct endpoints, so nested, touching and repeated intervals are common."""
+    pool = draw(
+        st.lists(st.fractions(min_value=-1, max_value=2, max_denominator=12),
+                 min_size=2, max_size=8, unique=True)
+    )
+    pairs = draw(
+        st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool))
+                 .filter(lambda p: p[0] != p[1]), min_size=1, max_size=10)
+    )
+    return [OpenInterval(min(p), max(p)) for p in pairs]
+
+
+radii = st.fractions(min_value="1/24", max_value="3/2", max_denominator=24)
+
+
+class TestSweepsMatchScans:
+    @given(covers())
+    def test_lebesgue_number(self, cover):
+        assert outcome(lebesgue_number, cover) == outcome(scan_lebesgue_number, cover)
+
+    @given(covers(), st.data())
+    def test_verify_subcover(self, cover, data):
+        selected = data.draw(st.lists(st.integers(0, len(cover) - 1), max_size=2 * len(cover)))
+        assert verify_subcover(cover, selected) == rescan_verify_subcover(cover, selected)
+
+    @given(covers(), radii)
+    def test_assignment(self, cover, radius):
+        assert outcome(extract_finite_subcover, cover, ConstantModulus(radius)) == outcome(
+            scan_subcover, cover, radius
+        )
+
+    @given(covers(), radii, st.data())
+    def test_verify_certificate_on_damaged_nets(self, cover, radius, data):
+        net = build_eps_net(radius)
+        elements = []
+        for point in net:
+            try:
+                elements.append(find_containing_element(cover, point, radius))
+            except NoContainingElement:
+                elements.append(data.draw(st.integers(0, len(cover))))  # may be out of range
+        damage = data.draw(st.sampled_from(["none", "shuffle", "drop", "repeat", "shift"]))
+        if damage == "shuffle":
+            net = data.draw(st.permutations(net))
+        elif damage == "drop" and len(net) > 2:
+            del net[data.draw(st.integers(0, len(net) - 1))]
+        elif damage == "repeat":
+            net.append(data.draw(st.sampled_from(net)))
+            elements.append(0)
+        elif damage == "shift":
+            i = data.draw(st.integers(0, len(net) - 1))
+            net[i] += data.draw(st.fractions(min_value=-radius, max_value=radius, max_denominator=90))
+        radius *= data.draw(st.sampled_from([1, 1, F(1, 2), F(3, 2)]))
+        assignments = tuple(enumerate(elements[: len(net)]))
+        selected = tuple(sorted({j for _, j in assignments}))
+        if data.draw(st.booleans()) and selected:
+            selected = selected[1:]
+        certificate = SubcoverCertificate(radius, tuple(net), assignments, selected)
+        assert verify_certificate(cover, certificate) == rescan_verify_certificate(cover, certificate)
