@@ -21,6 +21,10 @@ from .errors import BudgetExceeded, NotSeparated, ParseError
 from .machine import Halted, Program, load_program, run_for
 from .rational import ONE, Rational, parse_natural, parse_rational, pow2, render
 
+# Row i of a transcript holds rationals of about i bits, so a transcript of
+# n rows holds about n^2 / 2 bits.
+MAX_BISECT_STEPS = 10**4
+
 
 def geometric_targets() -> CRN:
     """The built-in target sequence 1 - 2^-i with regulator n -> n."""
@@ -207,10 +211,16 @@ def bisect_to_precision(
     halving, nesting, and label separation at every row.  The returned CRN
     keeps bisecting lazily past `steps` when deeper approximations are
     requested; its regulator is the first index at which the initial width
-    scaled by 2^-i drops below 2^-m.
+    scaled by 2^-i drops below 2^-m.  A transcript of more than
+    MAX_BISECT_STEPS halvings raises BudgetExceeded; the lazy rows are not
+    capped.
     """
     if steps < 0:
         raise ValueError("steps must be a natural number")
+    if steps > MAX_BISECT_STEPS:
+        raise BudgetExceeded(
+            f"transcript of {steps} steps is longer than MAX_BISECT_STEPS = {MAX_BISECT_STEPS}"
+        )
     chain = _BisectionChain(f, lo, hi)
     rows = [chain.row(i) for i in range(steps + 1)]
     return _chain_crn(chain, hi - lo), rows

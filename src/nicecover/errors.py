@@ -23,7 +23,10 @@ class DomainError(Exception):
 
 
 class BudgetExceeded(DomainError):
-    """A computation would need more work than its cap allows (see `cover.MAX_NET_POINTS`)."""
+    """A computation would need more work than its cap allows.
+
+    See `cover.MAX_NET_POINTS` and `analysis.MAX_BISECT_STEPS`.
+    """
 
 
 class NotSeparated(DomainError):

@@ -6,18 +6,28 @@ instruction is one step.  A run either halts (HALT executes, or control
 falls off the end) or exhausts its step budget; both outcomes carry exact
 step counts, which is what makes every higher-level construction in this
 library reproducible.
+
+Runs are exact but not literal: an innermost loop whose next laps provably
+take the same path is applied in closed form (laps times lap length steps,
+laps times the lap's register deltas), in the manner of the macro steps of
+Marxen & Buntrock, "Attacking the Busy Beaver 5" (1990).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from bisect import bisect_left, insort
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
 from .errors import InvalidProgram
 
 OPS = ("INC", "DEC", "JZ", "GOTO", "HALT")
+_INC, _DEC, _JZ, _GOTO, _HALT = range(len(OPS))
+
+# Registers are a dense list per run, so the largest index sets its size.
+MAX_REGISTER = 1023
 
 _LABEL_RE = re.compile(r"([A-Za-z_]\w*):")
 
@@ -33,6 +43,14 @@ class Instruction:
 class Program:
     instructions: tuple[Instruction, ...]
     register_count: int
+    # (opcode, register, target) per instruction, the form the step loop runs
+    code: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        code = tuple(
+            (OPS.index(inst.op), inst.reg or 0, inst.target or 0) for inst in self.instructions
+        )
+        object.__setattr__(self, "code", code)
 
 
 @dataclass(frozen=True)
@@ -50,7 +68,7 @@ RunOutcome = Halted | StillRunning
 
 def parse_program(text: str) -> Program:
     """Parse program text: one instruction per line, `name:` label prefixes,
-    `#` comments, decimal register indices."""
+    `#` comments, decimal register indices up to MAX_REGISTER."""
     labels: dict[str, int] = {}
     raw: list[tuple[str, list[str], int]] = []  # (op, args, source line)
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -79,9 +97,14 @@ def parse_program(text: str) -> Program:
     max_register = 0
 
     def register(token: str, line_no: int) -> int:
-        if not token.isdigit():
+        if not token.isdecimal():
             raise InvalidProgram(f"line {line_no}: bad register {token!r}")
-        return int(token)
+        reg = int(token)
+        if reg > MAX_REGISTER:
+            raise InvalidProgram(
+                f"line {line_no}: register {reg} is above MAX_REGISTER = {MAX_REGISTER}"
+            )
+        return reg
 
     def target(token: str, line_no: int) -> int:
         if token not in labels:
@@ -119,8 +142,70 @@ def load_program(path: str | Path) -> Program:
     return parse_program(Path(path).read_text())
 
 
+def _repeat_lap(
+    code: tuple[tuple[int, int, int], ...], registers: list[int], header: int, room: int
+) -> tuple[int, int]:
+    """Run the loop at `header` as many whole laps as provably repeat.
+
+    One lap is traced on the side from `header`: a forward path that ends
+    with a backward jump, so it is at most len(code) steps long.  Unless
+    that jump returns to `header` within `room` steps, nothing is changed
+    and (0, 0) is returned.  Otherwise every JZ/DEC read v of a register
+    whose lap delta is d reads v + j*d in lap j, and lap j takes the same
+    path as long as each read keeps its zero-ness: v > 0 stays positive,
+    v == 0 needs d == 0.  The largest such number of laps that fits in
+    `room` is applied to `registers` in place; returns (laps, lap length).
+    """
+    end = len(code)
+    delta: dict[int, int] = {}
+    reads: list[tuple[int, int]] = []
+    pc = header
+    length = 0
+    while length < room:
+        op, reg, target = code[pc]
+        length += 1
+        if op == _INC:
+            delta[reg] = delta.get(reg, 0) + 1
+            pc += 1
+        elif op == _DEC:
+            value = registers[reg] + delta.get(reg, 0)
+            reads.append((reg, value))
+            if value:
+                delta[reg] = delta.get(reg, 0) - 1
+            pc += 1
+        elif op == _HALT:
+            return 0, 0
+        else:
+            if op == _JZ:
+                value = registers[reg] + delta.get(reg, 0)
+                reads.append((reg, value))
+            if op == _GOTO or not value:
+                if target <= pc:
+                    if target != header:
+                        return 0, 0
+                    break
+                pc = target
+                continue
+            pc += 1
+        if pc >= end:
+            return 0, 0
+    else:
+        return 0, 0
+
+    laps = room // length
+    for reg, value in reads:
+        d = delta.get(reg, 0)
+        if value and d < 0:
+            laps = min(laps, (value - 1) // -d + 1)
+        elif d and not value:
+            laps = min(laps, 1)
+    for reg, d in delta.items():
+        registers[reg] += laps * d
+    return laps, length
+
+
 class MachineState:
-    """Mutable state of a single run; `step()` executes exactly one instruction.
+    """Mutable state of a single run, moved forward by `advance`.
 
     Separate runs never share state, so distinct runs are safe on distinct
     threads.
@@ -135,32 +220,68 @@ class MachineState:
         self.pc = 0
         self.steps = 0
         self.halted = False
+        # loop detection: the target of the latest backward jump, and per
+        # header how many arrivals to skip before tracing a lap again
+        self._header = -1
+        self._skip = [0] * len(program.code)
+        self._backoff = [0] * len(program.code)
 
     def step(self) -> None:
+        """Execute exactly one instruction (nothing once halted)."""
+        self.advance(self.steps + 1)
+
+    def advance(self, limit: int) -> None:
+        """Run until the machine halts or `steps` reaches `limit`.
+
+        A backward jump to the same header as the previous backward jump
+        closes one lap of an innermost loop; the laps that provably repeat
+        are then applied in closed form by `_repeat_lap`.  When fewer than
+        two laps could be applied, that header is not traced again for a
+        doubling number of arrivals, so loops whose path keeps changing run
+        at the plain loop's speed.
+        """
         if self.halted:
             return
-        instruction = self.program.instructions[self.pc]
-        self.steps += 1
-        op = instruction.op
-        if op == "INC":
-            self.registers[instruction.reg] += 1
-            self.pc += 1
-        elif op == "DEC":
-            value = self.registers[instruction.reg]
-            self.registers[instruction.reg] = value - 1 if value > 0 else 0
-            self.pc += 1
-        elif op == "JZ":
-            if self.registers[instruction.reg] == 0:
-                self.pc = instruction.target
+        code = self.program.code
+        end = len(code)
+        regs = self.registers
+        skip, backoff = self._skip, self._backoff
+        pc, steps, header = self.pc, self.steps, self._header
+        while steps < limit:
+            op, reg, target = code[pc]
+            steps += 1
+            if op == _INC:
+                regs[reg] += 1
+                pc += 1
+            elif op == _DEC:
+                if regs[reg]:
+                    regs[reg] -= 1
+                pc += 1
+            elif op == _HALT:
+                self.halted = True
+                break
+            elif op == _GOTO or not regs[reg]:
+                if target <= pc:
+                    if target != header:
+                        header = target
+                    elif skip[target]:
+                        skip[target] -= 1
+                    else:
+                        laps, length = _repeat_lap(code, regs, target, limit - steps)
+                        steps += laps * length
+                        if laps < 2:
+                            backoff[target] = 2 * backoff[target] or 1
+                            skip[target] = backoff[target]
+                        else:
+                            backoff[target] = 0
+                pc = target
+                continue
             else:
-                self.pc += 1
-        elif op == "GOTO":
-            self.pc = instruction.target
-        else:  # HALT
-            self.halted = True
-            return
-        if self.pc >= len(self.program.instructions):
-            self.halted = True
+                pc += 1
+            if pc >= end:
+                self.halted = True
+                break
+        self.pc, self.steps, self._header = pc, steps, header
 
 
 def run_for(program: Program, input_value: int, budget: int) -> RunOutcome:
@@ -172,11 +293,8 @@ def run_for(program: Program, input_value: int, budget: int) -> RunOutcome:
     if budget < 0:
         raise ValueError("budget must be a natural number")
     state = MachineState(program, input_value)
-    while state.steps < budget:
-        state.step()
-        if state.halted:
-            return Halted(state.steps)
-    return StillRunning(budget)
+    state.advance(budget)
+    return Halted(state.steps) if state.halted else StillRunning(budget)
 
 
 def dovetail_enumerate(
@@ -190,23 +308,43 @@ def dovetail_enumerate(
     as soon as `total_budget` steps have been spent across all runs.  The
     emission order is therefore fully deterministic: sorted by halting
     step, ties broken by input.
+
+    The sweep is not run step by step.  Every input is advanced to a
+    common horizon m, doubled until the steps spent up to m reach the
+    budget or every input has halted; a later halt cannot be emitted.  An
+    input halting at step k takes that step after sum_j min(k_j, k - 1)
+    steps of earlier sweeps plus one for each smaller input still pending,
+    and it is emitted while that count is below `total_budget`.
     """
     if total_budget < 1:
         raise ValueError("total budget must be at least 1")
-    pending = [(i, MachineState(program, i)) for i in sorted(set(inputs))]
+    values = sorted(set(inputs))
+    if not values:
+        return []
+    states = [MachineState(program, v) for v in values]
+    horizon = max(1, total_budget // len(states))
+    while True:
+        for state in states:
+            state.advance(horizon)
+        if sum(state.steps for state in states) >= total_budget or all(
+            state.halted for state in states
+        ):
+            break
+        horizon *= 2
+
+    halts = sorted((state.steps, position) for position, state in enumerate(states) if state.halted)
     emitted: list[tuple[int, int]] = []
-    total = 0
-    while pending and total < total_budget:
-        survivors: list[tuple[int, MachineState]] = []
-        for position, (input_value, state) in enumerate(pending):
-            if total >= total_budget:
-                survivors.extend(pending[position:])
-                break
-            state.step()
-            total += 1
-            if state.halted:
-                emitted.append((input_value, state.steps))
-            else:
-                survivors.append((input_value, state))
-        pending = survivors
+    earlier: list[int] = []  # positions of inputs halted in an earlier sweep, ascending
+    earlier_steps = 0
+    retired = 0
+    for k, position in halts:
+        while halts[retired][0] < k:
+            earlier_steps += halts[retired][0]
+            insort(earlier, halts[retired][1])
+            retired += 1
+        spent = earlier_steps + (k - 1) * (len(states) - len(earlier))
+        spent += position - bisect_left(earlier, position)
+        if spent >= total_budget:
+            break
+        emitted.append((values[position], k))
     return emitted

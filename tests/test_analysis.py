@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from nicecover.analysis import (
+    MAX_BISECT_STEPS,
     HaltsAt,
     NoHaltWithin,
     StairMap,
@@ -239,6 +240,15 @@ class TestBisectToPrecision:
     def test_unseparated_endpoints_rejected(self):
         with pytest.raises(NotSeparated):
             bisect_to_precision(StepMap(THIRD), Fraction(1, 2), Fraction(1), 3)
+
+    def test_transcript_length_cap(self):
+        with pytest.raises(BudgetExceeded, match="MAX_BISECT_STEPS = 10000$"):
+            bisect_to_precision(StepMap(THIRD), Fraction(0), Fraction(1), MAX_BISECT_STEPS + 1)
+
+    def test_lazy_rows_are_not_capped(self):
+        value = bisect_limit(StepMap(THIRD), Fraction(0), Fraction(1))
+        n = MAX_BISECT_STEPS + 10
+        assert abs(approx_to(value, n) - THIRD) < pow2(-n)
 
 
 class TestExpressionBuiltins:

@@ -120,6 +120,17 @@ class TestMachine:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("text,message", [
+        ("INC ²\n", "line 1: bad register '²'"),
+        ("INC 1000000000\n", "line 1: register 1000000000 is above MAX_REGISTER = 1023"),
+    ])
+    def test_bad_register_exits_2(self, capsys, tmp_path, text, message):
+        bad = tmp_path / "bad.cm"
+        bad.write_text(text, encoding="utf-8")
+        for argv in (["machine", "run", "--input", "0", "--budget", "1"],
+                     ["machine", "dovetail", "--inputs", "0..3", "--budget", "10"]):
+            assert run(capsys, *argv, "--prog", str(bad)) == (2, "", f"error: {message}\n")
+
     def test_missing_program_exits_2(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "machine", "run",
@@ -207,6 +218,11 @@ class TestBisect:
             capsys, "bisect", "--oracle", "blip@1", "--lo", "0", "--hi", "1", "--steps", "1",
         )
         assert code == 2
+
+    def test_steps_over_the_cap_are_refused(self, capsys):
+        assert run(
+            capsys, "bisect", "--oracle", "step@1/3", "--lo", "0", "--hi", "1", "--steps", "10001",
+        ) == (1, "budget-exceeded transcript of 10001 steps is longer than MAX_BISECT_STEPS = 10000\n", "")
 
 
 class TestCover:

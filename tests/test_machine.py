@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import COUNTDOWN_TEXT, LOOPER_TEXT, MOD3_TEXT
+from nicecover import machine
 from nicecover.errors import InvalidProgram
 from nicecover.machine import (
+    MAX_REGISTER,
     Halted,
     Instruction,
     MachineState,
@@ -12,6 +16,97 @@ from nicecover.machine import (
     parse_program,
     run_for,
 )
+
+# No closed-form loop: the path through `a` alternates between the INC 1
+# lap and the DEC 1 / DEC 0 lap, 8 steps per unit of the input.
+ALTERNATING_TEXT = """a:   JZ 1 b
+     DEC 1
+     DEC 0
+     JZ 0 end
+     GOTO a
+b:   INC 1
+     GOTO a
+end: HALT
+"""
+
+
+class ReferenceState:
+    """The plain interpreter: one instruction per `step()`, nothing skipped."""
+
+    def __init__(self, program, input_value):
+        self.instructions = program.instructions
+        self.registers = [0] * program.register_count
+        self.registers[0] = input_value
+        self.pc = 0
+        self.steps = 0
+        self.halted = False
+
+    def step(self):
+        if self.halted:
+            return
+        instruction = self.instructions[self.pc]
+        self.steps += 1
+        op, reg = instruction.op, instruction.reg
+        if op == "INC":
+            self.registers[reg] += 1
+            self.pc += 1
+        elif op == "DEC":
+            self.registers[reg] = max(0, self.registers[reg] - 1)
+            self.pc += 1
+        elif op == "JZ":
+            self.pc = instruction.target if self.registers[reg] == 0 else self.pc + 1
+        elif op == "GOTO":
+            self.pc = instruction.target
+        else:  # HALT
+            self.halted = True
+            return
+        if self.pc >= len(self.instructions):
+            self.halted = True
+
+
+def reference_run_for(program, input_value, budget):
+    state = ReferenceState(program, input_value)
+    while state.steps < budget:
+        state.step()
+        if state.halted:
+            return Halted(state.steps)
+    return StillRunning(budget)
+
+
+def reference_dovetail(program, inputs, total_budget):
+    """Round robin, one step per pending input per sweep, in input order."""
+    pending = [(i, ReferenceState(program, i)) for i in sorted(set(inputs))]
+    emitted = []
+    total = 0
+    while pending and total < total_budget:
+        survivors = []
+        for position, (input_value, state) in enumerate(pending):
+            if total >= total_budget:
+                survivors.extend(pending[position:])
+                break
+            state.step()
+            total += 1
+            if state.halted:
+                emitted.append((input_value, state.steps))
+            else:
+                survivors.append((input_value, state))
+        pending = survivors
+    return emitted
+
+
+@st.composite
+def programs(draw):
+    """Programs of 1-8 instructions over registers 0-2, every label used."""
+    size = draw(st.integers(1, 8))
+    lines = []
+    for index in range(size):
+        op = draw(st.sampled_from(["INC", "DEC", "JZ", "GOTO", "HALT"]))
+        reg = draw(st.integers(0, 2))
+        target = draw(st.integers(0, size - 1))
+        args = {"INC": f" {reg}", "DEC": f" {reg}", "JZ": f" {reg} l{target}",
+                "GOTO": f" l{target}", "HALT": ""}[op]
+        lines.append(f"l{index}: {op}{args}\n")
+    return parse_program("".join(lines))
 
 
 class TestParsing:
@@ -61,6 +156,17 @@ class TestParsing:
 
     def test_load_program(self, countdown_file):
         assert load_program(countdown_file) == parse_program(COUNTDOWN_TEXT)
+
+    def test_non_ascii_digit_register_is_invalid(self):
+        with pytest.raises(InvalidProgram, match="^line 1: bad register '²'$"):
+            parse_program("INC ²\n")
+
+    def test_register_cap(self):
+        assert parse_program(f"INC {MAX_REGISTER}\n").register_count == MAX_REGISTER + 1
+        with pytest.raises(InvalidProgram, match="^line 2: register 1024 is above MAX_REGISTER = 1023$"):
+            parse_program("HALT\nJZ 1024 end\nend: HALT\n")
+        with pytest.raises(InvalidProgram, match="MAX_REGISTER"):
+            parse_program("INC 1000000000\n")
 
 
 class TestSemantics:
@@ -149,3 +255,63 @@ class TestDovetail:
     def test_consumes_at_most_total_budget(self, countdown):
         # with only 6 total steps nothing past the first halt can be seen
         assert dovetail_enumerate(countdown, range(0, 4), 6) == [(0, 2)]
+
+
+class TestClosedFormLoops:
+    def test_countdown_at_a_trillion(self, countdown):
+        assert run_for(countdown, 10**12, 10**13) == Halted(3 * 10**12 + 2)
+        assert run_for(countdown, 10**12, 3 * 10**12 + 1) == StillRunning(3 * 10**12 + 1)
+
+    def test_looper_for_a_quadrillion_steps(self, looper):
+        assert run_for(looper, 0, 10**15) == StillRunning(10**15)
+
+    def test_alternating_path_is_exact(self):
+        assert run_for(parse_program(ALTERNATING_TEXT), 120000, 10**6) == Halted(960000)
+
+    def test_laps_that_cannot_repeat_back_off(self, monkeypatch):
+        traced = []
+
+        def counting_repeat_lap(*args):
+            traced.append(args[2])
+            return repeat_lap(*args)
+
+        repeat_lap = machine._repeat_lap
+        monkeypatch.setattr(machine, "_repeat_lap", counting_repeat_lap)
+        assert run_for(parse_program(ALTERNATING_TEXT), 120000, 10**6) == Halted(960000)
+        # 240,000 laps close at header 0; a doubling back-off traces about log2 of that
+        assert traced and set(traced) == {0} and len(traced) <= 20
+
+    def test_state_after_a_closed_form_stop(self, countdown):
+        state = MachineState(countdown, 10**9)
+        state.advance(3 * 10**6 + 1)
+        assert (state.registers, state.pc, state.steps) == ([10**9 - 10**6], 1, 3 * 10**6 + 1)
+        state.advance(10**10)
+        assert state.halted and state.steps == 3 * 10**9 + 2
+
+    def test_dovetail_with_huge_budgets(self, countdown, looper):
+        assert dovetail_enumerate(countdown, range(4), 10**15) == [(0, 2), (1, 5), (2, 8), (3, 11)]
+        assert dovetail_enumerate(looper, range(50), 10**15) == []
+
+
+class TestAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(programs(), st.integers(0, 60), st.integers(0, 3000))
+    def test_run_for(self, program, input_value, budget):
+        assert run_for(program, input_value, budget) == reference_run_for(program, input_value, budget)
+
+    @settings(max_examples=150, deadline=None)
+    @given(programs(), st.integers(0, 60), st.integers(0, 12), st.integers(1, 3000))
+    def test_dovetail_enumerate(self, program, first, width, budget):
+        inputs = range(first, first + width)
+        assert dovetail_enumerate(program, inputs, budget) == reference_dovetail(program, inputs, budget)
+
+    @settings(max_examples=150, deadline=None)
+    @given(programs(), st.integers(0, 60), st.lists(st.integers(0, 400), min_size=1, max_size=8))
+    def test_advance_resumes_exactly(self, program, input_value, increments):
+        state, reference = MachineState(program, input_value), ReferenceState(program, input_value)
+        for increment in increments:
+            state.advance(state.steps + increment)
+            while reference.steps < state.steps:
+                reference.step()
+            assert (state.registers, state.pc, state.steps, state.halted) == (
+                reference.registers, reference.pc, reference.steps, reference.halted)
