@@ -22,8 +22,14 @@ from .machine import Halted, Program, load_program, run_for
 from .rational import ONE, Rational, parse_natural, parse_rational, pow2, render
 
 # Row i of a transcript holds rationals of about i bits, so a transcript of
-# n rows holds about n^2 / 2 bits.
+# n rows holds about n^2 / 2 bits.  The cap holds for printed transcripts
+# and for the rows a bisection limit builds lazily alike.
 MAX_BISECT_STEPS = 10**4
+
+# Default cap on the machine steps of one waiting entry.  The entry at
+# index i runs i steps and is a rational of about i bits, so the cap bounds
+# both the run and the size of the answer.
+MAX_WAITING_STEPS = 10**5
 
 
 def geometric_targets() -> CRN:
@@ -77,7 +83,7 @@ def waiting_crn(
     program: Program,
     input_value: int,
     targets: CRN,
-    max_steps: int | None = None,
+    max_steps: int = MAX_WAITING_STEPS,
 ) -> CRN:
     """Track `targets` until the monitored run halts, then stay frozen.
 
@@ -88,12 +94,13 @@ def waiting_crn(
     smaller k, and a compared pair is either both frozen (gap zero) or
     both still inside the regulator's safe region.
 
-    `max_steps`, when given, caps the machine work a single entry may do;
-    deeper queries raise BudgetExceeded instead of running longer.
+    `max_steps` (default MAX_WAITING_STEPS) caps the machine work a
+    single entry may do; deeper queries raise BudgetExceeded instead of
+    running longer.
     """
 
     def entry(i: int) -> Rational:
-        if max_steps is not None and i > max_steps:
+        if i > max_steps:
             raise BudgetExceeded(f"index {i} needs {i} steps; cap is {max_steps}")
         outcome = run_for(program, input_value, i)
         if isinstance(outcome, Halted):
@@ -135,8 +142,10 @@ def halting_reduction(
 
 
 def bisect_step(
-    pair: tuple[Rational, Rational], f: DiscreteMap
-) -> tuple[Rational, Rational]:
+    pair: tuple[Rational, Rational],
+    f: DiscreteMap,
+    labels: tuple[int, int] | None = None,
+) -> tuple[Rational, Rational] | tuple[tuple[Rational, Rational], tuple[int, int]]:
     """One halving that keeps the endpoint labels different.
 
     The upper half (mid, hi) is preferred whenever the midpoint label
@@ -144,16 +153,25 @@ def bisect_step(
     one at hi and so differs from the one at lo, and the lower half is
     taken.  The fixed preference keeps transcripts deterministic even when
     the midpoint label differs from both endpoints.
+
+    Without `labels` the next pair is returned.  A caller that already
+    knows the labels of lo and hi passes them as `labels`; then only the
+    midpoint is labelled, and the next pair comes back with its labels,
+    as `(pair, labels)`, ready for the following step.
     """
     lo, hi = pair
-    if f.label(lo) == f.label(hi):
+    label_lo, label_hi = (f.label(lo), f.label(hi)) if labels is None else labels
+    if label_lo == label_hi:
         raise NotSeparated(
             f"labels agree at both endpoints: f({render(lo)}) = f({render(hi)})"
         )
     mid = (lo + hi) / 2
-    if f.label(mid) != f.label(hi):
-        return (mid, hi)
-    return (lo, mid)
+    label_mid = f.label(mid)
+    if label_mid != label_hi:
+        halved, kept = (mid, hi), (label_mid, label_hi)
+    else:
+        halved, kept = (lo, mid), (label_lo, label_mid)
+    return halved if labels is None else (halved, kept)
 
 
 @dataclass(frozen=True)
@@ -165,16 +183,19 @@ class TranscriptRow:
 
 
 class _BisectionChain:
-    """Nested pairs extended on demand.
+    """Nested pairs extended on demand, at most MAX_BISECT_STEPS of them.
 
-    Extension is guarded by a lock so concurrent queries of the limit see
-    one consistent chain; answers do not depend on timing.
+    The labels of the last row's endpoints are carried to the next step,
+    so each new row labels its midpoint alone.  Extension is guarded by a
+    lock so concurrent queries of the limit see one consistent chain;
+    answers do not depend on timing.
     """
 
     def __init__(self, f: DiscreteMap, lo: Rational, hi: Rational):
         if not lo < hi:
             raise ValueError("bisection needs lo < hi")
-        if f.label(lo) == f.label(hi):
+        self._labels = (f.label(lo), f.label(hi))  # of the last row's endpoints
+        if self._labels[0] == self._labels[1]:
             raise NotSeparated(
                 f"labels agree at both endpoints: f({render(lo)}) = f({render(hi)})"
             )
@@ -183,23 +204,32 @@ class _BisectionChain:
         self._lock = threading.Lock()
 
     def row(self, i: int) -> TranscriptRow:
+        if i > MAX_BISECT_STEPS:
+            raise BudgetExceeded(
+                f"bisection row {i} is past MAX_BISECT_STEPS = {MAX_BISECT_STEPS}"
+            )
         with self._lock:
             while len(self._rows) <= i:
                 last = self._rows[-1]
-                nxt_lo, nxt_hi = bisect_step((last.lo, last.hi), self._f)
+                (nxt_lo, nxt_hi), self._labels = bisect_step(
+                    (last.lo, last.hi), self._f, self._labels
+                )
                 branch = "upper" if nxt_lo != last.lo else "lower"
                 self._rows.append(TranscriptRow(len(self._rows), nxt_lo, nxt_hi, branch))
             return self._rows[i]
 
 
 def _chain_crn(chain: _BisectionChain, width0: Rational) -> CRN:
-    def regulator(m: int) -> int:
-        i = 0
-        while not width0 * pow2(-i) < pow2(-m):
-            i += 1
-        return i
+    """The limit of `chain`, whose row i has width width0 * 2^-i.
 
-    return CRN(approx=lambda i: chain.row(i).lo, regulator=regulator)
+    The regulator is the least i >= 0 with width0 * 2^-i < 2^-m.  With j
+    the least integer such that width0 < 2^j, that is max(0, m + j); the
+    bit lengths of width0's numerator and denominator give j up to one.
+    """
+    j = width0.numerator.bit_length() - width0.denominator.bit_length()
+    if not width0 < pow2(j):
+        j += 1
+    return CRN(approx=lambda i: chain.row(i).lo, regulator=lambda m: max(0, m + j))
 
 
 def bisect_to_precision(
@@ -212,8 +242,8 @@ def bisect_to_precision(
     keeps bisecting lazily past `steps` when deeper approximations are
     requested; its regulator is the first index at which the initial width
     scaled by 2^-i drops below 2^-m.  A transcript of more than
-    MAX_BISECT_STEPS halvings raises BudgetExceeded; the lazy rows are not
-    capped.
+    MAX_BISECT_STEPS halvings, and a lazy row past that index, raise
+    BudgetExceeded.
     """
     if steps < 0:
         raise ValueError("steps must be a natural number")
@@ -236,7 +266,8 @@ def expression_builtins() -> dict[str, Callable[[Sequence[str]], CRN]]:
     """Named constructors available inside value expressions.
 
     `waiting(PROG_FILE, INPUT[, TARGETS])` builds a waiting value over the
-    named target sequence (default geometric); `bisect_limit(ORACLE, LO, HI)`
+    named target sequence (default geometric), each entry capped at
+    MAX_WAITING_STEPS steps; `bisect_limit(ORACLE, LO, HI)`
     builds a bisection limit.
     """
     return {"waiting": _waiting_builtin, "bisect_limit": _bisect_limit_builtin}

@@ -103,7 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
     waiting_approx.add_argument("--input", required=True, type=_flag(parse_natural))
     waiting_approx.add_argument("--targets", default="geometric", type=_flag(analysis.parse_targets))
     waiting_approx.add_argument("--prec", required=True, type=_flag(parse_natural))
-    waiting_approx.add_argument("--max-steps", type=_flag(parse_natural), default=None, help="cap on machine steps per entry")
+    waiting_approx.add_argument(
+        "--max-steps", type=_flag(parse_natural), default=analysis.MAX_WAITING_STEPS,
+        help=f"cap on machine steps per entry (default {analysis.MAX_WAITING_STEPS})",
+    )
 
     reduce_cmd = commands.add_parser("reduce", help="step-certified halting probe of a waiting value")
     reduce_cmd.add_argument("--prog", required=True, help="monitored program file")

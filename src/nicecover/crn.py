@@ -16,9 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable, Iterable, TypeVar
 
 from .rational import Rational, pow2
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,32 @@ def approx_to(x: CRN, n: int) -> Rational:
     return x.approx(x.regulator(n + 1))
 
 
+def _last(f: Callable[[int], T]) -> Callable[[int], T]:
+    """`f` remembering its most recent call, for the nodes built below.
+
+    Composites are pointwise, so during one top-level query every node of
+    a DAG is asked at the same index; remembering one call per node makes
+    a shared DAG such as `y = y + y` cost its number of distinct nodes,
+    not the size of the tree it unfolds to (Boehm, Cartwright, Riggle &
+    O'Donnell, "Exact real arithmetic: a case study in higher order
+    programming", 1986).  The memory is one immutable (argument, answer)
+    pair, read and replaced whole, so threads need no lock: each sees
+    some complete pair, and evaluation is pure, so any pair it sees holds
+    the true answer for its argument.
+    """
+    last: tuple[int | None, T | None] = (None, None)
+
+    def remembered(k: int) -> T:
+        nonlocal last
+        arg, answer = last
+        if arg != k:
+            answer = f(k)
+            last = (k, answer)
+        return answer
+
+    return remembered
+
+
 def add(x: CRN, y: CRN) -> CRN:
     """Pointwise sum.
 
@@ -65,21 +93,22 @@ def add(x: CRN, y: CRN) -> CRN:
     2^-(n+1) + 2^-(n+1) = 2^-n.
     """
     return CRN(
-        approx=lambda i: x.approx(i) + y.approx(i),
-        regulator=lambda n: max(x.regulator(n + 1), y.regulator(n + 1)),
+        approx=_last(lambda i: x.approx(i) + y.approx(i)),
+        regulator=_last(lambda n: max(x.regulator(n + 1), y.regulator(n + 1))),
     )
 
 
 def sub(x: CRN, y: CRN) -> CRN:
     """Pointwise difference; same regulator arithmetic as `add`."""
     return CRN(
-        approx=lambda i: x.approx(i) - y.approx(i),
-        regulator=lambda n: max(x.regulator(n + 1), y.regulator(n + 1)),
+        approx=_last(lambda i: x.approx(i) - y.approx(i)),
+        regulator=_last(lambda n: max(x.regulator(n + 1), y.regulator(n + 1))),
     )
 
 
 def negate(x: CRN) -> CRN:
-    return CRN(approx=lambda i: -x.approx(i), regulator=x.regulator)
+    """Pointwise negation; the regulator, and what it remembers, is that of `x`."""
+    return CRN(approx=_last(lambda i: -x.approx(i)), regulator=x.regulator)
 
 
 def mul(x: CRN, y: CRN) -> CRN:
@@ -96,8 +125,8 @@ def mul(x: CRN, y: CRN) -> CRN:
     while 2**shift < bound_x + bound_y + 1:
         shift += 1
     return CRN(
-        approx=lambda i: x.approx(i) * y.approx(i),
-        regulator=lambda n: max(x.regulator(n + shift), y.regulator(n + shift)),
+        approx=_last(lambda i: x.approx(i) * y.approx(i)),
+        regulator=_last(lambda n: max(x.regulator(n + shift), y.regulator(n + shift))),
     )
 
 

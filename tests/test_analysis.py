@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nicecover.analysis import (
     MAX_BISECT_STEPS,
+    MAX_WAITING_STEPS,
     HaltsAt,
     NoHaltWithin,
     StairMap,
@@ -22,7 +25,7 @@ from nicecover import analysis
 from nicecover.crn import approx_to, validate_regulator
 from nicecover.errors import BudgetExceeded, NotSeparated, ParseError, ZeroDenominator
 from nicecover.machine import Halted, StillRunning, run_for
-from nicecover.rational import pow2
+from nicecover.rational import pow2, render
 
 THIRD = Fraction(1, 3)
 
@@ -99,6 +102,13 @@ class TestWaiting:
         running = waiting_crn(looper, 0, geometric_targets())
         for n in range(12):
             assert abs(approx_to(running, n) - 1) <= pow2(-n)
+
+    def test_default_step_cap(self, looper):
+        w = waiting_crn(looper, 0, geometric_targets())
+        n = MAX_WAITING_STEPS - 1  # reads entry n + 1, the deepest one allowed
+        assert approx_to(w, n) == 1 - pow2(-(n + 1))
+        with pytest.raises(BudgetExceeded, match=f"^index {n + 2} needs {n + 2} steps; cap is {MAX_WAITING_STEPS}$"):
+            approx_to(w, n + 1)
 
     def test_max_steps_cap(self, looper):
         w = waiting_crn(looper, 0, geometric_targets(), max_steps=5)
@@ -185,6 +195,81 @@ class TestBisectStep:
             assert f.label(lo) != f.label(hi)
 
 
+class CountingMap:
+    """A discrete map that records every point it labels."""
+
+    def __init__(self, f):
+        self.f = f
+        self.points = []
+
+    def label(self, t):
+        self.points.append(t)
+        return self.f.label(t)
+
+
+positive_widths = st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6)
+unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=1000)
+
+
+@st.composite
+def separated_bisections(draw):
+    """(map, lo, hi) with one threshold in (lo, hi], so the endpoint labels differ."""
+    lo = draw(st.fractions(min_value=-2, max_value=2, max_denominator=100))
+    hi = lo + draw(positive_widths)
+    inside = lo + (hi - lo) * draw(unit_fractions.filter(bool))
+    if draw(st.booleans()):
+        return StepMap(inside), lo, hi
+    others = draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=1000), max_size=4))
+    return StairMap(tuple(sorted([inside, *others]))), lo, hi
+
+
+def loop_regulator(width, m):
+    """The bisection limit's regulator as a search: the least i >= 0 with width * 2^-i < 2^-m."""
+    i = 0
+    while not width * pow2(-i) < pow2(-m):
+        i += 1
+    return i
+
+
+class TestLabelCarryingChain:
+    @given(separated_bisections(), st.integers(0, 60))
+    def test_transcript_matches_plain_steps(self, bisection, steps):
+        f, lo, hi = bisection
+        _, rows = bisect_to_precision(f, lo, hi, steps)
+        plain, pair = [f"0\t{render(lo)}\t{render(hi)}\tinit"], (lo, hi)
+        for i in range(1, steps + 1):
+            lo_before, pair = pair[0], bisect_step(pair, f)
+            branch = "upper" if pair[0] != lo_before else "lower"
+            plain.append(f"{i}\t{render(pair[0])}\t{render(pair[1])}\t{branch}")
+        assert [f"{r.index}\t{render(r.lo)}\t{render(r.hi)}\t{r.branch}" for r in rows] == plain
+
+    def test_one_label_per_row(self):
+        f = CountingMap(StairMap((Fraction(1, 4), Fraction(3, 4))))
+        _, rows = bisect_to_precision(f, Fraction(0), Fraction(1), 50)
+        # the two initial endpoints, then the midpoint each new row halves at
+        assert f.points == [Fraction(0), Fraction(1)] + [(r.lo + r.hi) / 2 for r in rows[:-1]]
+
+    def test_step_with_known_labels(self):
+        f = StairMap((Fraction(1, 4), Fraction(3, 4)))
+        pair = (Fraction(0), Fraction(1))
+        assert bisect_step(pair, f, (0, 2)) == ((Fraction(1, 2), Fraction(1)), (1, 2))
+        assert bisect_step((Fraction(1, 2), Fraction(1)), f, (1, 2)) == (
+            (Fraction(1, 2), Fraction(3, 4)), (1, 2))
+        with pytest.raises(NotSeparated):
+            bisect_step(pair, f, (1, 1))
+
+    @given(positive_widths, st.integers(-40, 300))
+    def test_regulator_matches_the_search(self, width, m):
+        assert bisect_limit(StepMap(width / 2), Fraction(0), width).regulator(m) == loop_regulator(width, m)
+
+    @pytest.mark.parametrize("k", range(-12, 13))
+    @pytest.mark.parametrize("m", [-5, 0, 7])
+    def test_regulator_at_powers_of_two(self, k, m):
+        # width 2^k is where the bit-length guess needs its correction
+        width = pow2(k)
+        assert bisect_limit(StepMap(width / 2), Fraction(0), width).regulator(m) == loop_regulator(width, m)
+
+
 class TestBisectToPrecision:
     @pytest.mark.parametrize(
         "oracle,limit",
@@ -245,10 +330,12 @@ class TestBisectToPrecision:
         with pytest.raises(BudgetExceeded, match="MAX_BISECT_STEPS = 10000$"):
             bisect_to_precision(StepMap(THIRD), Fraction(0), Fraction(1), MAX_BISECT_STEPS + 1)
 
-    def test_lazy_rows_are_not_capped(self):
+    def test_lazy_rows_past_the_cap_are_refused(self):
         value = bisect_limit(StepMap(THIRD), Fraction(0), Fraction(1))
-        n = MAX_BISECT_STEPS + 10
+        n = MAX_BISECT_STEPS - 2  # reads row n + 2, the last one allowed
         assert abs(approx_to(value, n) - THIRD) < pow2(-n)
+        with pytest.raises(BudgetExceeded, match=f"^bisection row {n + 3} is past MAX_BISECT_STEPS = 10000$"):
+            approx_to(value, n + 1)
 
 
 class TestExpressionBuiltins:

@@ -1,5 +1,7 @@
 import subprocess
 import sys
+from decimal import Decimal
+from math import prod
 
 import pytest
 
@@ -13,6 +15,11 @@ def cover_file(tmp_path):
     path = tmp_path / "cover.txt"
     path.write_text(TWO_INTERVAL_COVER)
     return str(path)
+
+
+def digits(n: int) -> str:
+    """Decimal text of an int of any length, by a path that bypasses str(int)."""
+    return format(Decimal(n), "f")
 
 
 def run(capsys, *argv):
@@ -38,6 +45,10 @@ class TestRat:
         code, _, err = run(capsys, "rat", "1/0")
         assert code == 2
         assert "error:" in err
+
+    def test_answer_longer_than_4300_digits(self, capsys):
+        factors = [10**199 + 7919 * k for k in range(25)]
+        assert run(capsys, "rat", "*".join(map(str, factors))) == (0, digits(prod(factors)) + "\n", "")
 
 
     # `--` and `--expr=` keep argparse from reading a leading `-` as an option
@@ -84,6 +95,20 @@ class TestCrnApprox:
             "--expr", "bisect_limit(stair:1/4,3/4, 0, 1)", "--prec", "10",
         )
         assert (code, out) == (0, "3071/4096 ± 2^-10\n")
+
+    def test_lazy_bisection_rows_are_capped(self, capsys):
+        assert run(
+            capsys, "crn", "approx", "--expr", "bisect_limit(step@1/3, 0, 1)", "--prec", "100000",
+        ) == (1, "budget-exceeded bisection row 100002 is past MAX_BISECT_STEPS = 10000\n", "")
+
+    def test_waiting_builtin_answer_longer_than_4300_digits(self, capsys, looper_file):
+        want = f"{digits(2**14501 - 1)}/{digits(2**14501)} ± 2^-14500\n"
+        assert run(capsys, "crn", "approx", "--expr", f"waiting({looper_file}, 0)", "--prec", "14500") == (
+            0, want, "")
+
+    def test_waiting_builtin_default_step_cap(self, capsys, looper_file):
+        assert run(capsys, "crn", "approx", "--expr", f"waiting({looper_file}, 0)", "--prec", "1000000") == (
+            1, "budget-exceeded index 1000001 needs 1000001 steps; cap is 100000\n", "")
 
     def test_bad_precision_exits_2(self, capsys):
         code, _, err = run(capsys, "crn", "approx", "--expr", "1", "--prec", "-3")
@@ -161,6 +186,16 @@ class TestWaitingAndReduce:
         )
         assert code == 1
         assert out.startswith("budget-exceeded")
+
+    def test_waiting_answer_longer_than_4300_digits(self, capsys, looper_file):
+        assert run(
+            capsys, "waiting", "approx", "--prog", str(looper_file), "--input", "0", "--prec", "14500",
+        ) == (0, f"{digits(2**14501 - 1)}/{digits(2**14501)} ± 2^-14500\n", "")
+
+    def test_waiting_default_step_cap(self, capsys, looper_file):
+        assert run(
+            capsys, "waiting", "approx", "--prog", str(looper_file), "--input", "0", "--prec", "1000000",
+        ) == (1, "budget-exceeded index 1000001 needs 1000001 steps; cap is 100000\n", "")
 
     def test_reduce_halts(self, capsys, countdown_file):
         code, out, _ = run(

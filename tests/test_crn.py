@@ -1,9 +1,12 @@
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nicecover.analysis import StepMap, bisect_limit
 from nicecover.crn import (
     CRN,
     Apartness,
@@ -166,3 +169,118 @@ class TestValidateRegulator:
             CRN(approx=alpha, regulator=lambda n: 10), levels=[3], probes_per_level=3
         )
         assert sorted(set(seen)) == [10, 11, 12]
+
+
+# ---------------------------------------------------------------- memoized composites
+
+# The composites as plain tree walks, without the one-call memory of
+# `nicecover.crn`: the reference the memoized nodes must agree with.
+def tree_add(x, y):
+    return CRN(lambda i: x.approx(i) + y.approx(i), lambda n: max(x.regulator(n + 1), y.regulator(n + 1)))
+
+
+def tree_sub(x, y):
+    return CRN(lambda i: x.approx(i) - y.approx(i), lambda n: max(x.regulator(n + 1), y.regulator(n + 1)))
+
+
+def tree_negate(x):
+    return CRN(lambda i: -x.approx(i), x.regulator)
+
+
+def tree_mul(x, y):
+    bound_x = abs(approx_to(x, 0)) + 1
+    bound_y = abs(approx_to(y, 0)) + 1
+    shift = 0
+    while 2**shift < bound_x + bound_y + 1:
+        shift += 1
+    return CRN(lambda i: x.approx(i) * y.approx(i),
+               lambda n: max(x.regulator(n + shift), y.regulator(n + shift)))
+
+
+MEMOIZED = {"add": add, "sub": sub, "mul": mul, "neg": lambda x, _: negate(x)}
+TREE = {"add": tree_add, "sub": tree_sub, "mul": tree_mul, "neg": lambda x, _: tree_negate(x)}
+
+
+def third_limit():
+    return bisect_limit(StepMap(Fraction(1, 3)), Fraction(0), Fraction(1))
+
+
+LEAVES = [geometric, third_limit, lambda: from_rational(Fraction(-3, 7)), lambda: from_rational(Fraction(5, 2))]
+
+# a DAG as a list of steps; each step combines two earlier nodes (by
+# index), so later steps share their operands with each other
+dag_steps = st.lists(
+    st.tuples(st.sampled_from(sorted(MEMOIZED)), st.integers(min_value=0), st.integers(min_value=0)),
+    min_size=1, max_size=6,
+)
+queries = st.lists(
+    st.tuples(st.sampled_from(["approx", "regulator", "approx_to"]), st.integers(min_value=0), st.integers(0, 24)),
+    min_size=1, max_size=12,
+)
+
+
+def build(ops, steps):
+    nodes = [leaf() for leaf in LEAVES]
+    for op, a, b in steps:
+        nodes.append(ops[op](nodes[a % len(nodes)], nodes[b % len(nodes)]))
+    return nodes
+
+
+class TestMemoizedComposites:
+    @given(dag_steps, queries)
+    def test_dag_matches_unmemoized_tree(self, steps, asked):
+        memo, tree = build(MEMOIZED, steps), build(TREE, steps)
+        # mixed nodes and arguments in one sequence, so a remembered call
+        # is often the wrong one for the next question
+        for kind, which, k in asked:
+            a, b = memo[which % len(memo)], tree[which % len(tree)]
+            if kind == "approx_to":
+                assert approx_to(a, k) == approx_to(b, k)
+            else:
+                assert getattr(a, kind)(k) == getattr(b, kind)(k)
+
+    def test_shared_dag_costs_its_depth(self):
+        calls = []
+        leaf = CRN(
+            approx=lambda i: calls.append("approx") or Fraction(3, 7),
+            regulator=lambda n: calls.append("regulator") or 0,
+        )
+        depth = 64
+        y = leaf
+        for _ in range(depth):
+            y = y + y
+        assert approx_to(y, 10) == Fraction(3, 7) * 2**depth
+        # a tree walk would make 2^64 leaf calls of each kind
+        assert calls.count("approx") <= 2 * depth
+        assert calls.count("regulator") <= 2 * depth
+
+    def test_threads_sharing_a_dag_get_the_sequential_answers(self):
+        def dag():
+            y = add(third_limit(), geometric())
+            for _ in range(24):
+                y = y + y
+            return mul(y, sub(y, negate(third_limit())))
+
+        precisions = [3, 40, 11, 0, 27, 40, 5, 18] * 3
+        want = {n: approx_to(dag(), n) for n in set(precisions)}
+        shared = dag()
+        got: list[list] = [[] for _ in range(8)]
+
+        def worker(slot):
+            order = precisions[slot:] + precisions[:slot]
+            got[slot] = [(n, approx_to(shared, n)) for n in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for answers in got:
+            assert len(answers) == len(precisions)
+            assert all(q == want[n] for n, q in answers)

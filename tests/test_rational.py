@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,52 @@ class TestParseNatural:
     def test_rejected(self, text):
         with pytest.raises(ParseError):
             parse_natural(text)
+
+
+def decimal_by_loop(n: int) -> str:
+    """Decimal text of n >= 0, 18 digits at a time: a reference that never
+    converts a long int to or from text in one piece."""
+    chunks = []
+    while n:
+        n, low = divmod(n, 10**18)
+        chunks.append(f"{low:018d}")
+    return "".join(reversed(chunks)).lstrip("0") or "0"
+
+
+# past CPython's default limit of 4300 digits on int <-> str conversions
+# and across the pieces the conversion is split into
+LONG_NATURALS = [10**k + d for k in (599, 600, 601, 4299, 4300, 4301, 9000, 30000) for d in (-1, 0, 1)] + [
+    2**14501 - 1, 3**40000, 7**25000 + 10**600]
+
+
+class TestLongNumbers:
+    @pytest.mark.parametrize("n", LONG_NATURALS, ids=lambda n: f"{n.bit_length()}bits")
+    def test_render_and_parse(self, n):
+        den = 10**4400 + 7
+        for q, text in [
+            (Fraction(n), decimal_by_loop(n)),
+            (Fraction(-n), "-" + decimal_by_loop(n)),
+            (Fraction(n, den), f"{decimal_by_loop(n)}/{decimal_by_loop(den)}"),
+            (Fraction(-1, n + 1), f"-1/{decimal_by_loop(n + 1)}"),
+        ]:
+            assert render(q) == text
+            assert parse_rational(text) == q
+
+    def test_parse_long_decimal_fraction(self):
+        digits = "9" * 5000
+        assert parse_rational(f"-1.{digits}") == -(2 - Fraction(1, 10**5000))
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit on this interpreter")
+    def test_smallest_digit_limit(self):
+        q = Fraction(3**3000, 10**900 + 1)
+        text = f"{decimal_by_loop(3**3000)}/{decimal_by_loop(10**900 + 1)}"
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert render(q) == text
+            assert parse_rational(text) == q
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestRender:
