@@ -15,42 +15,4 @@ floating point anywhere. The layers, bottom up:
 - :mod:`nicecover.cli`: the ``nicecover`` command.
 """
 
-from .crn import CRN, Apartness, approx_to, compare_apart, from_rational, validate_regulator
-from .errors import (
-    BudgetExceeded,
-    DomainError,
-    InvalidProgram,
-    NoContainingElement,
-    NonpositiveRadius,
-    NotACover,
-    NotNiceCover,
-    NotSeparated,
-    ParseError,
-    ZeroDenominator,
-)
-from .rational import Rational, parse_rational, render
-
-__version__ = "0.2.0"
-
-__all__ = [
-    "CRN",
-    "Apartness",
-    "BudgetExceeded",
-    "DomainError",
-    "InvalidProgram",
-    "NoContainingElement",
-    "NonpositiveRadius",
-    "NotACover",
-    "NotNiceCover",
-    "NotSeparated",
-    "ParseError",
-    "Rational",
-    "ZeroDenominator",
-    "approx_to",
-    "compare_apart",
-    "from_rational",
-    "parse_rational",
-    "render",
-    "validate_regulator",
-    "__version__",
-]
+__version__ = "0.3.0"

@@ -77,21 +77,25 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     rat = commands.add_parser("rat", help="evaluate an exact rational expression")
+    rat.set_defaults(run=_cmd_rat)
     rat.add_argument("expr", help="expression over rationals with + - * and parentheses")
 
     crn_cmd = commands.add_parser("crn", help="constructive real values")
     crn_sub = crn_cmd.add_subparsers(dest="subcommand", required=True)
     crn_approx = crn_sub.add_parser("approx", help="approximate a value expression")
+    crn_approx.set_defaults(run=_cmd_crn_approx)
     crn_approx.add_argument("--expr", required=True, help="value expression; builtins: waiting(...), bisect_limit(...)")
     crn_approx.add_argument("--prec", required=True, type=_flag(parse_natural), help="precision level n; answer is within 2^-n")
 
     machine_cmd = commands.add_parser("machine", help="counter-machine sandbox")
     machine_sub = machine_cmd.add_subparsers(dest="subcommand", required=True)
     machine_run = machine_sub.add_parser("run", help="run a program under a step budget")
+    machine_run.set_defaults(run=_cmd_machine_run)
     machine_run.add_argument("--prog", required=True, help="program file")
     machine_run.add_argument("--input", required=True, type=_flag(parse_natural))
     machine_run.add_argument("--budget", required=True, type=_flag(parse_natural))
     machine_dovetail = machine_sub.add_parser("dovetail", help="enumerate halting inputs")
+    machine_dovetail.set_defaults(run=_cmd_machine_dovetail)
     machine_dovetail.add_argument("--prog", required=True, help="program file")
     machine_dovetail.add_argument("--inputs", required=True, type=_flag(_parse_inputs), help="inclusive range A..B")
     machine_dovetail.add_argument("--budget", required=True, type=_flag(parse_natural), help="total steps across all runs")
@@ -99,6 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     waiting_cmd = commands.add_parser("waiting", help="waiting-sequence values")
     waiting_sub = waiting_cmd.add_subparsers(dest="subcommand", required=True)
     waiting_approx = waiting_sub.add_parser("approx", help="approximate a waiting value")
+    waiting_approx.set_defaults(run=_cmd_waiting_approx)
     waiting_approx.add_argument("--prog", required=True, help="monitored program file")
     waiting_approx.add_argument("--input", required=True, type=_flag(parse_natural))
     waiting_approx.add_argument("--targets", default="geometric", type=_flag(analysis.parse_targets))
@@ -109,6 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     reduce_cmd = commands.add_parser("reduce", help="step-certified halting probe of a waiting value")
+    reduce_cmd.set_defaults(run=_cmd_reduce)
     reduce_cmd.add_argument("--prog", required=True, help="monitored program file")
     reduce_cmd.add_argument("--input", required=True, type=_flag(parse_natural))
     reduce_cmd.add_argument("--prec", required=True, type=_flag(parse_natural), help="probe precision level")
@@ -117,6 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="validated, but does not change the verdict")
 
     bisect_cmd = commands.add_parser("bisect", help="bisection search for a discontinuity")
+    bisect_cmd.set_defaults(run=_cmd_bisect)
     bisect_cmd.add_argument("--oracle", required=True, type=_flag(analysis.parse_oracle), help="step@<r> or stair:<r1>,...")
     bisect_cmd.add_argument("--lo", required=True, type=_flag(parse_rational))
     bisect_cmd.add_argument("--hi", required=True, type=_flag(parse_rational))
@@ -126,8 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
     cover_cmd = commands.add_parser("cover", help="interval covers and finite subcovers")
     cover_sub = cover_cmd.add_subparsers(dest="subcommand", required=True)
     cover_lebesgue = cover_sub.add_parser("lebesgue", help="exact uniform containment radius")
+    cover_lebesgue.set_defaults(run=_cmd_cover_lebesgue)
     cover_lebesgue.add_argument("--cover", required=True, help="cover file")
     cover_subcover = cover_sub.add_parser("subcover", help="extract a certified finite subcover")
+    cover_subcover.set_defaults(run=_cmd_cover_subcover)
     cover_subcover.add_argument("--cover", required=True, help="cover file")
     cover_subcover.add_argument("--modulus", default=None, type=_flag(_parse_modulus), help="lebesgue | const:<r>")
     cover_subcover.add_argument(
@@ -135,9 +144,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="constancy sample points, comma-separated",
     )
     cover_verify = cover_sub.add_parser("verify", help="check that selected elements cover [0,1]")
+    cover_verify.set_defaults(run=_cmd_cover_verify)
     cover_verify.add_argument("--cover", required=True, help="cover file")
     cover_verify.add_argument("--selected", required=True, type=_flag(_parse_selected))
     cover_verify_cert = cover_sub.add_parser("verify-cert", help="re-check a subcover certificate")
+    cover_verify_cert.set_defaults(run=_cmd_cover_verify_cert)
     cover_verify_cert.add_argument("--cover", required=True, help="cover file")
     cover_verify_cert.add_argument("--cert", required=True, help="certificate file")
 
@@ -263,22 +274,8 @@ def dispatch(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
-    handlers = {
-        ("rat", None): _cmd_rat,
-        ("crn", "approx"): _cmd_crn_approx,
-        ("machine", "run"): _cmd_machine_run,
-        ("machine", "dovetail"): _cmd_machine_dovetail,
-        ("waiting", "approx"): _cmd_waiting_approx,
-        ("reduce", None): _cmd_reduce,
-        ("bisect", None): _cmd_bisect,
-        ("cover", "lebesgue"): _cmd_cover_lebesgue,
-        ("cover", "subcover"): _cmd_cover_subcover,
-        ("cover", "verify"): _cmd_cover_verify,
-        ("cover", "verify-cert"): _cmd_cover_verify_cert,
-    }
-    handler = handlers[(args.command, getattr(args, "subcommand", None))]
     try:
-        return handler(args)
+        return args.run(args)
     except DomainError as exc:
         print(f"{_kebab(exc)} {exc}".rstrip())
         return 1

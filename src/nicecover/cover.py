@@ -35,7 +35,7 @@ from .errors import (
     NotNiceCover,
     ParseError,
 )
-from .rational import ONE, ZERO, Rational, parse_rational, render
+from .rational import ONE, ZERO, Rational, _int, parse_rational, render
 
 
 @dataclass(frozen=True)
@@ -398,18 +398,18 @@ def parse_certificate(text: str) -> SubcoverCertificate:
             if " -> element " not in body:
                 raise ParseError(f"bad net line: {line!r}")
             point_text, element_text = body.split(" -> element ", 1)
-            if not element_text.strip().isdigit():
+            if not element_text.strip().isdecimal():
                 raise ParseError(f"bad element index in: {line!r}")
-            assignments.append((len(net), int(element_text)))
+            assignments.append((len(net), _int(element_text.strip())))
             net.append(parse_rational(point_text))
         elif line.startswith("selected"):
             if selected is not None:
                 raise ParseError("duplicate selected line")
             body = line[len("selected") :].strip()
             parts = [p for p in body.split(",") if p.strip()]
-            if not all(p.strip().isdigit() for p in parts):
+            if not all(p.strip().isdecimal() for p in parts):
                 raise ParseError(f"bad selected line: {line!r}")
-            selected = tuple(int(p) for p in parts)
+            selected = tuple(_int(p.strip()) for p in parts)
         else:
             raise ParseError(f"unrecognized certificate line: {line!r}")
     if selected is None:

@@ -25,8 +25,8 @@ class DomainError(Exception):
 class BudgetExceeded(DomainError):
     """A computation would need more work than its cap allows.
 
-    See `cover.MAX_NET_POINTS`, `analysis.MAX_BISECT_STEPS` and
-    `analysis.MAX_WAITING_STEPS`.
+    See `cover.MAX_NET_POINTS`, `analysis.MAX_BISECT_STEPS`,
+    `analysis.MAX_WAITING_STEPS` and `machine.MAX_DOVETAIL_INPUTS`.
     """
 
 

@@ -17,40 +17,30 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable
 
-from .errors import InvalidProgram
+from .errors import BudgetExceeded, InvalidProgram
 
 OPS = ("INC", "DEC", "JZ", "GOTO", "HALT")
 _INC, _DEC, _JZ, _GOTO, _HALT = range(len(OPS))
 
 # Registers are a dense list per run, so the largest index sets its size.
 MAX_REGISTER = 1023
+# A dovetail holds one run state per input, all at once.
+MAX_DOVETAIL_INPUTS = 10**5
 
 _LABEL_RE = re.compile(r"([A-Za-z_]\w*):")
 
 
 @dataclass(frozen=True)
-class Instruction:
-    op: str
-    reg: int | None = None
-    target: int | None = None  # resolved instruction index for JZ / GOTO
-
-
-@dataclass(frozen=True)
 class Program:
-    instructions: tuple[Instruction, ...]
+    # (opcode, register, target) per instruction; target is the resolved
+    # instruction index for JZ / GOTO, unused fields are 0
+    code: tuple[tuple[int, int, int], ...]
     register_count: int
-    # (opcode, register, target) per instruction, the form the step loop runs
-    code: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        code = tuple(
-            (OPS.index(inst.op), inst.reg or 0, inst.target or 0) for inst in self.instructions
-        )
-        object.__setattr__(self, "code", code)
 
 
 @dataclass(frozen=True)
@@ -93,7 +83,7 @@ def parse_program(text: str) -> Program:
         if index >= len(raw):
             raise InvalidProgram(f"label {name!r} points past the last instruction")
 
-    instructions: list[Instruction] = []
+    instructions: list[tuple[int, int, int]] = []
     max_register = 0
 
     def register(token: str, line_no: int) -> int:
@@ -114,26 +104,27 @@ def parse_program(text: str) -> Program:
     for op, args, line_no in raw:
         if op not in OPS:
             raise InvalidProgram(f"line {line_no}: unknown instruction {op!r}")
-        if op in ("INC", "DEC"):
+        opcode = OPS.index(op)
+        if opcode in (_INC, _DEC):
             if len(args) != 1:
                 raise InvalidProgram(f"line {line_no}: {op} takes one register")
             reg = register(args[0], line_no)
             max_register = max(max_register, reg)
-            instructions.append(Instruction(op, reg=reg))
-        elif op == "JZ":
+            instructions.append((opcode, reg, 0))
+        elif opcode == _JZ:
             if len(args) != 2:
                 raise InvalidProgram(f"line {line_no}: JZ takes a register and a label")
             reg = register(args[0], line_no)
             max_register = max(max_register, reg)
-            instructions.append(Instruction(op, reg=reg, target=target(args[1], line_no)))
-        elif op == "GOTO":
+            instructions.append((opcode, reg, target(args[1], line_no)))
+        elif opcode == _GOTO:
             if len(args) != 1:
                 raise InvalidProgram(f"line {line_no}: GOTO takes a label")
-            instructions.append(Instruction(op, target=target(args[0], line_no)))
+            instructions.append((opcode, 0, target(args[0], line_no)))
         else:  # HALT
             if args:
                 raise InvalidProgram(f"line {line_no}: HALT takes no arguments")
-            instructions.append(Instruction(op))
+            instructions.append((opcode, 0, 0))
 
     return Program(tuple(instructions), register_count=max_register + 1)
 
@@ -226,10 +217,6 @@ class MachineState:
         self._skip = [0] * len(program.code)
         self._backoff = [0] * len(program.code)
 
-    def step(self) -> None:
-        """Execute exactly one instruction (nothing once halted)."""
-        self.advance(self.steps + 1)
-
     def advance(self, limit: int) -> None:
         """Run until the machine halts or `steps` reaches `limit`.
 
@@ -315,10 +302,16 @@ def dovetail_enumerate(
     input halting at step k takes that step after sum_j min(k_j, k - 1)
     steps of earlier sweeps plus one for each smaller input still pending,
     and it is emitted while that count is below `total_budget`.
+
+    More than MAX_DOVETAIL_INPUTS inputs, repeats included, are refused
+    before any run starts.
     """
     if total_budget < 1:
         raise ValueError("total budget must be at least 1")
-    values = sorted(set(inputs))
+    values = list(islice(inputs, MAX_DOVETAIL_INPUTS + 1))
+    if len(values) > MAX_DOVETAIL_INPUTS:
+        raise BudgetExceeded(f"more inputs than MAX_DOVETAIL_INPUTS = {MAX_DOVETAIL_INPUTS}")
+    values = sorted(set(values))
     if not values:
         return []
     states = [MachineState(program, v) for v in values]

@@ -53,16 +53,15 @@ def parse_rational(text: str) -> Rational:
         raise ParseError(f"not a rational: {text!r}")
     sign_s, whole_s, den_s, frac_s = m.groups()
     sign = -1 if sign_s else 1
-    to_int = int if len(text) <= _PIECE_DIGITS else _int
     if den_s is not None:
-        den = to_int(den_s)
+        den = _int(den_s)
         if den == 0:
             raise ZeroDenominator(text.strip())
-        return Fraction(sign * to_int(whole_s), den)
+        return Fraction(sign * _int(whole_s), den)
     if frac_s is not None:
         scale = 10 ** len(frac_s)
-        return Fraction(sign * (to_int(whole_s) * scale + to_int(frac_s)), scale)
-    return Fraction(sign * to_int(whole_s))
+        return Fraction(sign * (_int(whole_s) * scale + _int(frac_s)), scale)
+    return Fraction(sign * _int(whole_s))
 
 
 def parse_natural(text: str) -> int:

@@ -163,6 +163,13 @@ class TestMachine:
         )
         assert code == 2
 
+    def test_dovetail_input_count_cap(self, capsys, countdown_file):
+        # a billion inputs: refused before any run state is built
+        assert run(
+            capsys, "machine", "dovetail",
+            "--prog", str(countdown_file), "--inputs", "0..999999999", "--budget", "10",
+        ) == (1, "budget-exceeded more inputs than MAX_DOVETAIL_INPUTS = 100000\n", "")
+
     def test_bad_inputs_range_exits_2(self, capsys, countdown_file):
         code, _, _ = run(
             capsys, "machine", "dovetail",
@@ -284,6 +291,10 @@ class TestCover:
         first = run(capsys, "cover", "subcover", "--cover", cover_file)
         second = run(capsys, "cover", "subcover", "--cover", cover_file)
         assert first == second
+
+    def test_subcover_with_explicit_lebesgue_modulus(self, capsys, cover_file):
+        assert run(capsys, "cover", "subcover", "--cover", cover_file, "--modulus", "lebesgue") == run(
+            capsys, "cover", "subcover", "--cover", cover_file)
 
     def test_subcover_with_constant_modulus(self, capsys, cover_file):
         code, out, _ = run(
@@ -424,6 +435,10 @@ USAGE_ERRORS = [
     (["bisect", "--oracle", "step@1/3", "--lo", "1", "--hi", "0", "--steps", "1"],
      "error: bisection needs lo < hi\n"),
     (["rat", "1/0"], "error: 1/0\n"),
+    (["crn", "approx", "--expr", "waiting({missing}, 0)", "--prec", "3"],
+     "error: cannot read program '{missing}': [Errno 2] No such file or directory: '{missing}'\n"),
+    (["crn", "approx", "--expr", "bisect_limit(step@1/3, 0)", "--prec", "3"],
+     "error: bisect_limit expects (ORACLE, LO, HI)\n"),
 ]
 
 

@@ -35,6 +35,7 @@ from nicecover.errors import (
     NotACover,
     NotNiceCover,
     ParseError,
+    ZeroDenominator,
 )
 from nicecover.rational import render
 
@@ -45,6 +46,14 @@ ONE_INTERVAL = [OpenInterval(F(-1, 2), F(3, 2))]
 GAP_AT_HALF = [OpenInterval(F(0), F(1, 2)), OpenInterval(F(1, 2), F(1))]
 
 unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=1000)
+# certificate-shaped text: a radius line, then lines with damaged fields
+certificate_fields = st.sampled_from(["0", "1", "1/10", "1/0", "²", "0,²", "x", "", "1" * 5000])
+certificate_texts = st.builds(
+    lambda radius, lines: "\n".join(["r=" + radius, *lines]),
+    certificate_fields,
+    st.lists(st.tuples(st.sampled_from(["net ", "selected ", ""]), certificate_fields,
+                       st.sampled_from(["", " -> element "]), certificate_fields).map("".join), max_size=4),
+)
 
 
 class TestIntervals:
@@ -284,11 +293,28 @@ class TestCertificateText:
             lambda t: t.replace("r=1/10", "r=ten"),
             lambda t: t + "trailing junk\n",
             lambda t: "",
+            lambda t: t + "net 1 -> element 1\n",
+            lambda t: t.replace("net 1 -> element 1", "net 1 -> element ²"),
+            lambda t: t + "selected 0,1\n",
+            lambda t: t.replace("selected 0,1", "selected 0,x"),
+            lambda t: t.replace("selected 0,1", "selected 0,²"),
         ],
     )
     def test_parse_rejects_damage(self, mutation):
         with pytest.raises(ParseError):
             parse_certificate(mutation(self.expected_text()))
+
+    def test_indices_longer_than_4300_digits(self):
+        ones = "1" * 5000  # int() refuses more than 4,300 digits on CPython 3.10.7 and later
+        cert = parse_certificate(f"r=1/2\nnet 0 -> element {ones}\nselected {ones}\n")
+        assert cert.assignments == ((0, (10**5000 - 1) // 9),) and cert.selected == ((10**5000 - 1) // 9,)
+
+    @given(st.one_of(st.text(), certificate_texts))
+    def test_arbitrary_text_raises_only_parse_errors(self, text):
+        try:
+            parse_certificate(text)
+        except (ParseError, ZeroDenominator):
+            pass
 
 
 class TestCertificateVerification:

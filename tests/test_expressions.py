@@ -37,6 +37,7 @@ class TestRationalEvaluation:
     )
     def test_values(self, text, expected):
         assert value_of(text) == expected
+        assert approx_to(eval_crn(parse_expression(text), {}), 8) == expected
 
     @pytest.mark.parametrize(
         "text",

@@ -4,11 +4,11 @@ from hypothesis import strategies as st
 
 from conftest import COUNTDOWN_TEXT, LOOPER_TEXT, MOD3_TEXT
 from nicecover import machine
-from nicecover.errors import InvalidProgram
+from nicecover.errors import BudgetExceeded, InvalidProgram
 from nicecover.machine import (
+    MAX_DOVETAIL_INPUTS,
     MAX_REGISTER,
     Halted,
-    Instruction,
     MachineState,
     StillRunning,
     dovetail_enumerate,
@@ -34,7 +34,7 @@ class ReferenceState:
     """The plain interpreter: one instruction per `step()`, nothing skipped."""
 
     def __init__(self, program, input_value):
-        self.instructions = program.instructions
+        self.code = program.code
         self.registers = [0] * program.register_count
         self.registers[0] = input_value
         self.pc = 0
@@ -44,9 +44,9 @@ class ReferenceState:
     def step(self):
         if self.halted:
             return
-        instruction = self.instructions[self.pc]
+        opcode, reg, target = self.code[self.pc]
         self.steps += 1
-        op, reg = instruction.op, instruction.reg
+        op = machine.OPS[opcode]
         if op == "INC":
             self.registers[reg] += 1
             self.pc += 1
@@ -54,13 +54,13 @@ class ReferenceState:
             self.registers[reg] = max(0, self.registers[reg] - 1)
             self.pc += 1
         elif op == "JZ":
-            self.pc = instruction.target if self.registers[reg] == 0 else self.pc + 1
+            self.pc = target if self.registers[reg] == 0 else self.pc + 1
         elif op == "GOTO":
-            self.pc = instruction.target
+            self.pc = target
         else:  # HALT
             self.halted = True
             return
-        if self.pc >= len(self.instructions):
+        if self.pc >= len(self.code):
             self.halted = True
 
 
@@ -111,25 +111,25 @@ def programs(draw):
 
 class TestParsing:
     def test_countdown_shape(self, countdown):
-        ops = [inst.op for inst in countdown.instructions]
+        ops = [machine.OPS[opcode] for opcode, _, _ in countdown.code]
         assert ops == ["JZ", "DEC", "GOTO", "HALT"]
         assert countdown.register_count == 1
-        assert countdown.instructions[0].target == 3  # end: label
-        assert countdown.instructions[2].target == 0  # loop: label
+        assert countdown.code[0][2] == 3  # end: label
+        assert countdown.code[2][2] == 0  # loop: label
 
     def test_comments_blank_lines_and_case(self):
         program = parse_program("# leading comment\n\n  inc 1  # trailing\nhalt\n")
-        assert [inst.op for inst in program.instructions] == ["INC", "HALT"]
+        assert [machine.OPS[opcode] for opcode, _, _ in program.code] == ["INC", "HALT"]
         assert program.register_count == 2
 
     def test_label_on_own_line(self):
         program = parse_program("start:\nINC 0\nGOTO start\n")
-        assert program.instructions[1] == Instruction("GOTO", target=0)
+        assert program.code[1] == (machine.OPS.index("GOTO"), 0, 0)
 
     def test_stacked_labels(self):
         program = parse_program("a: b: HALT\nGOTO a\nGOTO b\n")
-        assert program.instructions[1].target == 0
-        assert program.instructions[2].target == 0
+        assert program.code[1][2] == 0
+        assert program.code[2][2] == 0
 
     @pytest.mark.parametrize(
         "text",
@@ -178,13 +178,13 @@ class TestSemantics:
     def test_inc_and_spare_registers(self):
         program = parse_program("INC 2\nHALT\n")
         state = MachineState(program, 9)
-        state.step()
+        state.advance(1)
         assert state.registers == [9, 0, 1]
 
     def test_dec_on_zero_is_noop(self):
         program = parse_program("DEC 0\nHALT\n")
         state = MachineState(program, 0)
-        state.step()
+        state.advance(1)
         assert state.registers[0] == 0
         assert run_for(program, 0, 10) == Halted(2)
 
@@ -252,6 +252,17 @@ class TestDovetail:
         expected = dovetail_enumerate(countdown, range(0, 3), 1000)
         assert dovetail_enumerate(countdown, [2, 0, 1, 1, 0], 1000) == expected
 
+    def test_input_count_cap(self, countdown, monkeypatch):
+        assert MAX_DOVETAIL_INPUTS == 10**5
+        with monkeypatch.context() as patched:
+            patched.setattr(machine, "MachineState", None)  # building any run state would fail
+            with pytest.raises(BudgetExceeded, match="^more inputs than MAX_DOVETAIL_INPUTS = 100000$"):
+                dovetail_enumerate(countdown, range(10**9), 10)
+        monkeypatch.setattr(machine, "MAX_DOVETAIL_INPUTS", 4)
+        assert dovetail_enumerate(countdown, range(4), 1000) == [(0, 2), (1, 5), (2, 8), (3, 11)]
+        with pytest.raises(BudgetExceeded, match="= 4$"):
+            dovetail_enumerate(countdown, [0, 1, 2, 3, 3], 1000)  # repeats count
+
     def test_consumes_at_most_total_budget(self, countdown):
         # with only 6 total steps nothing past the first halt can be seen
         assert dovetail_enumerate(countdown, range(0, 4), 6) == [(0, 2)]
@@ -287,6 +298,12 @@ class TestClosedFormLoops:
         assert (state.registers, state.pc, state.steps) == ([10**9 - 10**6], 1, 3 * 10**6 + 1)
         state.advance(10**10)
         assert state.halted and state.steps == 3 * 10**9 + 2
+
+    def test_lap_that_falls_off_the_end(self):
+        # the lap traced once register 0 is zero leaves by JZ and runs off the program
+        program = parse_program("loop: JZ 0 end\nDEC 0\nGOTO loop\nend: INC 1\n")
+        for v in (0, 1, 2, 3, 10**12):
+            assert run_for(program, v, 10**13) == Halted(3 * v + 2)
 
     def test_dovetail_with_huge_budgets(self, countdown, looper):
         assert dovetail_enumerate(countdown, range(4), 10**15) == [(0, 2), (1, 5), (2, 8), (3, 11)]
