@@ -38,7 +38,7 @@ def _parse_inputs(text: str) -> range:
     m = re.fullmatch(r"(\d+)\.\.(\d+)", text.strip())
     if m is None:
         raise ParseError(f"expected A..B, got {text!r}")
-    first, last = int(m.group(1)), int(m.group(2))
+    first, last = parse_natural(m.group(1)), parse_natural(m.group(2))
     if last < first:
         raise ParseError(f"empty input range {text!r}")
     return range(first, last + 1)
@@ -48,7 +48,7 @@ def _parse_selected(text: str) -> list[int]:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts or not all(p.isdecimal() for p in parts):
         raise ParseError(f"expected comma-separated indices, got {text!r}")
-    return [int(p) for p in parts]
+    return [parse_natural(p) for p in parts]
 
 
 def _parse_modulus(text: str) -> Rational | None:

@@ -174,21 +174,15 @@ class ConstantModulus:
         return self.radius
 
 
-class LebesgueModulus:
+class LebesgueModulus(ConstantModulus):
     """Radius oracle derived from the cover itself: its exact Lebesgue number.
 
-    The number is computed on first query and reused; by construction the
+    The number is computed when the oracle is built, so by construction the
     answer is identical at every point.
     """
 
     def __init__(self, cover: CoverList):
-        self._cover = tuple(cover)
-        self._radius: Rational | None = None
-
-    def radius_at(self, x: Rational) -> Rational:
-        if self._radius is None:
-            self._radius = lebesgue_number(self._cover)
-        return self._radius
+        super().__init__(lebesgue_number(cover))
 
 
 class OracleModulus:

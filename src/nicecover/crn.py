@@ -14,13 +14,13 @@ or certifies the two values are within 2^-n of each other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, TypeVar
+from functools import cache, lru_cache
+from typing import Callable, Iterable
 
 from .rational import Rational, pow2
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -60,30 +60,16 @@ def approx_to(x: CRN, n: int) -> Rational:
     return x.approx(x.regulator(n + 1))
 
 
-def _last(f: Callable[[int], T]) -> Callable[[int], T]:
-    """`f` remembering its most recent call, for the nodes built below.
-
-    Composites are pointwise, so during one top-level query every node of
-    a DAG is asked at the same index; remembering one call per node makes
-    a shared DAG such as `y = y + y` cost its number of distinct nodes,
-    not the size of the tree it unfolds to (Boehm, Cartwright, Riggle &
-    O'Donnell, "Exact real arithmetic: a case study in higher order
-    programming", 1986).  The memory is one immutable (argument, answer)
-    pair, read and replaced whole, so threads need no lock: each sees
-    some complete pair, and evaluation is pure, so any pair it sees holds
-    the true answer for its argument.
+def _node(approx: Callable[[int], Rational], regulator: Callable[[int], int]) -> CRN:
+    """A composite that answers once per query where a DAG shares it (Boehm,
+    Cartwright, Riggle & O'Donnell, "Exact real arithmetic: a case study in
+    higher order programming", 1986).  One query asks every node at one
+    index, so `approx` keeps one answer; paths shift the level by different
+    amounts, so `regulator` keeps every level it is asked (a cache that grows
+    with those levels and is freed with the node).  Both are pure, so racing
+    threads may compute an answer twice but never a wrong one.
     """
-    last: tuple[int | None, T | None] = (None, None)
-
-    def remembered(k: int) -> T:
-        nonlocal last
-        arg, answer = last
-        if arg != k:
-            answer = f(k)
-            last = (k, answer)
-        return answer
-
-    return remembered
+    return CRN(approx=lru_cache(maxsize=1)(approx), regulator=cache(regulator))
 
 
 def add(x: CRN, y: CRN) -> CRN:
@@ -92,23 +78,19 @@ def add(x: CRN, y: CRN) -> CRN:
     The regulator queries both inputs one level deeper, since
     2^-(n+1) + 2^-(n+1) = 2^-n.
     """
-    return CRN(
-        approx=_last(lambda i: x.approx(i) + y.approx(i)),
-        regulator=_last(lambda n: max(x.regulator(n + 1), y.regulator(n + 1))),
-    )
+    return _node(lambda i: x.approx(i) + y.approx(i),
+                 lambda n: max(x.regulator(n + 1), y.regulator(n + 1)))
 
 
 def sub(x: CRN, y: CRN) -> CRN:
     """Pointwise difference; same regulator arithmetic as `add`."""
-    return CRN(
-        approx=_last(lambda i: x.approx(i) - y.approx(i)),
-        regulator=_last(lambda n: max(x.regulator(n + 1), y.regulator(n + 1))),
-    )
+    return _node(lambda i: x.approx(i) - y.approx(i),
+                 lambda n: max(x.regulator(n + 1), y.regulator(n + 1)))
 
 
 def negate(x: CRN) -> CRN:
     """Pointwise negation; the regulator, and what it remembers, is that of `x`."""
-    return CRN(approx=_last(lambda i: -x.approx(i)), regulator=x.regulator)
+    return CRN(approx=lru_cache(maxsize=1)(lambda i: -x.approx(i)), regulator=x.regulator)
 
 
 def mul(x: CRN, y: CRN) -> CRN:
@@ -121,13 +103,9 @@ def mul(x: CRN, y: CRN) -> CRN:
     """
     bound_x = abs(approx_to(x, 0)) + 1
     bound_y = abs(approx_to(y, 0)) + 1
-    shift = 0
-    while 2**shift < bound_x + bound_y + 1:
-        shift += 1
-    return CRN(
-        approx=_last(lambda i: x.approx(i) * y.approx(i)),
-        regulator=_last(lambda n: max(x.regulator(n + shift), y.regulator(n + shift))),
-    )
+    shift = (math.ceil(bound_x + bound_y + 1) - 1).bit_length()
+    return _node(lambda i: x.approx(i) * y.approx(i),
+                 lambda n: max(x.regulator(n + shift), y.regulator(n + shift)))
 
 
 class Apartness(Enum):

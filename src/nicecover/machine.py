@@ -22,7 +22,8 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable
 
-from .errors import BudgetExceeded, InvalidProgram
+from .errors import BudgetExceeded, InvalidProgram, ParseError
+from .rational import parse_natural
 
 OPS = ("INC", "DEC", "JZ", "GOTO", "HALT")
 _INC, _DEC, _JZ, _GOTO, _HALT = range(len(OPS))
@@ -89,7 +90,10 @@ def parse_program(text: str) -> Program:
     def register(token: str, line_no: int) -> int:
         if not token.isdecimal():
             raise InvalidProgram(f"line {line_no}: bad register {token!r}")
-        reg = int(token)
+        try:
+            reg = parse_natural(token)
+        except ParseError as exc:
+            raise InvalidProgram(f"line {line_no}: {exc}") from None
         if reg > MAX_REGISTER:
             raise InvalidProgram(
                 f"line {line_no}: register {reg} is above MAX_REGISTER = {MAX_REGISTER}"

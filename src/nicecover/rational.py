@@ -9,6 +9,7 @@ ever rounds.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import ParseError, ZeroDenominator
@@ -65,11 +66,15 @@ def parse_rational(text: str) -> Rational:
 
 
 def parse_natural(text: str) -> int:
-    """Parse a decimal natural number (no sign)."""
+    """Parse a decimal natural number (no sign) that the interpreter can convert."""
     s = text.strip()
     if not s.isdecimal():
         raise ParseError(f"not a natural number: {text!r}")
-    return int(s)
+    try:
+        return int(s)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ParseError(f"natural number of {len(s)} digits is over the interpreter's"
+                         f" limit of {sys.get_int_max_str_digits()}") from None
 
 
 def render(q: Rational) -> str:

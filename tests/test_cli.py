@@ -368,6 +368,9 @@ class TestUsage:
 
 # Every exit-2 path with its exact stderr; `{prog}`, `{cover}` and `{missing}`
 # stand for an existing program, an existing cover and a path that does not exist.
+LONG = "1" * 5000  # past the interpreter's default limit of 4,300 digits for int()
+TOO_LONG = "natural number of 5000 digits is over the interpreter's limit of 4300\n"
+
 USAGE_ERRORS = [
     (["crn", "approx", "--expr", "1", "--prec", "x"],
      "usage: nicecover crn approx [-h] --expr EXPR --prec PREC\n"
@@ -439,13 +442,33 @@ USAGE_ERRORS = [
      "error: cannot read program '{missing}': [Errno 2] No such file or directory: '{missing}'\n"),
     (["crn", "approx", "--expr", "bisect_limit(step@1/3, 0)", "--prec", "3"],
      "error: bisect_limit expects (ORACLE, LO, HI)\n"),
+    # numbers longer than the interpreter converts are refused without echoing them
+    (["machine", "run", "--prog", "{prog}", "--input", LONG, "--budget", "1"],
+     "usage: nicecover machine run [-h] --prog PROG --input INPUT --budget BUDGET\n"
+     "nicecover machine run: error: argument --input: " + TOO_LONG),
+    (["crn", "approx", "--expr", "1/2", "--prec", LONG],
+     "usage: nicecover crn approx [-h] --expr EXPR --prec PREC\n"
+     "nicecover crn approx: error: argument --prec: " + TOO_LONG),
+    (["machine", "dovetail", "--prog", "{prog}", "--inputs", "0.." + LONG, "--budget", "10"],
+     "usage: nicecover machine dovetail [-h] --prog PROG --inputs INPUTS --budget BUDGET\n"
+     "nicecover machine dovetail: error: argument --inputs: " + TOO_LONG),
+    (["cover", "verify", "--cover", "{cover}", "--selected", "0," + LONG],
+     "usage: nicecover cover verify [-h] --cover COVER --selected SELECTED\n"
+     "nicecover cover verify: error: argument --selected: " + TOO_LONG),
+    (["machine", "run", "--prog", "{wide}", "--input", "0", "--budget", "1"],
+     "error: line 1: " + TOO_LONG),
+    (["crn", "approx", "--expr", f"waiting({{prog}}, {LONG})", "--prec", "3"],
+     "error: " + TOO_LONG),
 ]
 
 
-@pytest.mark.parametrize("argv,stderr", USAGE_ERRORS, ids=[" ".join(a) for a, _ in USAGE_ERRORS])
+@pytest.mark.parametrize("argv,stderr", USAGE_ERRORS,
+                         ids=[" ".join(a).replace(LONG, "<5000 digits>") for a, _ in USAGE_ERRORS])
 def test_usage_error_stderr(capsys, monkeypatch, tmp_path, countdown_file, cover_file, argv, stderr):
     monkeypatch.setenv("COLUMNS", "200")  # argparse wraps its usage line to the terminal width
-    paths = {"prog": str(countdown_file), "cover": cover_file, "missing": str(tmp_path / "missing")}
+    wide = tmp_path / "wide.prog"
+    wide.write_text(f"INC {LONG}\nHALT\n")
+    paths = {"prog": str(countdown_file), "cover": cover_file, "missing": str(tmp_path / "missing"), "wide": str(wide)}
     argv = [arg.format(**paths) for arg in argv]
     assert run(capsys, *argv) == (2, "", stderr.format(**paths))
 

@@ -173,7 +173,7 @@ class TestValidateRegulator:
 
 # ---------------------------------------------------------------- memoized composites
 
-# The composites as plain tree walks, without the one-call memory of
+# The composites as plain tree walks, without the remembered answers of
 # `nicecover.crn`: the reference the memoized nodes must agree with.
 def tree_add(x, y):
     return CRN(lambda i: x.approx(i) + y.approx(i), lambda n: max(x.regulator(n + 1), y.regulator(n + 1)))
@@ -253,6 +253,35 @@ class TestMemoizedComposites:
         # a tree walk would make 2^64 leaf calls of each kind
         assert calls.count("approx") <= 2 * depth
         assert calls.count("regulator") <= 2 * depth
+
+    @staticmethod
+    def mixed_shift_chain(depth):
+        # y = y * 1/2 + y: the product asks y at a larger level shift than
+        # the sum does, so each node is asked at several levels per query
+        asked = {"approx": [], "regulator": []}
+        leaf = CRN(approx=lambda i: asked["approx"].append(i) or 1 - pow2(-i),
+                   regulator=lambda n: asked["regulator"].append(n) or n)
+        half, y = from_rational(Fraction(1, 2)), leaf
+        for _ in range(depth):
+            y = mul(y, half) + y
+        asked["approx"].clear()
+        asked["regulator"].clear()
+        return y, asked
+
+    def test_mixed_shift_dag_costs_at_most_depth_squared(self):
+        y, asked = self.mixed_shift_chain(14)
+        approx_to(y, 10)
+        # one remembered level per node made 1,728 leaf regulator calls here
+        assert len(asked["regulator"]) <= 14**2
+
+    def test_deep_mixed_shift_dag_is_exact(self):
+        depth = 40
+        y, asked = self.mixed_shift_chain(depth)
+        got = approx_to(y, 30)
+        # composites are pointwise: the answer is the leaf's one approximation times (3/2)^40
+        [i] = set(asked["approx"])
+        assert got == (1 - pow2(-i)) * Fraction(3, 2) ** depth
+        assert abs(got - Fraction(3, 2) ** depth) < pow2(-30)
 
     def test_threads_sharing_a_dag_get_the_sequential_answers(self):
         def dag():
