@@ -16,6 +16,11 @@ balls of a certificate's net), and net assignment keeps a heap of
 candidate elements while walking the ascending net (O((N + k) log k)).
 `lebesgue_candidates` evaluated with `uniform_radius_at` is the
 brute-force O(k^3) reference the Lebesgue sweep is tested against.
+
+The sweeps compare Python ints over one shared denominator (`_over_unit`).
+Past MAX_UNIT_BITS bits of denominator, which pairwise coprime denominators
+reach, they compare the Fractions, just as exactly.  Fractions are built
+back only for results and printed text.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import accumulate
+from math import lcm
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -56,6 +62,26 @@ class OpenInterval:
 
 
 CoverList = Sequence[OpenInterval]
+
+MAX_UNIT_BITS = 256
+
+
+def _over_unit(values: Sequence[Rational]) -> tuple[list, int]:
+    """The values as ints over their least common denominator, and that unit.
+
+    Past MAX_UNIT_BITS bits of unit the values come back unchanged with
+    unit 1, so a sweep that compares them only with each other, 0 and
+    `unit` needs one body for both kinds.
+    """
+    scale = dict.fromkeys(v.denominator for v in values)
+    unit = 1
+    for d in scale:
+        unit = lcm(unit, d)
+        if unit.bit_length() > MAX_UNIT_BITS:
+            return list(values), 1
+    for d in scale:
+        scale[d] = unit // d
+    return [v.numerator * scale[v.denominator] for v in values], unit
 
 
 def parse_cover(text: str) -> list[OpenInterval]:
@@ -140,28 +166,32 @@ def lebesgue_number(cover: CoverList) -> Rational:
     """
     if not cover:
         raise ValueError("cover must be nonempty")
-    order = sorted(cover, key=lambda e: e.lo + e.hi)
-    mids = [(e.lo + e.hi) / 2 for e in order]
-    ahead_lo = list(accumulate((e.lo for e in reversed(order)), min))[::-1]
-    passed_hi = list(accumulate((e.hi for e in order), max))
+    ends, unit = _over_unit([v for e in cover for v in (e.lo, e.hi)])
+    # In doubled coordinates, point x is 2·x·unit: a midpoint is lo + hi
+    # and a V's bottom a + b, so nothing is divided.
+    order = sorted(zip(ends[::2], ends[1::2]), key=sum)
+    mids = [lo + hi for lo, hi in order]
+    ahead_lo = list(accumulate((lo for lo, _ in reversed(order)), min))[::-1]
+    passed_hi = list(accumulate((hi for _, hi in order), max))
+    one = 2 * unit
     candidates = []
-    if mids[0] >= ZERO:
-        candidates.append((ZERO, -ahead_lo[0]))
+    if mids[0] >= 0:
+        candidates.append((0, -2 * ahead_lo[0]))
     for i in range(1, len(order)):
-        left, right = max(mids[i - 1], ZERO), min(mids[i], ONE)
+        left, right = max(mids[i - 1], 0), min(mids[i], one)
         if left <= right:
             a, b = ahead_lo[i], passed_hi[i - 1]
-            x = min(max((a + b) / 2, left), right)
-            candidates.append((x, max(x - a, b - x)))
-    if mids[-1] <= ONE:
-        candidates.append((ONE, passed_hi[-1] - ONE))
+            x = min(max(a + b, left), right)
+            candidates.append((x, max(x - 2 * a, 2 * b - x)))
+    if mids[-1] <= one:
+        candidates.append((one, 2 * passed_hi[-1] - one))
     witness, best = min(candidates, key=itemgetter(1))
     if best <= 0:
         raise NotACover(
-            f"point {render(witness)} of [0,1] has no interior margin "
-            f"(best radius {render(best)})"
+            f"point {render(Rational(witness, one))} of [0,1] has no interior margin "
+            f"(best radius {render(Rational(best, one))})"
         )
-    return best
+    return Rational(best, one)
 
 
 class ConstantModulus:
@@ -243,7 +273,7 @@ def build_eps_net(eps: Rational) -> list[Rational]:
             f"net spacing {render(eps)} needs {size} points, "
             f"more than MAX_NET_POINTS = {MAX_NET_POINTS}"
         )
-    net = [eps * k for k in range(count + 1)]
+    net = [Rational(k * eps.numerator, eps.denominator) for k in range(count + 1)]
     if not hits_one:
         net.append(ONE)
     return net
@@ -299,22 +329,26 @@ def extract_finite_subcover(
     [lo_j + r, hi_j - r].  The net ascends, so an element joins a min-heap
     of indices once its lower bound is <= c, and leaves it for good once
     its upper bound is < c; the heap's top is then the first match.
-    O((N + k) log k) for N net points and k elements.
+    O((N + k) log k) for N net points and k elements.  Over the unit of r
+    and the ends, net point k is min(k·r, 1) in ints.
     """
     if not cover:
         raise ValueError("cover must be nonempty")
     radius = extract_constant_radius(modulus, sample_points)
     net = build_eps_net(radius)
-    centres = [(e.lo + radius, e.hi - radius) for e in cover]
+    scaled, unit = _over_unit([radius, *(v for e in cover for v in (e.lo, e.hi))])
+    r = scaled[0]
+    centres = [(lo + r, hi - r) for lo, hi in zip(scaled[1::2], scaled[2::2])]
     by_lo = sorted(range(len(cover)), key=lambda j: centres[j][0])
     joined = 0
     heap: list[int] = []
     assignments = []
     for k, point in enumerate(net):
-        while joined < len(by_lo) and centres[by_lo[joined]][0] <= point:
+        x = min(k * r, unit)
+        while joined < len(by_lo) and centres[by_lo[joined]][0] <= x:
             heapq.heappush(heap, by_lo[joined])
             joined += 1
-        while heap and centres[heap[0]][1] < point:
+        while heap and centres[heap[0]][1] < x:
             heapq.heappop(heap)
         element = heap[0] if heap else find_containing_element(cover, point, radius)
         assignments.append((k, element))
@@ -339,16 +373,17 @@ def verify_subcover(cover: CoverList, selected: Sequence[int]) -> Covered | Unco
     range raises ValueError.  See `_reach` for the sweep and its witness.
     O(k log k) for k selected elements.
     """
-    spans = []
+    ends = []
     for index in selected:
         if not 0 <= index < len(cover):
             raise ValueError(f"element index {index} out of range")
-        spans.append((cover[index].lo, cover[index].hi))
-    return _reach(spans)
+        ends += (cover[index].lo, cover[index].hi)
+    scaled, unit = _over_unit(ends)
+    return _reach(zip(scaled[::2], scaled[1::2]), unit)
 
 
-def _reach(spans: Iterable[tuple[Rational, Rational]]) -> Covered | Uncovered:
-    """Whether the open intervals (lo, hi), given in any order, cover [0, 1].
+def _reach(spans: Iterable[tuple], unit: int) -> Covered | Uncovered:
+    """Whether the open intervals (lo, hi) over `unit`, in any order, cover [0, 1].
 
     Walks the intervals by lo, keeping `reach`: [0, reach) lies inside the
     intervals walked so far and none of them extends past reach.  An
@@ -358,13 +393,13 @@ def _reach(spans: Iterable[tuple[Rational, Rational]]) -> Covered | Uncovered:
     point >= 0 outside all of them.  That point (0, a gap endpoint, or 1)
     is the witness, unless it lies past 1.  O(k log k) for k intervals.
     """
-    reach = ZERO
+    reach = 0
     for lo, hi in sorted(spans, key=itemgetter(0)):
         if not lo < reach:
             break
         if hi > reach:
             reach = hi
-    return Covered() if reach > ONE else Uncovered(reach)
+    return Covered() if reach > unit else Uncovered(Rational(reach, unit))
 
 
 def render_certificate(certificate: SubcoverCertificate) -> str:
@@ -377,24 +412,24 @@ def render_certificate(certificate: SubcoverCertificate) -> str:
 
 def parse_certificate(text: str) -> SubcoverCertificate:
     """Inverse of `render_certificate`; raises ParseError on anything off."""
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    lines = [line for line in map(str.strip, text.splitlines()) if line]
     if not lines or not lines[0].startswith("r="):
         raise ParseError("certificate must start with `r=<rational>`")
     radius = parse_rational(lines[0][len("r=") :])
     net: list[Rational] = []
-    assignments: list[tuple[int, int]] = []
+    elements: list[int] = []
     selected: tuple[int, ...] | None = None
     for line in lines[1:]:
         if line.startswith("net "):
             if selected is not None:
                 raise ParseError("net line after the selected line")
-            body = line[len("net ") :]
-            if " -> element " not in body:
+            point_text, arrow, element_text = line[len("net ") :].partition(" -> element ")
+            if not arrow:
                 raise ParseError(f"bad net line: {line!r}")
-            point_text, element_text = body.split(" -> element ", 1)
-            if not element_text.strip().isdecimal():
+            element_text = element_text.strip()
+            if not element_text.isdecimal():
                 raise ParseError(f"bad element index in: {line!r}")
-            assignments.append((len(net), _int(element_text.strip())))
+            elements.append(_int(element_text))
             net.append(parse_rational(point_text))
         elif line.startswith("selected"):
             if selected is not None:
@@ -408,7 +443,7 @@ def parse_certificate(text: str) -> SubcoverCertificate:
             raise ParseError(f"unrecognized certificate line: {line!r}")
     if selected is None:
         raise ParseError("certificate has no selected line")
-    return SubcoverCertificate(radius, tuple(net), tuple(assignments), selected)
+    return SubcoverCertificate(radius, tuple(net), tuple(enumerate(elements)), selected)
 
 
 def load_certificate(path: str | Path) -> SubcoverCertificate:
@@ -436,9 +471,12 @@ def verify_certificate(cover: CoverList, certificate: SubcoverCertificate) -> li
         problems.append(f"radius {render(r)} is not positive")
         return problems
 
-    if [k for k, _ in certificate.assignments] != list(range(len(certificate.net))):
+    net = certificate.net
+    if [k for k, _ in certificate.assignments] != list(range(len(net))):
         problems.append("assignments do not list each net point exactly once, in order")
-    balls = [(c - r, c + r) for c in certificate.net]
+    scaled, unit = _over_unit([r, *net, *(v for e in cover for v in (e.lo, e.hi))])
+    r_int, ends = scaled[0], scaled[len(net) + 1 :]
+    balls = [(c - r_int, c + r_int) for c in scaled[1 : len(net) + 1]]
     for net_index, element in certificate.assignments:
         if not 0 <= element < len(cover):
             problems.append(f"assignment {net_index}: element {element} out of range")
@@ -447,11 +485,11 @@ def verify_certificate(cover: CoverList, certificate: SubcoverCertificate) -> li
             problems.append(f"assignment {net_index}: net point {net_index} out of range")
             continue
         lo, hi = balls[net_index]
-        e = cover[element]
-        if not (e.lo <= lo and hi <= e.hi):  # `contains_ball`, on the ball built once
+        if not (ends[2 * element] <= lo and hi <= ends[2 * element + 1]):  # `contains_ball`, in ints
+            c, e = net[net_index], cover[element]
             problems.append(
-                f"ball ({render(lo)}, {render(hi)}) around net point "
-                f"{render(certificate.net[net_index])} is not inside element {element} "
+                f"ball ({render(c - r)}, {render(c + r)}) around net point "
+                f"{render(c)} is not inside element {element} "
                 f"({render(e.lo)}, {render(e.hi)})"
             )
 
@@ -461,7 +499,7 @@ def verify_certificate(cover: CoverList, certificate: SubcoverCertificate) -> li
             "selected list does not match the set of assigned elements"
         )
 
-    density = _reach(balls)
+    density = _reach(balls, unit)
     if isinstance(density, Uncovered):
         problems.append(
             f"net with radius {render(r)} leaves {render(density.witness)} uncovered"

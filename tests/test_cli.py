@@ -51,6 +51,10 @@ class TestRat:
         assert run(capsys, "rat", "*".join(map(str, factors))) == (0, digits(prod(factors)) + "\n", "")
 
 
+    def test_leading_minus(self, capsys):
+        assert run(capsys, "rat", "--", "-1/2") == (0, "-1/2\n", "")
+        assert run(capsys, "rat", "-1/2")[0] == 2  # read as an option
+
     # `--` and `--expr=` keep argparse from reading a leading `-` as an option
     EXPRESSION_COMMANDS = {
         "rat": (lambda text: ["rat", "--", text], "{}\n"),
@@ -81,6 +85,10 @@ class TestCrnApprox:
     def test_plain_expression(self, capsys):
         code, out, _ = run(capsys, "crn", "approx", "--expr", "1/3 + 1/3", "--prec", "8")
         assert (code, out) == (0, "2/3 ± 2^-8\n")
+
+    def test_leading_minus(self, capsys):
+        assert run(capsys, "crn", "approx", "--expr=-1/3", "--prec", "3") == (0, "-1/3 ± 2^-3\n", "")
+        assert run(capsys, "crn", "approx", "--expr", "-1/3", "--prec", "3")[0] == 2  # read as an option
 
     def test_waiting_builtin(self, capsys, countdown_file):
         code, out, _ = run(

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import ceil, floor
 
 import pytest
 from hypothesis import given
@@ -468,46 +469,146 @@ def covers(draw):
 radii = st.fractions(min_value="1/24", max_value="3/2", max_denominator=24)
 
 
-class TestSweepsMatchScans:
-    @given(covers())
-    def test_lebesgue_number(self, cover):
+def sweep_oracles():
+    """The sweeps-against-scans properties as a fresh class: Hypothesis ties each @given test to one class."""
+
+    class SweepsMatchScans:
+        @given(covers())
+        def test_lebesgue_number(self, cover):
+            assert outcome(lebesgue_number, cover) == outcome(scan_lebesgue_number, cover)
+
+        @given(covers(), st.data())
+        def test_verify_subcover(self, cover, data):
+            selected = data.draw(st.lists(st.integers(0, len(cover) - 1), max_size=2 * len(cover)))
+            assert verify_subcover(cover, selected) == rescan_verify_subcover(cover, selected)
+
+        @given(covers(), radii)
+        def test_assignment(self, cover, radius):
+            assert outcome(extract_finite_subcover, cover, ConstantModulus(radius)) == outcome(
+                scan_subcover, cover, radius
+            )
+
+        @given(covers(), radii, st.data())
+        def test_verify_certificate_on_damaged_nets(self, cover, radius, data):
+            net = build_eps_net(radius)
+            elements = []
+            for point in net:
+                try:
+                    elements.append(find_containing_element(cover, point, radius))
+                except NoContainingElement:
+                    elements.append(data.draw(st.integers(0, len(cover))))  # may be out of range
+            damage = data.draw(st.sampled_from(["none", "shuffle", "drop", "repeat", "shift"]))
+            if damage == "shuffle":
+                net = data.draw(st.permutations(net))
+            elif damage == "drop" and len(net) > 2:
+                del net[data.draw(st.integers(0, len(net) - 1))]
+            elif damage == "repeat":
+                net.append(data.draw(st.sampled_from(net)))
+                elements.append(0)
+            elif damage == "shift":
+                i = data.draw(st.integers(0, len(net) - 1))
+                net[i] += data.draw(st.fractions(min_value=-radius, max_value=radius, max_denominator=90))
+            radius *= data.draw(st.sampled_from([1, 1, F(1, 2), F(3, 2)]))
+            assignments = tuple(enumerate(elements[: len(net)]))
+            selected = tuple(sorted({j for _, j in assignments}))
+            if data.draw(st.booleans()) and selected:
+                selected = selected[1:]
+            certificate = SubcoverCertificate(radius, tuple(net), assignments, selected)
+            assert verify_certificate(cover, certificate) == rescan_verify_certificate(cover, certificate)
+
+    return SweepsMatchScans
+
+
+class TestSweepsMatchScans(sweep_oracles()):
+    pass
+
+
+class TestSweepsMatchScansOnFractions(sweep_oracles()):
+    """The same properties with MAX_UNIT_BITS at 0, so every sweep compares the Fractions."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def fractions_only(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cover_mod, "MAX_UNIT_BITS", 0)
+            yield
+
+
+def primes_above(start, count):
+    found = []
+    n = start
+    while len(found) < count:
+        n += 1
+        if all(n % d for d in range(2, int(n**0.5) + 1)):
+            found.append(n)
+    return found
+
+
+def past_the_unit_cap(values):
+    values = list(values)
+    return cover_mod._over_unit(values) == (values, 1)
+
+
+def prime_chain(k):
+    """k overlapping intervals across [0, 1]; each end is rounded outwards over its own prime."""
+    ps = primes_above(1000, 2 * k)
+    step = F(1, k - 1)
+    return [
+        OpenInterval(F(floor((i - F(7, 10)) * step * ps[2 * i]), ps[2 * i]),
+                     F(ceil((i + F(7, 10)) * step * ps[2 * i + 1]), ps[2 * i + 1]))
+        for i in range(k)
+    ]
+
+
+def singular_prefix(count):
+    """A finite prefix of a Tseitin-Zaslavskii singular cover: the e-th interval has
+    width 2^-(e+2) around a point with a prime denominator, so the total length is below 1/2."""
+    cover = []
+    for e, p in enumerate(primes_above(1000, count)):
+        centre, half = F((37 * e + 11) % p, p), F(1, 2 ** (e + 3))
+        cover.append(OpenInterval(centre - half, centre + half))
+    return cover
+
+
+class TestHostileDenominators:
+    """Pairwise coprime denominators put the common unit past MAX_UNIT_BITS."""
+
+    def test_prime_chain_lebesgue_number(self):
+        cover = prime_chain(40)
+        assert past_the_unit_cap([v for e in cover for v in (e.lo, e.hi)])
+        assert lebesgue_number(cover) == scan_lebesgue_number(cover) > 0
+        gapped = cover[:20] + cover[21:]
+        assert outcome(lebesgue_number, gapped) == outcome(scan_lebesgue_number, gapped)
+        assert outcome(lebesgue_number, gapped)[0] == "NotACover"
+
+    def test_singular_prefix_is_refused_with_its_least_uncovered_point(self):
+        cover = singular_prefix(40)
+        assert past_the_unit_cap([v for e in cover for v in (e.lo, e.hi)])
         assert outcome(lebesgue_number, cover) == outcome(scan_lebesgue_number, cover)
+        everything = range(len(cover))
+        assert verify_subcover(cover, everything) == rescan_verify_subcover(cover, everything)
+        assert isinstance(verify_subcover(cover, everything), Uncovered)
 
-    @given(covers(), st.data())
-    def test_verify_subcover(self, cover, data):
-        selected = data.draw(st.lists(st.integers(0, len(cover) - 1), max_size=2 * len(cover)))
-        assert verify_subcover(cover, selected) == rescan_verify_subcover(cover, selected)
-
-    @given(covers(), radii)
-    def test_assignment(self, cover, radius):
-        assert outcome(extract_finite_subcover, cover, ConstantModulus(radius)) == outcome(
-            scan_subcover, cover, radius
-        )
-
-    @given(covers(), radii, st.data())
-    def test_verify_certificate_on_damaged_nets(self, cover, radius, data):
-        net = build_eps_net(radius)
+    @pytest.mark.parametrize("cover", [TWO_INTERVALS, prime_chain(40)], ids=["two-intervals", "prime-chain"])
+    def test_certificate_with_prime_denominators(self, cover):
+        n = 120
+        # the gap between neighbours is below 1/n + 1/p < 6/(5n), twice the radius
+        net = [F(round(F(k, n) * p), p) for k, p in enumerate(primes_above(5 * n, n + 1))]
+        radius = F(6, 10 * n)
+        assert past_the_unit_cap(net)
         elements = []
         for point in net:
             try:
                 elements.append(find_containing_element(cover, point, radius))
             except NoContainingElement:
-                elements.append(data.draw(st.integers(0, len(cover))))  # may be out of range
-        damage = data.draw(st.sampled_from(["none", "shuffle", "drop", "repeat", "shift"]))
-        if damage == "shuffle":
-            net = data.draw(st.permutations(net))
-        elif damage == "drop" and len(net) > 2:
-            del net[data.draw(st.integers(0, len(net) - 1))]
-        elif damage == "repeat":
-            net.append(data.draw(st.sampled_from(net)))
-            elements.append(0)
-        elif damage == "shift":
-            i = data.draw(st.integers(0, len(net) - 1))
-            net[i] += data.draw(st.fractions(min_value=-radius, max_value=radius, max_denominator=90))
-        radius *= data.draw(st.sampled_from([1, 1, F(1, 2), F(3, 2)]))
-        assignments = tuple(enumerate(elements[: len(net)]))
-        selected = tuple(sorted({j for _, j in assignments}))
-        if data.draw(st.booleans()) and selected:
-            selected = selected[1:]
-        certificate = SubcoverCertificate(radius, tuple(net), assignments, selected)
-        assert verify_certificate(cover, certificate) == rescan_verify_certificate(cover, certificate)
+                elements.append(0)
+
+        def certificate(points):
+            assignments = tuple(enumerate(elements[: len(points)]))
+            return SubcoverCertificate(radius, tuple(points), assignments, tuple(sorted(set(elements))))
+
+        whole, sparse = certificate(net), certificate(net[:60] + net[62:])
+        for c in (whole, sparse):
+            assert verify_certificate(cover, c) == rescan_verify_certificate(cover, c)
+        if cover is TWO_INTERVALS:
+            assert verify_certificate(cover, whole) == []
+        assert any("uncovered" in p for p in verify_certificate(cover, sparse))
