@@ -6,13 +6,14 @@ which encodes the halting behaviour of the run in the limit of a
 constructive real.  The bisection engine takes a discrete-valued map whose
 endpoint labels differ and halves the interval while keeping the labels
 apart, converging to a discontinuity point.  Both are exact and fully
-deterministic, and every verdict they produce is backed by an actual
-step-counted run or label evaluation.
+deterministic.  Every waiting verdict is backed by an actual step-counted
+run.  Bisection labels the two endpoints, which must differ; every row
+after them is a closed form in the map's thresholds, and `bisect_step`,
+which labels each midpoint, is the reference those rows agree with.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -23,7 +24,7 @@ from .rational import ONE, Rational, parse_natural, parse_rational, pow2, render
 
 # Row i of a transcript holds rationals of about i bits, so a transcript of
 # n rows holds about n^2 / 2 bits.  The cap holds for printed transcripts
-# and for the rows a bisection limit builds lazily alike.
+# and for the rows a bisection limit reads on demand alike.
 MAX_BISECT_STEPS = 10**4
 
 # Default cap on the machine steps of one waiting entry.  The entry at
@@ -48,6 +49,10 @@ class StepMap:
     """Labels 0 strictly below the threshold and 1 at and above it."""
 
     threshold: Rational
+
+    @property
+    def thresholds(self) -> tuple[Rational, ...]:
+        return (self.threshold,)
 
     def label(self, t: Rational) -> int:
         return 0 if t < self.threshold else 1
@@ -141,37 +146,24 @@ def halting_reduction(
     return NoHaltWithin(probed_steps)
 
 
-def bisect_step(
-    pair: tuple[Rational, Rational],
-    f: DiscreteMap,
-    labels: tuple[int, int] | None = None,
-) -> tuple[Rational, Rational] | tuple[tuple[Rational, Rational], tuple[int, int]]:
+def bisect_step(pair: tuple[Rational, Rational], f: DiscreteMap) -> tuple[Rational, Rational]:
     """One halving that keeps the endpoint labels different.
 
     The upper half (mid, hi) is preferred whenever the midpoint label
     differs from the label at hi; otherwise the midpoint label equals the
     one at hi and so differs from the one at lo, and the lower half is
     taken.  The fixed preference keeps transcripts deterministic even when
-    the midpoint label differs from both endpoints.
-
-    Without `labels` the next pair is returned.  A caller that already
-    knows the labels of lo and hi passes them as `labels`; then only the
-    midpoint is labelled, and the next pair comes back with its labels,
-    as `(pair, labels)`, ready for the following step.
+    the midpoint label differs from both endpoints.  This labels all three
+    points; it is the reference the closed-form chain below agrees with.
     """
     lo, hi = pair
-    label_lo, label_hi = (f.label(lo), f.label(hi)) if labels is None else labels
+    label_lo, label_hi = f.label(lo), f.label(hi)
     if label_lo == label_hi:
         raise NotSeparated(
             f"labels agree at both endpoints: f({render(lo)}) = f({render(hi)})"
         )
     mid = (lo + hi) / 2
-    label_mid = f.label(mid)
-    if label_mid != label_hi:
-        halved, kept = (mid, hi), (label_mid, label_hi)
-    else:
-        halved, kept = (lo, mid), (label_lo, label_mid)
-    return halved if labels is None else (halved, kept)
+    return (mid, hi) if f.label(mid) != label_hi else (lo, mid)
 
 
 @dataclass(frozen=True)
@@ -183,40 +175,40 @@ class TranscriptRow:
 
 
 class _BisectionChain:
-    """Nested pairs extended on demand, at most MAX_BISECT_STEPS of them.
+    """The rows iterated bisect_step yields from (lo, hi), each in closed form.
 
-    The labels of the last row's endpoints are carried to the next step,
-    so each new row labels its midpoint alone.  Extension is guarded by a
-    lock so concurrent queries of the limit see one consistent chain;
-    answers do not depend on timing.
+    A label counts the thresholds <= t, so a step keeps the upper half
+    exactly when some threshold lies in (mid, hi].  The chain therefore
+    always encloses c, the largest threshold in (lo, hi].  With w = hi - lo
+    and u = (c - lo) / w in (0, 1], row i is lo + k_i * w / 2^i with
+    k_i = ceil(u * 2^i) - 1, and it kept the upper half exactly when k_i is
+    odd.  Only lo and hi are labelled, once, to check they are separated.
     """
 
     def __init__(self, f: DiscreteMap, lo: Rational, hi: Rational):
         if not lo < hi:
             raise ValueError("bisection needs lo < hi")
-        self._labels = (f.label(lo), f.label(hi))  # of the last row's endpoints
-        if self._labels[0] == self._labels[1]:
+        if f.label(lo) == f.label(hi):
             raise NotSeparated(
                 f"labels agree at both endpoints: f({render(lo)}) = f({render(hi)})"
             )
-        self._f = f
-        self._rows = [TranscriptRow(0, lo, hi, "init")]
-        self._lock = threading.Lock()
+        width = hi - lo
+        u = (max(c for c in f.thresholds if lo < c <= hi) - lo) / width
+        self._p, self._q = u.numerator, u.denominator
+        # lo and w over the common denominator lo.den * w.den
+        self._den = lo.denominator * width.denominator
+        self._lo = lo.numerator * width.denominator
+        self._w = width.numerator * lo.denominator
 
     def row(self, i: int) -> TranscriptRow:
         if i > MAX_BISECT_STEPS:
             raise BudgetExceeded(
                 f"bisection row {i} is past MAX_BISECT_STEPS = {MAX_BISECT_STEPS}"
             )
-        with self._lock:
-            while len(self._rows) <= i:
-                last = self._rows[-1]
-                (nxt_lo, nxt_hi), self._labels = bisect_step(
-                    (last.lo, last.hi), self._f, self._labels
-                )
-                branch = "upper" if nxt_lo != last.lo else "lower"
-                self._rows.append(TranscriptRow(len(self._rows), nxt_lo, nxt_hi, branch))
-            return self._rows[i]
+        k = -((-self._p << i) // self._q) - 1
+        base, den = (self._lo << i) + k * self._w, self._den << i
+        branch = "init" if i == 0 else "upper" if k & 1 else "lower"
+        return TranscriptRow(i, Rational(base, den), Rational(base + self._w, den), branch)
 
 
 def _chain_crn(chain: _BisectionChain, width0: Rational) -> CRN:

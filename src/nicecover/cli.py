@@ -273,6 +273,11 @@ def dispatch(argv: Sequence[str]) -> int:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # argparse before 3.13 drops a lone "--" value (as in `--lo=--`) and
+    # stores [] without calling the type; no type here returns [] itself
+    if any(value == [] for value in vars(args).values()):
+        print('error: "--" is not accepted as an argument value', file=sys.stderr)
+        return 2
 
     try:
         return args.run(args)

@@ -202,6 +202,10 @@ class CountingMap:
         self.f = f
         self.points = []
 
+    @property
+    def thresholds(self):
+        return self.f.thresholds
+
     def label(self, t):
         self.points.append(t)
         return self.f.label(t)
@@ -231,32 +235,57 @@ def loop_regulator(width, m):
     return i
 
 
+def plain_transcript(f, lo, hi, steps):
+    """The transcript rows as iterated bisect_step, which labels every midpoint, gives them."""
+    plain, pair = [f"0\t{render(lo)}\t{render(hi)}\tinit"], (lo, hi)
+    for i in range(1, steps + 1):
+        lo_before, pair = pair[0], bisect_step(pair, f)
+        branch = "upper" if pair[0] != lo_before else "lower"
+        plain.append(f"{i}\t{render(pair[0])}\t{render(pair[1])}\t{branch}")
+    return plain
+
+
+def rendered(rows):
+    return [f"{r.index}\t{render(r.lo)}\t{render(r.hi)}\t{r.branch}" for r in rows]
+
+
 class TestLabelCarryingChain:
     @given(separated_bisections(), st.integers(0, 60))
     def test_transcript_matches_plain_steps(self, bisection, steps):
         f, lo, hi = bisection
         _, rows = bisect_to_precision(f, lo, hi, steps)
-        plain, pair = [f"0\t{render(lo)}\t{render(hi)}\tinit"], (lo, hi)
-        for i in range(1, steps + 1):
-            lo_before, pair = pair[0], bisect_step(pair, f)
-            branch = "upper" if pair[0] != lo_before else "lower"
-            plain.append(f"{i}\t{render(pair[0])}\t{render(pair[1])}\t{branch}")
-        assert [f"{r.index}\t{render(r.lo)}\t{render(r.hi)}\t{r.branch}" for r in rows] == plain
+        assert rendered(rows) == plain_transcript(f, lo, hi, steps)
+
+    @pytest.mark.parametrize(
+        "f,lo,hi",
+        [
+            (StepMap(THIRD), Fraction(0), Fraction(1)),
+            # unsorted, repeated and outside (lo, hi]
+            (StairMap((Fraction(3, 4), Fraction(1, 4), Fraction(3, 4), Fraction(5), Fraction(-2))), Fraction(0), Fraction(1)),
+            (StepMap(Fraction(1)), Fraction(0), Fraction(1)),
+            (StairMap((Fraction(1, 4), Fraction(1), Fraction(0))), Fraction(0), Fraction(1)),
+            (StairMap((THIRD, THIRD + pow2(-60))), Fraction(0), Fraction(1)),
+            (StepMap(Fraction(-1, 5)), Fraction(-7, 3), Fraction(5, 11)),
+            (StairMap((Fraction(5, 11), Fraction(-7, 3), Fraction(-2, 9), Fraction(1, 2))), Fraction(-7, 3), Fraction(5, 11)),
+        ],
+        ids=["step-third", "stair-unsorted", "step-at-hi", "stair-at-hi", "stair-2^-60-apart",
+             "step-off-grid", "stair-off-grid"],
+    )
+    def test_closed_form_matches_plain_steps_at_2000_rows(self, f, lo, hi):
+        value, rows = bisect_to_precision(f, lo, hi, 2000)
+        assert rendered(rows) == plain_transcript(f, lo, hi, 2000)
+        # the limit reads the transcript's rows, and past them it closes in on the largest threshold
+        assert approx_to(value, 1990) == rows[value.regulator(1991)].lo
+        assert abs(approx_to(value, 2500) - max(c for c in f.thresholds if lo < c <= hi)) <= pow2(-2500)
 
     def test_one_label_per_row(self):
-        f = CountingMap(StairMap((Fraction(1, 4), Fraction(3, 4))))
-        _, rows = bisect_to_precision(f, Fraction(0), Fraction(1), 50)
-        # the two initial endpoints, then the midpoint each new row halves at
-        assert f.points == [Fraction(0), Fraction(1)] + [(r.lo + r.hi) / 2 for r in rows[:-1]]
-
-    def test_step_with_known_labels(self):
-        f = StairMap((Fraction(1, 4), Fraction(3, 4)))
-        pair = (Fraction(0), Fraction(1))
-        assert bisect_step(pair, f, (0, 2)) == ((Fraction(1, 2), Fraction(1)), (1, 2))
-        assert bisect_step((Fraction(1, 2), Fraction(1)), f, (1, 2)) == (
-            (Fraction(1, 2), Fraction(3, 4)), (1, 2))
-        with pytest.raises(NotSeparated):
-            bisect_step(pair, f, (1, 1))
+        # only the two endpoints are ever labelled, however many rows are read
+        for steps in (0, 1, 50, 2000):
+            f = CountingMap(StairMap((Fraction(1, 4), Fraction(3, 4))))
+            value, rows = bisect_to_precision(f, Fraction(0), Fraction(1), steps)
+            approx_to(value, MAX_BISECT_STEPS - 2)
+            assert len(rows) == steps + 1
+            assert f.points == [Fraction(0), Fraction(1)]
 
     @given(positive_widths, st.integers(-40, 300))
     def test_regulator_matches_the_search(self, width, m):

@@ -373,6 +373,17 @@ class TestUsage:
         assert code == 0
         assert "nicecover" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["bisect", "--oracle=--", "--lo", "0", "--hi", "1", "--steps", "3"],
+        ["bisect", "--oracle", "step@1/3", "--lo=--", "--hi", "1", "--steps", "3"],
+        ["crn", "approx", "--expr", "1/2", "--prec=--"],
+    ])
+    def test_double_dash_value_is_a_usage_error(self, capsys, argv):
+        # argparse before 3.13 hands such a value over as [] without parsing it
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(("error: ", "usage: ")) and err.endswith("\n")
+
 
 # Every exit-2 path with its exact stderr; `{prog}`, `{cover}` and `{missing}`
 # stand for an existing program, an existing cover and a path that does not exist.
