@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 from .crn import CRN
 from .errors import BudgetExceeded, NotSeparated, ParseError
-from .machine import Halted, Program, load_program, run_for
+from .machine import Halted, Program, RunOutcome, load_program, run_for
 from .rational import ONE, Rational, parse_natural, parse_rational, pow2, render
 
 # Row i of a transcript holds rationals of about i bits, so a transcript of
@@ -45,20 +45,6 @@ def parse_targets(name: str) -> CRN:
 
 
 @dataclass(frozen=True)
-class StepMap:
-    """Labels 0 strictly below the threshold and 1 at and above it."""
-
-    threshold: Rational
-
-    @property
-    def thresholds(self) -> tuple[Rational, ...]:
-        return (self.threshold,)
-
-    def label(self, t: Rational) -> int:
-        return 0 if t < self.threshold else 1
-
-
-@dataclass(frozen=True)
 class StairMap:
     """Label of t is the number of thresholds that are <= t."""
 
@@ -68,10 +54,12 @@ class StairMap:
         return sum(1 for c in self.thresholds if c <= t)
 
 
-DiscreteMap = StepMap | StairMap
+def StepMap(threshold: Rational) -> StairMap:
+    """Labels 0 strictly below the threshold and 1 at and above it."""
+    return StairMap((threshold,))
 
 
-def parse_oracle(spec: str) -> DiscreteMap:
+def parse_oracle(spec: str) -> StairMap:
     """Parse `step@<rational>` or `stair:<r1>,<r2>,...`."""
     s = spec.strip()
     if s.startswith("step@"):
@@ -106,7 +94,7 @@ def waiting_crn(
 
     def entry(i: int) -> Rational:
         if i > max_steps:
-            raise BudgetExceeded(f"index {i} needs {i} steps; cap is {max_steps}")
+            raise BudgetExceeded(f"index {render(i)} needs {render(i)} steps; cap is {max_steps}")
         outcome = run_for(program, input_value, i)
         if isinstance(outcome, Halted):
             return targets.approx(outcome.steps)
@@ -115,38 +103,25 @@ def waiting_crn(
     return CRN(approx=entry, regulator=targets.regulator)
 
 
-@dataclass(frozen=True)
-class HaltsAt:
-    steps: int
-
-
-@dataclass(frozen=True)
-class NoHaltWithin:
-    steps: int
-
-
 def halting_reduction(
     program: Program,
     input_value: int,
     targets: CRN,
     probe_precision: int,
-) -> HaltsAt | NoHaltWithin:
+) -> RunOutcome:
     """Probe a waiting value at finite precision; the verdict is step-certified.
 
     The level-`probe_precision` approximation of the waiting value is
     decided by a run of exactly s = targets.regulator(probe_precision + 1)
-    steps, and that one run is all this does.  A halt inside that window
-    is reported with its exact step count; otherwise all that is known,
-    and all that is claimed, is that no halt happened within s steps.
+    steps, and that one run is all this does; its outcome is the verdict.
+    `Halted` gives the exact halting step inside that window; otherwise
+    all that is known, and all that is claimed, is `StillRunning(s)`: no
+    halt happened within s steps.
     """
-    probed_steps = targets.regulator(probe_precision + 1)
-    outcome = run_for(program, input_value, probed_steps)
-    if isinstance(outcome, Halted):
-        return HaltsAt(outcome.steps)
-    return NoHaltWithin(probed_steps)
+    return run_for(program, input_value, targets.regulator(probe_precision + 1))
 
 
-def bisect_step(pair: tuple[Rational, Rational], f: DiscreteMap) -> tuple[Rational, Rational]:
+def bisect_step(pair: tuple[Rational, Rational], f: StairMap) -> tuple[Rational, Rational]:
     """One halving that keeps the endpoint labels different.
 
     The upper half (mid, hi) is preferred whenever the midpoint label
@@ -185,7 +160,7 @@ class _BisectionChain:
     odd.  Only lo and hi are labelled, once, to check they are separated.
     """
 
-    def __init__(self, f: DiscreteMap, lo: Rational, hi: Rational):
+    def __init__(self, f: StairMap, lo: Rational, hi: Rational):
         if not lo < hi:
             raise ValueError("bisection needs lo < hi")
         if f.label(lo) == f.label(hi):
@@ -203,7 +178,7 @@ class _BisectionChain:
     def row(self, i: int) -> TranscriptRow:
         if i > MAX_BISECT_STEPS:
             raise BudgetExceeded(
-                f"bisection row {i} is past MAX_BISECT_STEPS = {MAX_BISECT_STEPS}"
+                f"bisection row {render(i)} is past MAX_BISECT_STEPS = {MAX_BISECT_STEPS}"
             )
         k = -((-self._p << i) // self._q) - 1
         base, den = (self._lo << i) + k * self._w, self._den << i
@@ -225,7 +200,7 @@ def _chain_crn(chain: _BisectionChain, width0: Rational) -> CRN:
 
 
 def bisect_to_precision(
-    f: DiscreteMap, lo: Rational, hi: Rational, steps: int
+    f: StairMap, lo: Rational, hi: Rational, steps: int
 ) -> tuple[CRN, list[TranscriptRow]]:
     """Run `steps` halvings; return the limit as a CRN plus the transcript.
 
@@ -248,7 +223,7 @@ def bisect_to_precision(
     return _chain_crn(chain, hi - lo), rows
 
 
-def bisect_limit(f: DiscreteMap, lo: Rational, hi: Rational) -> CRN:
+def bisect_limit(f: StairMap, lo: Rational, hi: Rational) -> CRN:
     """The bisection limit alone, with the transcript left implicit."""
     limit, _ = bisect_to_precision(f, lo, hi, 0)
     return limit

@@ -200,10 +200,11 @@ def _cmd_waiting_approx(args) -> int:
 def _cmd_reduce(args) -> int:
     program = machine.load_program(args.prog)
     verdict = analysis.halting_reduction(program, args.input, args.targets, args.prec)
-    if isinstance(verdict, analysis.HaltsAt):
-        print(f"halts-at steps={verdict.steps}")
+    # the window, targets.regulator(prec + 1), may have more digits than str() allows
+    if isinstance(verdict, machine.Halted):
+        print(f"halts-at steps={render(verdict.steps)}")
     else:
-        print(f"no-halt-within steps={verdict.steps}")
+        print(f"no-halt-within steps={render(verdict.budget)}")
     return 0
 
 

@@ -270,7 +270,7 @@ def build_eps_net(eps: Rational) -> list[Rational]:
     size = count + 1 if hits_one else count + 2
     if size > MAX_NET_POINTS:
         raise BudgetExceeded(
-            f"net spacing {render(eps)} needs {size} points, "
+            f"net spacing {render(eps)} needs {render(size)} points, "
             f"more than MAX_NET_POINTS = {MAX_NET_POINTS}"
         )
     net = [Rational(k * eps.numerator, eps.denominator) for k in range(count + 1)]
@@ -302,15 +302,21 @@ def find_containing_element(
 class SubcoverCertificate:
     """Everything needed to re-check a finite subcover without trusting us.
 
-    `assignments` pairs a net-point index with the cover-element index
-    whose interval contains that net point's radius ball; `selected` is
-    the deduplicated sorted list of the assigned elements.
+    `elements` runs parallel to `net`: elements[k] is the index of the
+    cover element whose interval contains the radius ball around net[k].
+    `selected` is the deduplicated sorted list of the assigned elements.
     """
 
     radius: Rational
     net: tuple[Rational, ...]
-    assignments: tuple[tuple[int, int], ...]
+    elements: tuple[int, ...]
     selected: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.net) != len(self.elements):
+            raise ValueError(
+                f"{len(self.net)} net points but {len(self.elements)} assigned elements"
+            )
 
 
 def extract_finite_subcover(
@@ -342,7 +348,7 @@ def extract_finite_subcover(
     by_lo = sorted(range(len(cover)), key=lambda j: centres[j][0])
     joined = 0
     heap: list[int] = []
-    assignments = []
+    elements = []
     for k, point in enumerate(net):
         x = min(k * r, unit)
         while joined < len(by_lo) and centres[by_lo[joined]][0] <= x:
@@ -350,10 +356,8 @@ def extract_finite_subcover(
             joined += 1
         while heap and centres[heap[0]][1] < x:
             heapq.heappop(heap)
-        element = heap[0] if heap else find_containing_element(cover, point, radius)
-        assignments.append((k, element))
-    selected = tuple(sorted({element for _, element in assignments}))
-    return SubcoverCertificate(radius, tuple(net), tuple(assignments), selected)
+        elements.append(heap[0] if heap else find_containing_element(cover, point, radius))
+    return SubcoverCertificate(radius, tuple(net), tuple(elements), tuple(sorted(set(elements))))
 
 
 @dataclass(frozen=True)
@@ -404,8 +408,8 @@ def _reach(spans: Iterable[tuple], unit: int) -> Covered | Uncovered:
 
 def render_certificate(certificate: SubcoverCertificate) -> str:
     lines = [f"r={render(certificate.radius)}"]
-    for net_index, element in certificate.assignments:
-        lines.append(f"net {render(certificate.net[net_index])} -> element {element}")
+    for point, element in zip(certificate.net, certificate.elements):
+        lines.append(f"net {render(point)} -> element {element}")
     lines.append("selected " + ",".join(str(j) for j in certificate.selected))
     return "\n".join(lines) + "\n"
 
@@ -443,7 +447,7 @@ def parse_certificate(text: str) -> SubcoverCertificate:
             raise ParseError(f"unrecognized certificate line: {line!r}")
     if selected is None:
         raise ParseError("certificate has no selected line")
-    return SubcoverCertificate(radius, tuple(net), tuple(enumerate(elements)), selected)
+    return SubcoverCertificate(radius, tuple(net), tuple(elements), selected)
 
 
 def load_certificate(path: str | Path) -> SubcoverCertificate:
@@ -456,14 +460,14 @@ def verify_certificate(cover: CoverList, certificate: SubcoverCertificate) -> li
     Returns a list of human-readable problems; an empty list means the
     certificate is valid.  Checks, all in exact arithmetic: the radius is
     positive, every net point's ball sits inside its assigned element, the
-    selected list matches the assignments, the net with this radius leaves
-    no point of [0, 1] farther than the radius from a net point, and the
-    selected elements really cover [0, 1].
+    selected list matches the assigned elements, the net with this radius
+    leaves no point of [0, 1] farther than the radius from a net point,
+    and the assigned elements really cover [0, 1].
 
-    Both coverage checks are the `_reach` sweep: the net's balls
-    (c - r, c + r), in whatever order and with whatever repeats the
-    certificate lists them, and the selected elements.  O(N log N + k log k)
-    for N net points and k elements.
+    Both coverage checks are the `_reach` sweep, over one common unit: the
+    net's balls (c - r, c + r), in whatever order and with whatever repeats
+    the certificate lists them, and the assigned elements in range.
+    O(N log N + k log k) for N net points and k elements.
     """
     problems: list[str] = []
     r = certificate.radius
@@ -471,30 +475,24 @@ def verify_certificate(cover: CoverList, certificate: SubcoverCertificate) -> li
         problems.append(f"radius {render(r)} is not positive")
         return problems
 
-    net = certificate.net
-    if [k for k, _ in certificate.assignments] != list(range(len(net))):
-        problems.append("assignments do not list each net point exactly once, in order")
+    net, elements = certificate.net, certificate.elements
     scaled, unit = _over_unit([r, *net, *(v for e in cover for v in (e.lo, e.hi))])
     r_int, ends = scaled[0], scaled[len(net) + 1 :]
     balls = [(c - r_int, c + r_int) for c in scaled[1 : len(net) + 1]]
-    for net_index, element in certificate.assignments:
+    for k, (element, (lo, hi)) in enumerate(zip(elements, balls)):
         if not 0 <= element < len(cover):
-            problems.append(f"assignment {net_index}: element {element} out of range")
+            problems.append(f"assignment {k}: element {render(element)} out of range")
             continue
-        if not 0 <= net_index < len(balls):
-            problems.append(f"assignment {net_index}: net point {net_index} out of range")
-            continue
-        lo, hi = balls[net_index]
         if not (ends[2 * element] <= lo and hi <= ends[2 * element + 1]):  # `contains_ball`, in ints
-            c, e = net[net_index], cover[element]
+            c, e = net[k], cover[element]
             problems.append(
                 f"ball ({render(c - r)}, {render(c + r)}) around net point "
                 f"{render(c)} is not inside element {element} "
                 f"({render(e.lo)}, {render(e.hi)})"
             )
 
-    expected_selected = tuple(sorted({j for _, j in certificate.assignments}))
-    if certificate.selected != expected_selected:
+    assigned = set(elements)
+    if certificate.selected != tuple(sorted(assigned)):
         problems.append(
             "selected list does not match the set of assigned elements"
         )
@@ -505,8 +503,7 @@ def verify_certificate(cover: CoverList, certificate: SubcoverCertificate) -> li
             f"net with radius {render(r)} leaves {render(density.witness)} uncovered"
         )
 
-    in_range = [j for _, j in certificate.assignments if 0 <= j < len(cover)]
-    coverage = verify_subcover(cover, sorted(set(in_range)))
+    coverage = _reach([(ends[2 * j], ends[2 * j + 1]) for j in assigned if 0 <= j < len(cover)], unit)
     if isinstance(coverage, Uncovered):
         problems.append(
             f"selected elements leave {render(coverage.witness)} uncovered"

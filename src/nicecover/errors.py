@@ -42,8 +42,11 @@ class NotNiceCover(DomainError):
     """A containment-radius oracle answered differently at two points."""
 
     def __init__(self, p, q, radius_p, radius_q):
+        from .rational import render  # rational imports this module
+
         super().__init__(
-            f"radius oracle disagrees: {radius_p} at {p} vs {radius_q} at {q}"
+            f"radius oracle disagrees: {render(radius_p)} at {render(p)} "
+            f"vs {render(radius_q)} at {render(q)}"
         )
         self.p = p
         self.q = q

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from nicecover.analysis import (
     MAX_BISECT_STEPS,
     MAX_WAITING_STEPS,
-    HaltsAt,
-    NoHaltWithin,
     StairMap,
     StepMap,
     bisect_limit,
@@ -123,17 +121,17 @@ class TestHaltingReduction:
     def test_halt_inside_window(self, countdown):
         assert halting_reduction(
             countdown, 2, geometric_targets(), 10
-        ) == HaltsAt(8)
+        ) == Halted(8)
 
     def test_no_halt_reported_with_window(self, looper):
         assert halting_reduction(
             looper, 0, geometric_targets(), 10
-        ) == NoHaltWithin(11)
+        ) == StillRunning(11)
 
     def test_window_too_small_for_late_halt(self, countdown):
         assert halting_reduction(
             countdown, 2, geometric_targets(), 5
-        ) == NoHaltWithin(6)
+        ) == StillRunning(6)
 
     def test_verdicts_are_step_certified(self, countdown, looper, mod3):
         cases = [(countdown, 2), (countdown, 0), (looper, 3), (mod3, 6), (mod3, 7)]
@@ -142,12 +140,11 @@ class TestHaltingReduction:
                 verdict = halting_reduction(
                     program, input_value, geometric_targets(), prec
                 )
-                if isinstance(verdict, HaltsAt):
-                    assert run_for(program, input_value, verdict.steps) == Halted(verdict.steps)
+                if isinstance(verdict, Halted):
+                    assert run_for(program, input_value, verdict.steps) == verdict
                 else:
-                    outcome = run_for(program, input_value, verdict.steps)
-                    assert outcome == StillRunning(verdict.steps)
-                    assert verdict.steps == geometric_targets().regulator(prec + 1)
+                    assert run_for(program, input_value, verdict.budget) == verdict
+                    assert verdict.budget == geometric_targets().regulator(prec + 1)
 
     def test_runs_the_machine_once(self, countdown, looper, monkeypatch):
         calls = []

@@ -385,6 +385,48 @@ class TestUsage:
         assert err.startswith(("error: ", "usage: ")) and err.endswith("\n")
 
 
+class TestNumbersPastTheDigitLimit:
+    """A precision of 4,300 nines is accepted, and prec + 1 has 4,301 digits."""
+
+    NINES = "9" * 4300
+    TEN_POW = digits(10**4300)
+
+    def test_reduce_reports_the_whole_window(self, capsys, looper_file):
+        assert run(capsys, "reduce", "--prog", str(looper_file), "--input", "0", "--prec", self.NINES) == (
+            0, f"no-halt-within steps={self.TEN_POW}\n", "")
+
+    def test_waiting_index_over_the_step_cap(self, capsys, looper_file):
+        want = (1, f"budget-exceeded index {self.TEN_POW} needs {self.TEN_POW} steps; cap is 100000\n", "")
+        assert run(capsys, "waiting", "approx", "--prog", str(looper_file), "--input", "0",
+                   "--prec", self.NINES) == want
+        assert run(capsys, "crn", "approx", "--expr", f"waiting({looper_file}, 0)", "--prec", self.NINES) == want
+
+    def test_bisection_row_over_the_cap(self, capsys):
+        assert run(capsys, "crn", "approx", "--expr", "bisect_limit(step@1/3, 0, 1)", "--prec", self.NINES) == (
+            1, f"budget-exceeded bisection row {digits(10**4300 + 1)} is past MAX_BISECT_STEPS = 10000\n", "")
+
+    def test_net_over_the_size_cap(self, capsys, cover_file):
+        spacing = "1/" + digits(10**4400)
+        assert run(capsys, "cover", "subcover", "--cover", cover_file, "--modulus", "const:" + spacing) == (
+            1,
+            f"budget-exceeded net spacing {spacing} needs {digits(10**4400 + 1)} points, "
+            "more than MAX_NET_POINTS = 1000000\n",
+            "",
+        )
+
+    def test_certificate_element_out_of_range(self, capsys, cover_file, tmp_path):
+        cert = tmp_path / "cert.txt"
+        cert.write_text(f"r=1/2\nnet 0 -> element 0\nnet 1/2 -> element {LONG}\nnet 1 -> element 1\n"
+                        f"selected 0,1,{LONG}\n")
+        assert run(capsys, "cover", "verify-cert", "--cover", cover_file, "--cert", str(cert)) == (
+            1,
+            "certificate-invalid: ball (-1/2, 1/2) around net point 0 is not inside element 0 (-1/10, 3/5)\n"
+            f"certificate-invalid: assignment 1: element {LONG} out of range\n"
+            "certificate-invalid: ball (1/2, 3/2) around net point 1 is not inside element 1 (2/5, 11/10)\n",
+            "",
+        )
+
+
 # Every exit-2 path with its exact stderr; `{prog}`, `{cover}` and `{missing}`
 # stand for an existing program, an existing cover and a path that does not exist.
 LONG = "1" * 5000  # past the interpreter's default limit of 4,300 digits for int()
