@@ -9,29 +9,36 @@ each net point an element containing its ball, and packages the result as
 a certificate that an independent sweep can verify with rational
 arithmetic alone.
 
-Every step is a sorted sweep: the Lebesgue number walks the elements in
-midpoint order (O(k log k) for k elements), coverage checks walk the
-intervals once in order of left end (O(k log k), or O(N log N) for the N
-balls of a certificate's net), and net assignment keeps a heap of
-candidate elements while walking the ascending net (O((N + k) log k)).
+Every step is a sorted sweep: O(k log k) for k elements, plus O(N) to
+write out and O(N log N) to re-check the N points of a net.
 `lebesgue_candidates` evaluated with `uniform_radius_at` is the
 brute-force O(k^3) reference the Lebesgue sweep is tested against.
 
-The sweeps compare Python ints over one shared denominator (`_over_unit`).
-Past MAX_UNIT_BITS bits of denominator, which pairwise coprime denominators
-reach, they compare the Fractions, just as exactly.  Fractions are built
-back only for results and printed text.
+No Fraction is built per net point.  A net is ints over its own unit D,
+the least common denominator of the radius and the points (an extracted
+grid has D equal to the radius's denominator); the r-ball around x / D
+fits element j exactly when x lies between two ints worked out once per
+element (`_ball_bounds`), and certificate text is read into and written
+from those ints.  Sweeps that compare cover ends with each other write
+them over their least common denominator, or compare the Fractions past
+_END_BITS, as pairwise coprime denominators reach.  A certificate of more
+than MAX_NET_POINTS net lines, or whose points would take more than
+MAX_SCALED_BITS bits beyond the radius's denominator over their common
+one, is refused before any point is built.
 """
 
 from __future__ import annotations
 
 import heapq
+import re
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate
-from math import lcm
+from itertools import accumulate, chain, repeat
+from math import gcd, lcm
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NoReturn
 
 from .errors import (
     BudgetExceeded,
@@ -41,7 +48,9 @@ from .errors import (
     NotNiceCover,
     ParseError,
 )
-from .rational import ONE, ZERO, Rational, _int, parse_rational, render
+from .rational import (
+    ONE, RATIONAL_PATTERN, ZERO, Rational, _int, parse_ratio, parse_rational, ratio_of, render, render_ratio,
+)
 
 
 @dataclass(frozen=True)
@@ -63,25 +72,38 @@ class OpenInterval:
 
 CoverList = Sequence[OpenInterval]
 
-MAX_UNIT_BITS = 256
+
+MAX_SCALED_BITS = 2**28
+# Past this many bits of ends over their common denominator, the sweeps
+# compare the Fractions: on covers with a distinct prime denominator per
+# end, that is as fast at about 2^22 bits and faster beyond.
+_END_BITS = 2**21
 
 
-def _over_unit(values: Sequence[Rational]) -> tuple[list, int]:
-    """The values as ints over their least common denominator, and that unit.
-
-    Past MAX_UNIT_BITS bits of unit the values come back unchanged with
-    unit 1, so a sweep that compares them only with each other, 0 and
-    `unit` needs one body for both kinds.
-    """
-    scale = dict.fromkeys(v.denominator for v in values)
-    unit = 1
+def _over_unit(numerators: Sequence[int], denominators: Sequence[int], unit: int, cap: int) -> tuple[list[int], int] | None:
+    """The rationals n / d as ints over their least common unit with `unit`,
+    and that unit; None when those ints would need more than `cap` bits
+    beyond what they need over `unit` alone."""
+    scale = dict.fromkeys(denominators)
+    bits = unit.bit_length()
     for d in scale:
         unit = lcm(unit, d)
-        if unit.bit_length() > MAX_UNIT_BITS:
-            return list(values), 1
+        if len(numerators) * (unit.bit_length() - bits) > cap:
+            return None
     for d in scale:
         scale[d] = unit // d
-    return [v.numerator * scale[v.denominator] for v in values], unit
+    return [n * scale[d] for n, d in zip(numerators, denominators)], unit
+
+
+def _common_unit(values: Sequence[Rational]) -> tuple[list, int]:
+    """The values as ints over their least common denominator, and that unit.
+
+    Past _END_BITS the values come back unchanged with unit 1, so a sweep
+    that compares them only with each other, 0 and `unit` needs one body
+    for both kinds.
+    """
+    return _over_unit([v.numerator for v in values], [v.denominator for v in values], 1, _END_BITS) or (
+        list(values), 1)
 
 
 def parse_cover(text: str) -> list[OpenInterval]:
@@ -94,11 +116,10 @@ def parse_cover(text: str) -> list[OpenInterval]:
         parts = code.split()
         if len(parts) != 2:
             raise ParseError(f"line {line_no}: expected `lo hi`, got {code!r}")
-        lo = parse_rational(parts[0])
-        hi = parse_rational(parts[1])
-        if not lo < hi:
+        (a, b), (c, d) = parse_ratio(parts[0]), parse_ratio(parts[1])
+        if not a * d < c * b:
             raise ParseError(f"line {line_no}: interval needs lo < hi")
-        intervals.append(OpenInterval(lo, hi))
+        intervals.append(OpenInterval(Rational(a, b), Rational(c, d)))
     if not intervals:
         raise ParseError("cover file contains no intervals")
     return intervals
@@ -166,7 +187,7 @@ def lebesgue_number(cover: CoverList) -> Rational:
     """
     if not cover:
         raise ValueError("cover must be nonempty")
-    ends, unit = _over_unit([v for e in cover for v in (e.lo, e.hi)])
+    ends, unit = _common_unit([v for e in cover for v in (e.lo, e.hi)])
     # In doubled coordinates, point x is 2·x·unit: a midpoint is lo + hi
     # and a V's bottom a + b, so nothing is divided.
     order = sorted(zip(ends[::2], ends[1::2]), key=sum)
@@ -255,6 +276,21 @@ def extract_constant_radius(
 MAX_NET_POINTS = 10**6
 
 
+def _grid(eps: Rational) -> list[int]:
+    """The points of `build_eps_net(eps)` as ints over eps's denominator."""
+    if eps <= 0:
+        raise NonpositiveRadius(f"net spacing {render(eps)} is not positive")
+    p, q = eps.numerator, eps.denominator
+    count = q // p
+    size = count + 1 if count * p == q else count + 2
+    if size > MAX_NET_POINTS:
+        raise BudgetExceeded(
+            f"net spacing {render(eps)} needs {render(size)} points, "
+            f"more than MAX_NET_POINTS = {MAX_NET_POINTS}"
+        )
+    return [*range(0, q + 1, p), *([q] if count * p != q else [])]
+
+
 def build_eps_net(eps: Rational) -> list[Rational]:
     """The grid 0, eps, 2*eps, ... capped at 1, with 1 appended when missed.
 
@@ -263,20 +299,7 @@ def build_eps_net(eps: Rational) -> list[Rational]:
     more than MAX_NET_POINTS points raises BudgetExceeded before any point
     is built.
     """
-    if eps <= 0:
-        raise NonpositiveRadius(f"net spacing {render(eps)} is not positive")
-    count = int(ONE // eps)
-    hits_one = eps * count == ONE
-    size = count + 1 if hits_one else count + 2
-    if size > MAX_NET_POINTS:
-        raise BudgetExceeded(
-            f"net spacing {render(eps)} needs {render(size)} points, "
-            f"more than MAX_NET_POINTS = {MAX_NET_POINTS}"
-        )
-    net = [Rational(k * eps.numerator, eps.denominator) for k in range(count + 1)]
-    if not hits_one:
-        net.append(ONE)
-    return net
+    return [Rational(x, eps.denominator) for x in _grid(eps)]
 
 
 def find_containing_element(
@@ -284,8 +307,8 @@ def find_containing_element(
 ) -> int:
     """Smallest element index whose interval contains the ball around `center`.
 
-    O(k) scan; `extract_finite_subcover` calls it only for a ball that no
-    element contains, to raise NoContainingElement.
+    O(k) scan; `extract_finite_subcover` calls it only to raise
+    NoContainingElement for a ball that no element contains.
     """
     if radius <= 0:
         raise NonpositiveRadius(f"ball radius {render(radius)} is not positive")
@@ -298,25 +321,67 @@ def find_containing_element(
     )
 
 
-@dataclass(frozen=True)
+def _ball_bounds(cover: CoverList, r: int, unit: int) -> tuple[list[int], list[int]]:
+    """Ints low_j, high_j such that the ball of radius r / unit around x / unit
+    fits element j exactly when low_j <= x <= high_j: as x and r are ints,
+    lo + r / unit <= x / unit iff ceil(lo * unit) + r <= x, and likewise
+    x <= floor(hi * unit) - r."""
+    return ([r - (-e.lo.numerator * unit // e.lo.denominator) for e in cover],
+            [e.hi.numerator * unit // e.hi.denominator - r for e in cover])
+
+
+def _net_over_unit(radius: Rational, numerators: Sequence[int], denominators: Sequence[int]) -> tuple[list[int], int]:
+    """The net points n / d as ints over their least common denominator
+    with the radius, and that unit; BudgetExceeded past MAX_SCALED_BITS."""
+    scaled = _over_unit(numerators, denominators, radius.denominator, MAX_SCALED_BITS)
+    if scaled is None:
+        raise BudgetExceeded(f"{render(len(numerators))} net points over their common denominator need more than "
+                             f"MAX_SCALED_BITS = {MAX_SCALED_BITS} bits beyond the radius's denominator")
+    points, unit = scaled
+    # points not in lowest terms can make the unit larger than least
+    g = gcd(unit // radius.denominator, *points) if unit != radius.denominator else 1
+    return ([x // g for x in points], unit // g) if g > 1 else (points, unit)
+
+
+@dataclass(frozen=True, init=False)
 class SubcoverCertificate:
     """Everything needed to re-check a finite subcover without trusting us.
 
-    `elements` runs parallel to `net`: elements[k] is the index of the
-    cover element whose interval contains the radius ball around net[k].
-    `selected` is the deduplicated sorted list of the assigned elements.
+    Net point k is points[k] / unit, where `unit` is the least common
+    denominator of the radius and the net points; `net` gives the points
+    as rationals.  elements[k] is the index of the cover element whose
+    interval contains the radius ball around net point k.  `selected` is the
+    deduplicated sorted list of the assigned elements.  Net points whose
+    ints over `unit` would pass MAX_SCALED_BITS raise BudgetExceeded.
     """
 
     radius: Rational
-    net: tuple[Rational, ...]
+    points: tuple[int, ...]
+    unit: int
     elements: tuple[int, ...]
     selected: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.net) != len(self.elements):
-            raise ValueError(
-                f"{len(self.net)} net points but {len(self.elements)} assigned elements"
-            )
+    def __init__(self, radius: Rational, net: Sequence[Rational], elements: Sequence[int], selected: Sequence[int]):
+        points, unit = _net_over_unit(radius, [c.numerator for c in net], [c.denominator for c in net])
+        self._fill(radius, points, unit, elements, selected)
+
+    @classmethod
+    def _of_ints(cls, radius: Rational, points: Sequence[int], unit: int,
+                 elements: Sequence[int], selected: Sequence[int]) -> SubcoverCertificate:
+        """The certificate whose net points are points[k] / unit, `unit` as in the class docstring."""
+        certificate = cls.__new__(cls)
+        certificate._fill(radius, points, unit, elements, selected)
+        return certificate
+
+    def _fill(self, radius, points, unit, elements, selected) -> None:
+        if len(points) != len(elements):
+            raise ValueError(f"{len(points)} net points but {len(elements)} assigned elements")
+        self.__dict__.update(radius=radius, points=tuple(points), unit=unit,  # past the frozen __setattr__
+                             elements=tuple(elements), selected=tuple(selected))
+
+    @property
+    def net(self) -> tuple[Rational, ...]:
+        return tuple(Rational(x, self.unit) for x in self.points)
 
 
 def extract_finite_subcover(
@@ -331,33 +396,34 @@ def extract_finite_subcover(
     assignment and the fixed net make the certificate byte-reproducible
     for identical inputs.
 
-    Element j contains the ball around c exactly when c lies in
-    [lo_j + r, hi_j - r].  The net ascends, so an element joins a min-heap
-    of indices once its lower bound is <= c, and leaves it for good once
-    its upper bound is < c; the heap's top is then the first match.
-    O((N + k) log k) for N net points and k elements.  Over the unit of r
-    and the ends, net point k is min(k·r, 1) in ints.
+    The net ascends, so the points whose ball fits element j are one run,
+    found by bisection from `_ball_bounds`.  The 2k ends of the runs cut the
+    net into stretches; walking them in order, an element joins a min-heap
+    of indices where its run starts and leaves where it ends, and the
+    heap's top is the stretch's first match.
     """
     if not cover:
         raise ValueError("cover must be nonempty")
     radius = extract_constant_radius(modulus, sample_points)
-    net = build_eps_net(radius)
-    scaled, unit = _over_unit([radius, *(v for e in cover for v in (e.lo, e.hi))])
-    r = scaled[0]
-    centres = [(lo + r, hi - r) for lo, hi in zip(scaled[1::2], scaled[2::2])]
-    by_lo = sorted(range(len(cover)), key=lambda j: centres[j][0])
+    points, unit = _grid(radius), radius.denominator
+    lows, highs = _ball_bounds(cover, radius.numerator, unit)
+    starts = [bisect_left(points, low) for low in lows]
+    stops = [bisect_right(points, high) for high in highs]
+    by_start = sorted(range(len(starts)), key=starts.__getitem__)
+    cuts = sorted({0, len(points), *starts, *stops})
     joined = 0
     heap: list[int] = []
-    elements = []
-    for k, point in enumerate(net):
-        x = min(k * r, unit)
-        while joined < len(by_lo) and centres[by_lo[joined]][0] <= x:
-            heapq.heappush(heap, by_lo[joined])
+    runs = []
+    for start, stop in zip(cuts, cuts[1:]):
+        while joined < len(by_start) and starts[by_start[joined]] <= start:
+            heapq.heappush(heap, by_start[joined])
             joined += 1
-        while heap and centres[heap[0]][1] < x:
+        while heap and stops[heap[0]] <= start:
             heapq.heappop(heap)
-        elements.append(heap[0] if heap else find_containing_element(cover, point, radius))
-    return SubcoverCertificate(radius, tuple(net), tuple(elements), tuple(sorted(set(elements))))
+        element = heap[0] if heap else find_containing_element(cover, Rational(points[start], unit), radius)
+        runs.append((element, stop - start))
+    elements = tuple(chain.from_iterable(repeat(j, n) for j, n in runs))
+    return SubcoverCertificate._of_ints(radius, points, unit, elements, sorted({j for j, _ in runs}))
 
 
 @dataclass(frozen=True)
@@ -377,28 +443,28 @@ def verify_subcover(cover: CoverList, selected: Sequence[int]) -> Covered | Unco
     range raises ValueError.  See `_reach` for the sweep and its witness.
     O(k log k) for k selected elements.
     """
-    ends = []
+    chosen = []
     for index in selected:
         if not 0 <= index < len(cover):
             raise ValueError(f"element index {index} out of range")
-        ends += (cover[index].lo, cover[index].hi)
-    scaled, unit = _over_unit(ends)
-    return _reach(zip(scaled[::2], scaled[1::2]), unit)
+        chosen += (cover[index].lo, cover[index].hi)
+    scaled, unit = _common_unit(chosen)
+    return _reach(sorted(zip(scaled[::2], scaled[1::2])), unit)
 
 
 def _reach(spans: Iterable[tuple], unit: int) -> Covered | Uncovered:
-    """Whether the open intervals (lo, hi) over `unit`, in any order, cover [0, 1].
+    """Whether the open intervals (lo, hi) over `unit`, in order of lo, cover [0, 1].
 
-    Walks the intervals by lo, keeping `reach`: [0, reach) lies inside the
+    Walks the intervals keeping `reach`: [0, reach) lies inside the
     intervals walked so far and none of them extends past reach.  An
     interval with lo < reach moves reach up to its hi when that is further.
     The first interval with lo >= reach ends the walk, and every later one
     starts at least as far, so no interval contains reach: it is the least
     point >= 0 outside all of them.  That point (0, a gap endpoint, or 1)
-    is the witness, unless it lies past 1.  O(k log k) for k intervals.
+    is the witness, unless it lies past 1.
     """
     reach = 0
-    for lo, hi in sorted(spans, key=itemgetter(0)):
+    for lo, hi in spans:
         if not lo < reach:
             break
         if hi > reach:
@@ -407,34 +473,55 @@ def _reach(spans: Iterable[tuple], unit: int) -> Covered | Uncovered:
 
 
 def render_certificate(certificate: SubcoverCertificate) -> str:
+    unit = certificate.unit
     lines = [f"r={render(certificate.radius)}"]
-    for point, element in zip(certificate.net, certificate.elements):
-        lines.append(f"net {render(point)} -> element {element}")
+    lines += [f"net {render_ratio(x, unit)} -> element {j}" for x, j in zip(certificate.points, certificate.elements)]
     lines.append("selected " + ",".join(str(j) for j in certificate.selected))
     return "\n".join(lines) + "\n"
 
 
+# `net <rational> -> element <index>`, with any spaces around the two numbers
+_NET_LINE = re.compile(rf"net \s*{RATIONAL_PATTERN}\s* -> element \s*(\d+)")
+
+
+def _refuse_net_line(line: str) -> NoReturn:
+    """Raise the error for a net line that _NET_LINE refuses or whose denominator is 0."""
+    point_text, arrow, element_text = line[len("net ") :].partition(" -> element ")
+    if not arrow:
+        raise ParseError(f"bad net line: {line!r}")
+    if not element_text.strip().isdecimal():
+        raise ParseError(f"bad element index in: {line!r}")
+    parse_ratio(point_text)  # a ParseError, or ZeroDenominator
+    raise ParseError(f"bad net line: {line!r}")
+
+
 def parse_certificate(text: str) -> SubcoverCertificate:
-    """Inverse of `render_certificate`; raises ParseError on anything off."""
+    """Inverse of `render_certificate`; raises ParseError on anything off.
+
+    More than MAX_NET_POINTS net lines raise BudgetExceeded before any
+    point is read.
+    """
     lines = [line for line in map(str.strip, text.splitlines()) if line]
     if not lines or not lines[0].startswith("r="):
         raise ParseError("certificate must start with `r=<rational>`")
     radius = parse_rational(lines[0][len("r=") :])
-    net: list[Rational] = []
+    if len(lines) > MAX_NET_POINTS + 1 and sum(line.startswith("net ") for line in lines) > MAX_NET_POINTS:
+        raise BudgetExceeded(f"certificate has more than MAX_NET_POINTS = {MAX_NET_POINTS} net lines")
+    numerators: list[int] = []
+    denominators: list[int] = []
     elements: list[int] = []
     selected: tuple[int, ...] | None = None
     for line in lines[1:]:
         if line.startswith("net "):
             if selected is not None:
                 raise ParseError("net line after the selected line")
-            point_text, arrow, element_text = line[len("net ") :].partition(" -> element ")
-            if not arrow:
-                raise ParseError(f"bad net line: {line!r}")
-            element_text = element_text.strip()
-            if not element_text.isdecimal():
-                raise ParseError(f"bad element index in: {line!r}")
-            elements.append(_int(element_text))
-            net.append(parse_rational(point_text))
+            m = _NET_LINE.fullmatch(line)
+            numerator, denominator = ratio_of(*m.group(1, 2, 3, 4)) if m else (0, 0)
+            if denominator == 0:
+                _refuse_net_line(line)
+            numerators.append(numerator)
+            denominators.append(denominator)
+            elements.append(_int(m[5]))
         elif line.startswith("selected"):
             if selected is not None:
                 raise ParseError("duplicate selected line")
@@ -447,7 +534,8 @@ def parse_certificate(text: str) -> SubcoverCertificate:
             raise ParseError(f"unrecognized certificate line: {line!r}")
     if selected is None:
         raise ParseError("certificate has no selected line")
-    return SubcoverCertificate(radius, tuple(net), tuple(elements), selected)
+    del lines  # at N = 10^6 the line strings outweigh the points
+    return SubcoverCertificate._of_ints(radius, *_net_over_unit(radius, numerators, denominators), elements, selected)
 
 
 def load_certificate(path: str | Path) -> SubcoverCertificate:
@@ -464,48 +552,39 @@ def verify_certificate(cover: CoverList, certificate: SubcoverCertificate) -> li
     leaves no point of [0, 1] farther than the radius from a net point,
     and the assigned elements really cover [0, 1].
 
-    Both coverage checks are the `_reach` sweep, over one common unit: the
-    net's balls (c - r, c + r), in whatever order and with whatever repeats
-    the certificate lists them, and the assigned elements in range.
-    O(N log N + k log k) for N net points and k elements.
+    In the net's unit, each point is compared with its element's
+    `_ball_bounds`, and density is the `_reach` sweep over the balls
+    (c - r, c + r), whatever their order and repeats.  Coverage is
+    `verify_subcover` of the assigned elements in range.  O(N log N + k log k).
     """
-    problems: list[str] = []
     r = certificate.radius
     if r <= 0:
-        problems.append(f"radius {render(r)} is not positive")
-        return problems
-
-    net, elements = certificate.net, certificate.elements
-    scaled, unit = _over_unit([r, *net, *(v for e in cover for v in (e.lo, e.hi))])
-    r_int, ends = scaled[0], scaled[len(net) + 1 :]
-    balls = [(c - r_int, c + r_int) for c in scaled[1 : len(net) + 1]]
-    for k, (element, (lo, hi)) in enumerate(zip(elements, balls)):
-        if not 0 <= element < len(cover):
-            problems.append(f"assignment {k}: element {render(element)} out of range")
-            continue
-        if not (ends[2 * element] <= lo and hi <= ends[2 * element + 1]):  # `contains_ball`, in ints
-            c, e = net[k], cover[element]
+        return [f"radius {render(r)} is not positive"]
+    problems: list[str] = []
+    points, unit, elements = certificate.points, certificate.unit, certificate.elements
+    r_int = r.numerator * (unit // r.denominator)
+    lows, highs = _ball_bounds(cover, r_int, unit)
+    k = len(lows)
+    for i in [i for i, (x, j) in enumerate(zip(points, elements)) if not (0 <= j < k and lows[j] <= x <= highs[j])]:
+        j, c = elements[i], Rational(points[i], unit)
+        if not 0 <= j < k:
+            problems.append(f"assignment {i}: element {render(j)} out of range")
+        else:
+            e = cover[j]
             problems.append(
                 f"ball ({render(c - r)}, {render(c + r)}) around net point "
-                f"{render(c)} is not inside element {element} "
-                f"({render(e.lo)}, {render(e.hi)})"
+                f"{render(c)} is not inside element {j} ({render(e.lo)}, {render(e.hi)})"
             )
 
-    assigned = set(elements)
-    if certificate.selected != tuple(sorted(assigned)):
-        problems.append(
-            "selected list does not match the set of assigned elements"
-        )
+    assigned = sorted(set(elements))
+    if certificate.selected != tuple(assigned):
+        problems.append("selected list does not match the set of assigned elements")
 
-    density = _reach(balls, unit)
+    density = _reach(((x - r_int, x + r_int) for x in sorted(points)), unit)
     if isinstance(density, Uncovered):
-        problems.append(
-            f"net with radius {render(r)} leaves {render(density.witness)} uncovered"
-        )
+        problems.append(f"net with radius {render(r)} leaves {render(density.witness)} uncovered")
 
-    coverage = _reach([(ends[2 * j], ends[2 * j + 1]) for j in assigned if 0 <= j < len(cover)], unit)
+    coverage = verify_subcover(cover, [j for j in assigned if 0 <= j < k])
     if isinstance(coverage, Uncovered):
-        problems.append(
-            f"selected elements leave {render(coverage.witness)} uncovered"
-        )
+        problems.append(f"selected elements leave {render(coverage.witness)} uncovered")
     return problems

@@ -32,6 +32,8 @@ _INC, _DEC, _JZ, _GOTO, _HALT = range(len(OPS))
 MAX_REGISTER = 1023
 # A dovetail holds one run state per input, all at once.
 MAX_DOVETAIL_INPUTS = 10**5
+# Steps run one by one, per run_for or dovetail; steps applied in closed form are free.
+MAX_INTERPRETED_STEPS = 10**7
 
 _LABEL_RE = re.compile(r"([A-Za-z_]\w*):")
 
@@ -221,24 +223,29 @@ class MachineState:
         self._skip = [0] * len(program.code)
         self._backoff = [0] * len(program.code)
 
-    def advance(self, limit: int) -> None:
-        """Run until the machine halts or `steps` reaches `limit`.
+    def advance(self, limit: int, cap: int | None = None) -> int:
+        """Run until the machine halts or `steps` reaches `limit`; return the
+        number of steps this call ran one by one.
 
         A backward jump to the same header as the previous backward jump
         closes one lap of an innermost loop; the laps that provably repeat
         are then applied in closed form by `_repeat_lap`.  When fewer than
         two laps could be applied, that header is not traced again for a
         doubling number of arrivals, so loops whose path keeps changing run
-        at the plain loop's speed.
+        at the plain loop's speed.  A run that would need more than `cap`
+        steps run one by one (default MAX_INTERPRETED_STEPS) raises
+        BudgetExceeded instead; the check is the loop's own bound.
         """
         if self.halted:
-            return
+            return 0
         code = self.program.code
         end = len(code)
         regs = self.registers
         skip, backoff = self._skip, self._backoff
         pc, steps, header = self.pc, self.steps, self._header
-        while steps < limit:
+        start, closed = steps, 0
+        stop = min(limit, start + (MAX_INTERPRETED_STEPS if cap is None else cap))
+        while steps < stop:
             op, reg, target = code[pc]
             steps += 1
             if op == _INC:
@@ -260,6 +267,8 @@ class MachineState:
                     else:
                         laps, length = _repeat_lap(code, regs, target, limit - steps)
                         steps += laps * length
+                        closed += laps * length
+                        stop = min(limit, stop + laps * length)
                         if laps < 2:
                             backoff[target] = 2 * backoff[target] or 1
                             skip[target] = backoff[target]
@@ -273,6 +282,11 @@ class MachineState:
                 self.halted = True
                 break
         self.pc, self.steps, self._header = pc, steps, header
+        if steps < limit and not self.halted:
+            raise BudgetExceeded(
+                f"more than MAX_INTERPRETED_STEPS = {MAX_INTERPRETED_STEPS} steps would run one by one"
+            )
+        return steps - start - closed
 
 
 def run_for(program: Program, input_value: int, budget: int) -> RunOutcome:
@@ -280,6 +294,7 @@ def run_for(program: Program, input_value: int, budget: int) -> RunOutcome:
 
     Deterministic: identical arguments always give the identical outcome,
     and a halt reported with step count k is reproduced by any budget >= k.
+    More than MAX_INTERPRETED_STEPS steps run one by one raise BudgetExceeded.
     """
     if budget < 0:
         raise ValueError("budget must be a natural number")
@@ -308,7 +323,8 @@ def dovetail_enumerate(
     and it is emitted while that count is below `total_budget`.
 
     More than MAX_DOVETAIL_INPUTS inputs, repeats included, are refused
-    before any run starts.
+    before any run starts, and more than MAX_INTERPRETED_STEPS steps run one
+    by one over all the runs raise BudgetExceeded.
     """
     if total_budget < 1:
         raise ValueError("total budget must be at least 1")
@@ -320,9 +336,10 @@ def dovetail_enumerate(
         return []
     states = [MachineState(program, v) for v in values]
     horizon = max(1, total_budget // len(states))
+    interpreted = 0
     while True:
         for state in states:
-            state.advance(horizon)
+            interpreted += state.advance(horizon, MAX_INTERPRETED_STEPS - interpreted)
         if sum(state.steps for state in states) >= total_budget or all(
             state.halted for state in states
         ):

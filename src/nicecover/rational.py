@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 
 from .errors import ParseError, ZeroDenominator
 
@@ -20,7 +21,9 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-_RATIONAL_RE = re.compile(r"(-?)(\d+)(?:/(\d+)|\.(\d+))?")
+# sign, whole part, denominator, decimal digits; for patterns that embed a rational
+RATIONAL_PATTERN = r"(-?)(\d+)(?:/(\d+)|\.(\d+))?"
+_RATIONAL_RE = re.compile(RATIONAL_PATTERN)
 
 # CPython (3.11, and 3.10.7 on) refuses to convert an int to or from more
 # decimal digits than sys.get_int_max_str_digits(): 4300 by default, 640
@@ -47,22 +50,38 @@ def _decimal(n: int) -> str:
     return _decimal(high) + _decimal(low).zfill(k)
 
 
-def parse_rational(text: str) -> Rational:
-    """Parse `p`, `p/q`, or a finite decimal such as `0.15`, all exactly."""
+def ratio_of(sign_s: str, whole_s: str, den_s: str | None, frac_s: str | None, to_int=int) -> tuple[int, int]:
+    """(numerator, denominator) written by the four groups of a RATIONAL_PATTERN
+    match, not in lowest terms; the denominator may be 0.  Parts past the
+    interpreter's digit limit are converted again, with `to_int` = `_int`."""
+    try:
+        whole = -to_int(whole_s) if sign_s else to_int(whole_s)
+        if den_s is not None:
+            return whole, to_int(den_s)
+        if frac_s is not None:
+            frac = -to_int(frac_s) if sign_s else to_int(frac_s)
+            return whole * 10 ** len(frac_s) + frac, 10 ** len(frac_s)
+        return whole, 1
+    except ValueError:  # a part past the interpreter's digit limit
+        return ratio_of(sign_s, whole_s, den_s, frac_s, _int)
+
+
+def parse_ratio(text: str) -> tuple[int, int]:
+    """Parse `p`, `p/q`, or a finite decimal such as `0.15` into ints
+    (numerator, positive denominator), exactly but not in lowest terms."""
     m = _RATIONAL_RE.fullmatch(text.strip())
     if m is None:
         raise ParseError(f"not a rational: {text!r}")
-    sign_s, whole_s, den_s, frac_s = m.groups()
-    sign = -1 if sign_s else 1
-    if den_s is not None:
-        den = _int(den_s)
-        if den == 0:
-            raise ZeroDenominator(text.strip())
-        return Fraction(sign * _int(whole_s), den)
-    if frac_s is not None:
-        scale = 10 ** len(frac_s)
-        return Fraction(sign * (_int(whole_s) * scale + _int(frac_s)), scale)
-    return Fraction(sign * _int(whole_s))
+    numerator, denominator = ratio_of(*m.groups())
+    if denominator == 0:
+        raise ZeroDenominator(text.strip())
+    return numerator, denominator
+
+
+def parse_rational(text: str) -> Rational:
+    """Parse `p`, `p/q`, or a finite decimal such as `0.15`, all exactly."""
+    numerator, denominator = parse_ratio(text)
+    return Fraction(numerator) if denominator == 1 else Fraction(numerator, denominator)
 
 
 def parse_natural(text: str) -> int:
@@ -84,6 +103,15 @@ def render(q: Rational) -> str:
     except ValueError:  # a part longer than the interpreter's digit limit
         text = ("-" if q < 0 else "") + _decimal(abs(q.numerator))
         return text if q.denominator == 1 else f"{text}/{_decimal(q.denominator)}"
+
+
+def render_ratio(numerator: int, denominator: int) -> str:
+    """`render` of numerator / denominator, a positive denominator, without building a Fraction."""
+    g = gcd(numerator, denominator)
+    try:
+        return f"{numerator // g}" if g == denominator else f"{numerator // g}/{denominator // g}"
+    except ValueError:  # a part longer than the interpreter's digit limit
+        return render(Fraction(numerator, denominator))
 
 
 def pow2(exp: int) -> Rational:

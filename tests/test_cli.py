@@ -5,6 +5,7 @@ from math import prod
 
 import pytest
 
+from nicecover import cover as cover_mod, machine
 from nicecover.cli import dispatch
 
 TWO_INTERVAL_COVER = "-1/10 6/10\n4/10 11/10\n"
@@ -224,6 +225,17 @@ class TestWaitingAndReduce:
         )
         assert (code, out) == (0, "no-halt-within steps=11\n")
 
+    def test_interpreted_step_cap(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(machine, "MAX_INTERPRETED_STEPS", 10**4)
+        nest = tmp_path / "nest.cm"
+        nest.write_text("outer: INC 1\nINC 1\ninner: JZ 1 next\nDEC 1\nGOTO inner\nnext: GOTO outer\n")
+        refused = (1, "budget-exceeded more than MAX_INTERPRETED_STEPS = 10000 steps would run one by one\n", "")
+        for argv in (["machine", "run", "--input", "0", "--budget", "1000000000000"],
+                     ["machine", "dovetail", "--inputs", "0..3", "--budget", "1000000000000"],
+                     ["reduce", "--input", "0", "--prec", "1000000000"],
+                     ["waiting", "approx", "--input", "0", "--prec", "20000", "--max-steps", "1000000000"]):
+            assert run(capsys, *argv, "--prog", str(nest)) == refused
+
 
     def test_reduce_oracle_does_not_change_the_verdict(self, capsys, countdown_file):
         argv = ["reduce", "--prog", str(countdown_file), "--input", "2", "--prec", "10"]
@@ -347,6 +359,15 @@ class TestCover:
         cert.write_text(cert_text)
         assert run(capsys, "cover", "verify-cert", "--cover", cover_file, "--cert", str(cert)) == (
             0, "certificate-ok\n", "",
+        )
+
+    def test_certificate_over_the_net_line_cap_is_refused(self, capsys, cover_file, tmp_path, monkeypatch):
+        _, cert_text, _ = run(capsys, "cover", "subcover", "--cover", cover_file)
+        cert = tmp_path / "cert.txt"
+        cert.write_text(cert_text)
+        monkeypatch.setattr(cover_mod, "MAX_NET_POINTS", 10)
+        assert run(capsys, "cover", "verify-cert", "--cover", cover_file, "--cert", str(cert)) == (
+            1, "budget-exceeded certificate has more than MAX_NET_POINTS = 10 net lines\n", "",
         )
 
     def test_tampered_cert_exits_1(self, capsys, cover_file, tmp_path):

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, lcm
 
 import pytest
 from hypothesis import given
@@ -38,7 +38,7 @@ from nicecover.errors import (
     ParseError,
     ZeroDenominator,
 )
-from nicecover.rational import render
+from nicecover.rational import parse_rational, render
 
 F = Fraction
 
@@ -316,6 +316,48 @@ class TestCertificateText:
         cert = parse_certificate(f"r=1/2\nnet 0 -> element {ones}\nselected {ones}\n")
         assert cert.elements == ((10**5000 - 1) // 9,) and cert.selected == ((10**5000 - 1) // 9,)
 
+    def test_net_lines_in_any_accepted_form(self):
+        written = "r=0.1\nnet 000 -> element 0\nnet  2/20 -> element  0\nnet 0.2 -> element 00\n"
+        canonical = parse_certificate(self.expected_text())
+        cert = parse_certificate(written + self.expected_text().split("\n", 4)[4])
+        # 2/20 is not in lowest terms: the unit is still the least one, 10
+        assert cert == canonical and hash(cert) == hash(canonical) and cert.unit == 10
+
+    def test_net_line_cap(self, monkeypatch):
+        monkeypatch.setattr(cover_mod, "MAX_NET_POINTS", 11)
+        assert parse_certificate(self.expected_text()).elements == (0,) * 6 + (1,) * 5
+        monkeypatch.setattr(cover_mod, "MAX_NET_POINTS", 10)
+        # refused before any net line is read: the bad one would raise ParseError
+        broken = self.expected_text().replace("net 1/2 -> element 0", "net x -> element 0")
+        with pytest.raises(BudgetExceeded, match="^certificate has more than MAX_NET_POINTS = 10 net lines$"):
+            parse_certificate(broken)
+
+    @given(st.lists(st.sampled_from(["", " ", "\t\xa0"]), min_size=4, max_size=4),
+           st.sampled_from(["0", "-7", "07/3", "7/0", "-0.25", "\u0663/\u0667", "7.", "1/2/3", "x", "", "1 -> element 2"]),
+           st.sampled_from(["0", "12", "\u0663", "-1", "", "x", "1 -> element 2"]))
+    def test_net_line_reads_as_its_pieces(self, spaces, point, element):
+        line = f"net {spaces[0]}{point}{spaces[1]} -> element {spaces[2]}{element}{spaces[3]}".strip()
+
+        def pieces():
+            point_text, arrow, element_text = line[len("net ") :].partition(" -> element ")
+            if not arrow:
+                raise ParseError(f"bad net line: {line!r}")
+            if not element_text.strip().isdecimal():
+                raise ParseError(f"bad element index in: {line!r}")
+            return parse_rational(point_text), int(element_text)
+
+        def read():
+            certificate = parse_certificate(f"r=1\n{line}\nselected 0\n")
+            return certificate.net[0], certificate.elements[0]
+
+        answers = []
+        for reading in (pieces, read):
+            try:
+                answers.append(reading())
+            except (ParseError, ZeroDenominator) as exc:
+                answers.append((type(exc), str(exc)))
+        assert answers[0] == answers[1]
+
     @given(st.one_of(st.text(), certificate_texts))
     def test_arbitrary_text_raises_only_parse_errors(self, text):
         try:
@@ -517,12 +559,12 @@ class TestSweepsMatchScans(sweep_oracles()):
 
 
 class TestSweepsMatchScansOnFractions(sweep_oracles()):
-    """The same properties with MAX_UNIT_BITS at 0, so every sweep compares the Fractions."""
+    """The same properties with _END_BITS at 0, so every sweep over cover ends compares the Fractions."""
 
     @pytest.fixture(autouse=True, scope="class")
     def fractions_only(self):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cover_mod, "MAX_UNIT_BITS", 0)
+            patch.setattr(cover_mod, "_END_BITS", 0)
             yield
 
 
@@ -536,9 +578,9 @@ def primes_above(start, count):
     return found
 
 
-def past_the_unit_cap(values):
-    values = list(values)
-    return cover_mod._over_unit(values) == (values, 1)
+def lcm_past_256_bits(values):
+    """Whether the values' least common denominator has more than 256 bits."""
+    return lcm(*(v.denominator for v in values)).bit_length() > 256
 
 
 def prime_chain(k):
@@ -563,11 +605,11 @@ def singular_prefix(count):
 
 
 class TestHostileDenominators:
-    """Pairwise coprime denominators put the common unit past MAX_UNIT_BITS."""
+    """Pairwise coprime denominators make the common denominator of the ends, or of a written net, huge."""
 
     def test_prime_chain_lebesgue_number(self):
         cover = prime_chain(40)
-        assert past_the_unit_cap([v for e in cover for v in (e.lo, e.hi)])
+        assert lcm_past_256_bits([v for e in cover for v in (e.lo, e.hi)])
         assert lebesgue_number(cover) == scan_lebesgue_number(cover) > 0
         gapped = cover[:20] + cover[21:]
         assert outcome(lebesgue_number, gapped) == outcome(scan_lebesgue_number, gapped)
@@ -575,11 +617,25 @@ class TestHostileDenominators:
 
     def test_singular_prefix_is_refused_with_its_least_uncovered_point(self):
         cover = singular_prefix(40)
-        assert past_the_unit_cap([v for e in cover for v in (e.lo, e.hi)])
+        assert lcm_past_256_bits([v for e in cover for v in (e.lo, e.hi)])
         assert outcome(lebesgue_number, cover) == outcome(scan_lebesgue_number, cover)
         everything = range(len(cover))
         assert verify_subcover(cover, everything) == rescan_verify_subcover(cover, everything)
         assert isinstance(verify_subcover(cover, everything), Uncovered)
+
+    def test_cover_past_the_end_bits_is_answered_over_fractions(self):
+        cover = prime_chain(240)
+        ends = [v for e in cover for v in (e.lo, e.hi)]
+        assert len(ends) * lcm(*(v.denominator for v in ends)).bit_length() > cover_mod._END_BITS
+        gapped = cover[:100] + cover[101:]
+        answers = [outcome(lebesgue_number, c) for c in (cover, gapped)]
+        assert answers[0] > 0 and answers[1][0] == "NotACover"
+        for c in (cover, gapped):
+            everything = range(len(c))
+            assert verify_subcover(c, everything) == rescan_verify_subcover(c, everything)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cover_mod, "_END_BITS", 2**40)
+            assert [outcome(lebesgue_number, c) for c in (cover, gapped)] == answers
 
     @pytest.mark.parametrize("cover", [TWO_INTERVALS, prime_chain(40)], ids=["two-intervals", "prime-chain"])
     def test_certificate_with_prime_denominators(self, cover):
@@ -587,7 +643,7 @@ class TestHostileDenominators:
         # the gap between neighbours is below 1/n + 1/p < 6/(5n), twice the radius
         net = [F(round(F(k, n) * p), p) for k, p in enumerate(primes_above(5 * n, n + 1))]
         radius = F(6, 10 * n)
-        assert past_the_unit_cap(net)
+        assert lcm_past_256_bits(net)
         elements = []
         for point in net:
             try:
@@ -606,3 +662,46 @@ class TestHostileDenominators:
         if cover is TWO_INTERVALS:
             assert verify_certificate(cover, whole) == []
         assert any("uncovered" in p for p in verify_certificate(cover, sparse))
+
+    def test_points_over_the_radius_denominator_cost_no_scaled_bits(self, monkeypatch):
+        # a 319-bit radius denominator: only denominators beyond it count against the cap
+        monkeypatch.setattr(cover_mod, "MAX_SCALED_BITS", 0)
+        radius = F(10**90 + 1, 99 * 10**90)
+        certificate = extract_finite_subcover(TWO_INTERVALS, ConstantModulus(radius))
+        assert len(certificate.points) == 100 and certificate.unit == radius.denominator
+        assert parse_certificate(render_certificate(certificate)) == certificate
+        rebuilt = SubcoverCertificate(radius, certificate.net, certificate.elements, certificate.selected)
+        assert rebuilt == certificate and verify_certificate(TWO_INTERVALS, rebuilt) == []
+
+    def test_two_thousand_point_net_with_pairwise_coprime_denominators(self, monkeypatch):
+        n = 2000
+        net = [F(round(F(k, n) * p), p) for k, p in enumerate(primes_above(5 * n, n + 1))]
+        radius = F(6, 10 * n)
+        assert lcm_past_256_bits(net)
+        elements = [find_containing_element(TWO_INTERVALS, point, radius) for point in net]
+        whole = SubcoverCertificate(radius, net, elements, (0, 1))
+        assert verify_certificate(TWO_INTERVALS, whole) == []
+        text = render_certificate(whole)
+        assert parse_certificate(text) == whole
+        elements[7] = 1  # its ball is not inside element 1
+        damaged = SubcoverCertificate(radius, net[:40] + net[42:], elements[:40] + elements[42:], (0, 1))
+        problems = verify_certificate(TWO_INTERVALS, damaged)
+        assert problems == rescan_verify_certificate(TWO_INTERVALS, damaged)
+        assert len(problems) == 2 and "uncovered" in problems[1]
+        monkeypatch.setattr(cover_mod, "MAX_SCALED_BITS", 10**6)
+        for build in (lambda: SubcoverCertificate(radius, net, elements, (0, 1)), lambda: parse_certificate(text)):
+            with pytest.raises(BudgetExceeded, match="^2001 net points over their common denominator need more than "
+                                                     "MAX_SCALED_BITS = 1000000 bits beyond the radius's denominator$"):
+                build()
+
+
+@given(
+    st.one_of(covers(), st.integers(1, 40).map(lambda count: singular_prefix(count) + [OpenInterval(F(-1), F(2))])),
+    st.fractions(min_value="1/300", max_value="3/2", max_denominator=300),
+)
+def test_extracted_certificates_survive_their_text(cover, radius):
+    try:
+        certificate = extract_finite_subcover(cover, ConstantModulus(radius))
+    except NoContainingElement:
+        return
+    assert parse_certificate(render_certificate(certificate)) == certificate

@@ -29,6 +29,15 @@ b:   INC 1
 end: HALT
 """
 
+# The inner loop closes, but every lap of the outer one runs one by one.
+NEST_TEXT = """outer: INC 1
+       INC 1
+inner: JZ 1 next
+       DEC 1
+       GOTO inner
+next:  GOTO outer
+"""
+
 
 class ReferenceState:
     """The plain interpreter: one instruction per `step()`, nothing skipped."""
@@ -308,6 +317,40 @@ class TestClosedFormLoops:
     def test_dovetail_with_huge_budgets(self, countdown, looper):
         assert dovetail_enumerate(countdown, range(4), 10**15) == [(0, 2), (1, 5), (2, 8), (3, 11)]
         assert dovetail_enumerate(looper, range(50), 10**15) == []
+
+
+class TestInterpretedStepCap:
+    """Steps run one by one are capped per run_for or dovetail; closed-form steps are not."""
+
+    def test_outer_loop_runs_into_the_cap(self, monkeypatch):
+        monkeypatch.setattr(machine, "MAX_INTERPRETED_STEPS", 10**4)
+        nest = parse_program(NEST_TEXT)
+        assert run_for(nest, 0, 10**4) == StillRunning(10**4)
+        with pytest.raises(BudgetExceeded, match="^more than MAX_INTERPRETED_STEPS = 10000 steps would run one by one$"):
+            run_for(nest, 0, 10**12)
+        with pytest.raises(BudgetExceeded, match="MAX_INTERPRETED_STEPS = 10000"):
+            dovetail_enumerate(nest, range(3), 10**12)
+        # a dovetail shares the cap among its runs: each of these runs about 8,000 steps one by one
+        alternating = parse_program(ALTERNATING_TEXT)
+        assert run_for(alternating, 1000, 10**6) == Halted(8000)
+        with pytest.raises(BudgetExceeded, match="MAX_INTERPRETED_STEPS = 10000"):
+            dovetail_enumerate(alternating, range(1000, 1003), 10**6)
+
+    def test_the_cap_is_exact(self, monkeypatch):
+        program = parse_program(ALTERNATING_TEXT)
+        interpreted = MachineState(program, 1200).advance(10**6)
+        assert 0 < interpreted <= 9600
+        monkeypatch.setattr(machine, "MAX_INTERPRETED_STEPS", interpreted)
+        assert run_for(program, 1200, 10**6) == Halted(9600)
+        monkeypatch.setattr(machine, "MAX_INTERPRETED_STEPS", interpreted - 1)
+        with pytest.raises(BudgetExceeded):
+            run_for(program, 1200, 10**6)
+
+    def test_closed_form_steps_are_free(self, countdown, looper, monkeypatch):
+        monkeypatch.setattr(machine, "MAX_INTERPRETED_STEPS", 100)
+        assert run_for(countdown, 10**12, 10**13) == Halted(3 * 10**12 + 2)
+        assert run_for(looper, 0, 10**15) == StillRunning(10**15)
+        assert dovetail_enumerate(countdown, range(4), 10**15) == [(0, 2), (1, 5), (2, 8), (3, 11)]
 
 
 class TestAgainstReference:
