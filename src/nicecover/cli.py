@@ -237,16 +237,13 @@ def _cmd_cover_subcover(args) -> int:
         modulus = cover_mod.LebesgueModulus(intervals)
     else:
         modulus = cover_mod.ConstantModulus(args.modulus)
-    certificate = cover_mod.extract_finite_subcover(intervals, modulus, args.samples)
+    certificate = cover_mod.extract_finite_subcover(intervals, modulus)
     sys.stdout.write(cover_mod.render_certificate(certificate))
     return 0
 
 
 def _cmd_cover_verify(args) -> int:
     intervals = cover_mod.load_cover(args.cover)
-    for index in args.selected:
-        if index >= len(intervals):
-            raise ParseError(f"selected index {index} out of range")
     verdict = cover_mod.verify_subcover(intervals, args.selected)
     if isinstance(verdict, cover_mod.Covered):
         print("covered")

@@ -19,7 +19,9 @@ the least common denominator of the radius and the points (an extracted
 grid has D equal to the radius's denominator); the r-ball around x / D
 fits element j exactly when x lies between two ints worked out once per
 element (`_ball_bounds`), and certificate text is read into and written
-from those ints.  Sweeps that compare cover ends with each other write
+from those ints.  A net line is read once, by its pieces: the point before
+the first ` -> element `, read by `parse_ratio`, and a decimal element
+index after it.  Sweeps that compare cover ends with each other write
 them over their least common denominator, or compare the Fractions past
 _END_BITS, as pairwise coprime denominators reach.  A certificate of more
 than MAX_NET_POINTS net lines, or whose points would take more than
@@ -30,7 +32,6 @@ one, is refused before any point is built.
 from __future__ import annotations
 
 import heapq
-import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -38,7 +39,7 @@ from itertools import accumulate, chain, repeat
 from math import gcd, lcm
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, NoReturn
+from typing import Callable, Iterable
 
 from .errors import (
     BudgetExceeded,
@@ -48,9 +49,7 @@ from .errors import (
     NotNiceCover,
     ParseError,
 )
-from .rational import (
-    ONE, RATIONAL_PATTERN, ZERO, Rational, _int, parse_ratio, parse_rational, ratio_of, render, render_ratio,
-)
+from .rational import ONE, ZERO, Rational, _int, parse_ratio, parse_rational, render, render_ratio
 
 
 @dataclass(frozen=True)
@@ -384,11 +383,7 @@ class SubcoverCertificate:
         return tuple(Rational(x, self.unit) for x in self.points)
 
 
-def extract_finite_subcover(
-    cover: CoverList,
-    modulus: NiceModulus,
-    sample_points: Sequence[Rational] = DEFAULT_SAMPLE_POINTS,
-) -> SubcoverCertificate:
+def extract_finite_subcover(cover: CoverList, modulus: NiceModulus) -> SubcoverCertificate:
     """The whole pipeline: radius, net, per-point assignment, certificate.
 
     Each net point is assigned the smallest index whose element contains
@@ -404,7 +399,7 @@ def extract_finite_subcover(
     """
     if not cover:
         raise ValueError("cover must be nonempty")
-    radius = extract_constant_radius(modulus, sample_points)
+    radius = extract_constant_radius(modulus)
     points, unit = _grid(radius), radius.denominator
     lows, highs = _ball_bounds(cover, radius.numerator, unit)
     starts = [bisect_left(points, low) for low in lows]
@@ -446,7 +441,7 @@ def verify_subcover(cover: CoverList, selected: Sequence[int]) -> Covered | Unco
     chosen = []
     for index in selected:
         if not 0 <= index < len(cover):
-            raise ValueError(f"element index {index} out of range")
+            raise ValueError(f"selected index {index} out of range")
         chosen += (cover[index].lo, cover[index].hi)
     scaled, unit = _common_unit(chosen)
     return _reach(sorted(zip(scaled[::2], scaled[1::2])), unit)
@@ -480,21 +475,6 @@ def render_certificate(certificate: SubcoverCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-# `net <rational> -> element <index>`, with any spaces around the two numbers
-_NET_LINE = re.compile(rf"net \s*{RATIONAL_PATTERN}\s* -> element \s*(\d+)")
-
-
-def _refuse_net_line(line: str) -> NoReturn:
-    """Raise the error for a net line that _NET_LINE refuses or whose denominator is 0."""
-    point_text, arrow, element_text = line[len("net ") :].partition(" -> element ")
-    if not arrow:
-        raise ParseError(f"bad net line: {line!r}")
-    if not element_text.strip().isdecimal():
-        raise ParseError(f"bad element index in: {line!r}")
-    parse_ratio(point_text)  # a ParseError, or ZeroDenominator
-    raise ParseError(f"bad net line: {line!r}")
-
-
 def parse_certificate(text: str) -> SubcoverCertificate:
     """Inverse of `render_certificate`; raises ParseError on anything off.
 
@@ -515,13 +495,16 @@ def parse_certificate(text: str) -> SubcoverCertificate:
         if line.startswith("net "):
             if selected is not None:
                 raise ParseError("net line after the selected line")
-            m = _NET_LINE.fullmatch(line)
-            numerator, denominator = ratio_of(*m.group(1, 2, 3, 4)) if m else (0, 0)
-            if denominator == 0:
-                _refuse_net_line(line)
+            point_text, arrow, element_text = line[len("net ") :].partition(" -> element ")
+            if not arrow:
+                raise ParseError(f"bad net line: {line!r}")
+            element_text = element_text.strip()
+            if not element_text.isdecimal():
+                raise ParseError(f"bad element index in: {line!r}")
+            numerator, denominator = parse_ratio(point_text)
             numerators.append(numerator)
             denominators.append(denominator)
-            elements.append(_int(m[5]))
+            elements.append(_int(element_text))
         elif line.startswith("selected"):
             if selected is not None:
                 raise ParseError("duplicate selected line")

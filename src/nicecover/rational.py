@@ -8,7 +8,6 @@ ever rounds.
 
 from __future__ import annotations
 
-import re
 import sys
 from fractions import Fraction
 from math import gcd
@@ -20,10 +19,6 @@ Rational = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-
-# sign, whole part, denominator, decimal digits; for patterns that embed a rational
-RATIONAL_PATTERN = r"(-?)(\d+)(?:/(\d+)|\.(\d+))?"
-_RATIONAL_RE = re.compile(RATIONAL_PATTERN)
 
 # CPython (3.11, and 3.10.7 on) refuses to convert an int to or from more
 # decimal digits than sys.get_int_max_str_digits(): 4300 by default, 640
@@ -50,32 +45,27 @@ def _decimal(n: int) -> str:
     return _decimal(high) + _decimal(low).zfill(k)
 
 
-def ratio_of(sign_s: str, whole_s: str, den_s: str | None, frac_s: str | None, to_int=int) -> tuple[int, int]:
-    """(numerator, denominator) written by the four groups of a RATIONAL_PATTERN
-    match, not in lowest terms; the denominator may be 0.  Parts past the
-    interpreter's digit limit are converted again, with `to_int` = `_int`."""
-    try:
-        whole = -to_int(whole_s) if sign_s else to_int(whole_s)
-        if den_s is not None:
-            return whole, to_int(den_s)
-        if frac_s is not None:
-            frac = -to_int(frac_s) if sign_s else to_int(frac_s)
-            return whole * 10 ** len(frac_s) + frac, 10 ** len(frac_s)
-        return whole, 1
-    except ValueError:  # a part past the interpreter's digit limit
-        return ratio_of(sign_s, whole_s, den_s, frac_s, _int)
-
-
 def parse_ratio(text: str) -> tuple[int, int]:
     """Parse `p`, `p/q`, or a finite decimal such as `0.15` into ints
-    (numerator, positive denominator), exactly but not in lowest terms."""
-    m = _RATIONAL_RE.fullmatch(text.strip())
-    if m is None:
+    (numerator, positive denominator), exactly but not in lowest terms.
+
+    p is an optional `-` and decimal digits; q and the decimal places are
+    digits.  Parts past the interpreter's digit limit are converted in pieces.
+    """
+    s = text.strip()
+    negative = s.startswith("-")
+    body = s[1:] if negative else s
+    whole, mark, part = body.partition("/")
+    if not mark:
+        whole, mark, part = body.partition(".")
+    if not whole.isdecimal() or (mark and not part.isdecimal()):
         raise ParseError(f"not a rational: {text!r}")
-    numerator, denominator = ratio_of(*m.groups())
-    if denominator == 0:
-        raise ZeroDenominator(text.strip())
-    return numerator, denominator
+    numerator, denominator = _int(whole), (_int(part) if mark else 1)
+    if mark == ".":
+        numerator, denominator = numerator * 10 ** len(part) + denominator, 10 ** len(part)
+    elif denominator == 0:
+        raise ZeroDenominator(s)
+    return (-numerator if negative else numerator), denominator
 
 
 def parse_rational(text: str) -> Rational:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import ceil, floor, lcm
 
@@ -251,7 +252,7 @@ class TestSubcoverPipeline:
         assert verify_subcover(TWO_INTERVALS, [1, 0]) == Covered()
 
     def test_verify_rejects_bad_index(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^selected index 5 out of range$"):
             verify_subcover(TWO_INTERVALS, [0, 5])
 
     def test_witness_is_honest(self):
@@ -332,11 +333,15 @@ class TestCertificateText:
         with pytest.raises(BudgetExceeded, match="^certificate has more than MAX_NET_POINTS = 10 net lines$"):
             parse_certificate(broken)
 
-    @given(st.lists(st.sampled_from(["", " ", "\t\xa0"]), min_size=4, max_size=4),
-           st.sampled_from(["0", "-7", "07/3", "7/0", "-0.25", "\u0663/\u0667", "7.", "1/2/3", "x", "", "1 -> element 2"]),
-           st.sampled_from(["0", "12", "\u0663", "-1", "", "x", "1 -> element 2"]))
-    def test_net_line_reads_as_its_pieces(self, spaces, point, element):
-        line = f"net {spaces[0]}{point}{spaces[1]} -> element {spaces[2]}{element}{spaces[3]}".strip()
+    @given(st.lists(st.sampled_from(["", " ", "\t\xa0", "\u2003", "\u3000"]), min_size=4, max_size=4),
+           st.sampled_from(["0", "-7", "07/3", "7/0", "-0.25", "\u0663/\u0667", "\u0661/\u0662", "\u0661.\u0665",
+                            "7.", ".5", "+1", "1e3", "1 /2", "1/ 2", "--1", "-", "1/2/3", "x", "",
+                            "1 -> element 2"]),
+           st.sampled_from([" -> element ", "-> element ", " ->element ", " -> element", " ->  element ",
+                            " -> Element ", " -> ELEMENT ", " => element ", " \u2003-> element "]),
+           st.sampled_from(["0", "12", "\u0663", "\u0661\u0662", "-1", "+1", "1 2", "", "x", "1 -> element 2"]))
+    def test_net_line_reads_as_its_pieces(self, spaces, point, arrow, element):
+        line = f"net {spaces[0]}{point}{spaces[1]}{arrow}{spaces[2]}{element}{spaces[3]}".strip()
 
         def pieces():
             point_text, arrow, element_text = line[len("net ") :].partition(" -> element ")
@@ -488,7 +493,7 @@ def outcome(fn, *args):
 
 
 @st.composite
-def covers(draw):
+def covers(draw, max_size=10):
     """Few distinct endpoints, so nested, touching and repeated intervals are common."""
     pool = draw(
         st.lists(st.fractions(min_value=-1, max_value=2, max_denominator=12),
@@ -496,7 +501,7 @@ def covers(draw):
     )
     pairs = draw(
         st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool))
-                 .filter(lambda p: p[0] != p[1]), min_size=1, max_size=10)
+                 .filter(lambda p: p[0] != p[1]), min_size=1, max_size=max_size)
     )
     return [OpenInterval(min(p), max(p)) for p in pairs]
 
@@ -705,3 +710,63 @@ def test_extracted_certificates_survive_their_text(cover, radius):
     except NoContainingElement:
         return
     assert parse_certificate(render_certificate(certificate)) == certificate
+
+
+# The definition the checkers answer to, by brute force and sharing no code
+# with their sweep: open intervals cover [0, 1] exactly when they cover every
+# critical point, that is 0, 1, every end in [0, 1] and the midpoint of each
+# pair of neighbouring critical points.  Between two neighbours no end
+# falls, so each interval holds all of the open stretch or none of it.
+
+
+def inside_some(spans, x):
+    return any(lo < x < hi for lo, hi in spans)
+
+
+def critical_points(spans):
+    ends = sorted({F(0), F(1), *(v for span in spans for v in span if 0 <= v <= 1)})
+    return sorted({*ends, *((a + b) / 2 for a, b in zip(ends, ends[1:]))})
+
+
+def oracle_covers(spans):
+    return all(inside_some(spans, x) for x in critical_points(spans))
+
+
+def assert_least_uncovered(spans, witness):
+    """The witness is uncovered and every critical point below it is covered."""
+    assert not inside_some(spans, witness)
+    assert all(inside_some(spans, x) for x in critical_points(spans) if x < witness)
+
+
+def claimed_witness(problems, pattern):
+    """The point named by the one problem matching `pattern`, or None."""
+    found = [m[1] for m in map(re.compile(pattern).fullmatch, problems) if m]
+    assert len(found) <= 1
+    return parse_rational(found[0]) if found else None
+
+
+class TestCheckersAgainstTheDefinition:
+    @given(covers(max_size=8), st.data())
+    def test_verify_subcover(self, cover, data):
+        selected = data.draw(st.lists(st.integers(0, len(cover) - 1), max_size=2 * len(cover)))
+        spans = [(cover[j].lo, cover[j].hi) for j in selected]
+        verdict = verify_subcover(cover, selected)
+        assert (verdict == Covered()) == oracle_covers(spans)
+        if isinstance(verdict, Uncovered):
+            assert_least_uncovered(spans, verdict.witness)
+
+    @given(covers(max_size=8), radii, st.data())
+    def test_verify_certificate_witnesses(self, cover, radius, data):
+        grid = build_eps_net(radius)
+        net = data.draw(st.lists(st.sampled_from(grid) | st.fractions(min_value=-1, max_value=2, max_denominator=24),
+                                 min_size=1, max_size=len(grid) + 2))
+        elements = data.draw(st.lists(st.integers(0, len(cover)), min_size=len(net), max_size=len(net)))
+        problems = verify_certificate(cover, SubcoverCertificate(radius, net, elements, sorted(set(elements))))
+        balls = [(c - radius, c + radius) for c in net]
+        assigned = [(cover[j].lo, cover[j].hi) for j in set(elements) if j < len(cover)]
+        for spans, pattern in ((balls, r"net with radius \S+ leaves (\S+) uncovered"),
+                               (assigned, r"selected elements leave (\S+) uncovered")):
+            witness = claimed_witness(problems, pattern)
+            assert (witness is None) == oracle_covers(spans)
+            if witness is not None:
+                assert_least_uncovered(spans, witness)
