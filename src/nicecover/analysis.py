@@ -14,13 +14,14 @@ which labels each midpoint, is the reference those rows agree with.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from math import lcm
 
 from .crn import CRN
 from .errors import BudgetExceeded, NotSeparated, ParseError
 from .machine import Halted, Program, RunOutcome, load_program, run_for
-from .rational import ONE, Rational, parse_natural, parse_rational, pow2, render
+from .rational import ONE, Rational, parse_natural, parse_rational, pow2, render, render_ratio
 
 # Row i of a transcript holds rationals of about i bits, so a transcript of
 # n rows holds about n^2 / 2 bits.  The cap holds for printed transcripts
@@ -170,20 +171,51 @@ class _BisectionChain:
         width = hi - lo
         u = (max(c for c in f.thresholds if lo < c <= hi) - lo) / width
         self._p, self._q = u.numerator, u.denominator
-        # lo and w over the common denominator lo.den * w.den
-        self._den = lo.denominator * width.denominator
-        self._lo = lo.numerator * width.denominator
-        self._w = width.numerator * lo.denominator
+        # lo and w over their least common denominator
+        self._den = lcm(lo.denominator, width.denominator)
+        self._lo = lo.numerator * (self._den // lo.denominator)
+        self._w = width.numerator * (self._den // width.denominator)
 
-    def row(self, i: int) -> TranscriptRow:
+    def ends(self, i: int) -> tuple[int, int, int, str]:
+        """Row i as ints: lo and hi over one denominator, and its branch."""
         if i > MAX_BISECT_STEPS:
             raise BudgetExceeded(
                 f"bisection row {render(i)} is past MAX_BISECT_STEPS = {MAX_BISECT_STEPS}"
             )
         k = -((-self._p << i) // self._q) - 1
-        base, den = (self._lo << i) + k * self._w, self._den << i
         branch = "init" if i == 0 else "upper" if k & 1 else "lower"
-        return TranscriptRow(i, Rational(base, den), Rational(base + self._w, den), branch)
+        base = (self._lo << i) + k * self._w
+        return base, base + self._w, self._den << i, branch
+
+    def row(self, i: int) -> TranscriptRow:
+        lo, hi, den, branch = self.ends(i)
+        return TranscriptRow(i, Rational(lo, den), Rational(hi, den), branch)
+
+
+class Transcript(Sequence[TranscriptRow]):
+    """Rows 0..steps of a bisection chain, each built only when it is read."""
+
+    def __init__(self, chain: _BisectionChain, steps: int):
+        self._chain, self._len = chain, steps + 1
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._chain.row(j) for j in range(self._len)[i]]
+        return self._chain.row(range(self._len)[i])
+
+    def lines(self) -> Iterator[str]:
+        """The rows as TSV lines `index lo hi branch`.  A row renders only the
+        endpoint that moved; an upper row keeps hi's text, a lower row lo's."""
+        for i in range(self._len):
+            lo_num, hi_num, den, branch = self._chain.ends(i)
+            if branch != "lower":
+                lo = render_ratio(lo_num, den)
+            if branch != "upper":
+                hi = render_ratio(hi_num, den)
+            yield f"{i}\t{lo}\t{hi}\t{branch}\n"
 
 
 def _chain_crn(chain: _BisectionChain, width0: Rational) -> CRN:
@@ -201,11 +233,12 @@ def _chain_crn(chain: _BisectionChain, width0: Rational) -> CRN:
 
 def bisect_to_precision(
     f: StairMap, lo: Rational, hi: Rational, steps: int
-) -> tuple[CRN, list[TranscriptRow]]:
+) -> tuple[CRN, Transcript]:
     """Run `steps` halvings; return the limit as a CRN plus the transcript.
 
     The transcript covers rows 0..steps and satisfies, exactly, width
-    halving, nesting, and label separation at every row.  The returned CRN
+    halving, nesting, and label separation at every row; it is a lazy
+    sequence that builds a row only when it is read.  The returned CRN
     keeps bisecting lazily past `steps` when deeper approximations are
     requested; its regulator is the first index at which the initial width
     scaled by 2^-i drops below 2^-m.  A transcript of more than
@@ -219,8 +252,7 @@ def bisect_to_precision(
             f"transcript of {steps} steps is longer than MAX_BISECT_STEPS = {MAX_BISECT_STEPS}"
         )
     chain = _BisectionChain(f, lo, hi)
-    rows = [chain.row(i) for i in range(steps + 1)]
-    return _chain_crn(chain, hi - lo), rows
+    return _chain_crn(chain, hi - lo), Transcript(chain, steps)
 
 
 def bisect_limit(f: StairMap, lo: Rational, hi: Rational) -> CRN:

@@ -212,11 +212,8 @@ def _cmd_bisect(args) -> int:
     limit, rows = analysis.bisect_to_precision(args.oracle, args.lo, args.hi, args.steps)
     del limit  # the enclosure below is the printed result
     if args.transcript is not None:
-        lines = [
-            f"{row.index}\t{render(row.lo)}\t{render(row.hi)}\t{row.branch}"
-            for row in rows
-        ]
-        Path(args.transcript).write_text("\n".join(lines) + "\n")
+        with Path(args.transcript).open("w") as transcript:
+            transcript.writelines(rows.lines())
     last = rows[-1]
     print(f"steps={args.steps}")
     print(f"lo={render(last.lo)}")

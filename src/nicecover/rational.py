@@ -101,7 +101,8 @@ def render_ratio(numerator: int, denominator: int) -> str:
     try:
         return f"{numerator // g}" if g == denominator else f"{numerator // g}/{denominator // g}"
     except ValueError:  # a part longer than the interpreter's digit limit
-        return render(Fraction(numerator, denominator))
+        text = ("-" if numerator < 0 else "") + _decimal(abs(numerator) // g)
+        return text if g == denominator else f"{text}/{_decimal(denominator // g)}"
 
 
 def pow2(exp: int) -> Rational:

@@ -246,12 +246,23 @@ def rendered(rows):
     return [f"{r.index}\t{render(r.lo)}\t{render(r.hi)}\t{r.branch}" for r in rows]
 
 
+def tsv(lines):
+    return "".join(f"{line}\n" for line in lines)
+
+
 class TestLabelCarryingChain:
     @given(separated_bisections(), st.integers(0, 60))
     def test_transcript_matches_plain_steps(self, bisection, steps):
         f, lo, hi = bisection
         _, rows = bisect_to_precision(f, lo, hi, steps)
         assert rendered(rows) == plain_transcript(f, lo, hi, steps)
+
+    @given(separated_bisections(), st.integers(0, 300))
+    def test_lines_match_the_rows(self, bisection, steps):
+        # lines() renders only the endpoint that moved; the rows render both
+        f, lo, hi = bisection
+        _, rows = bisect_to_precision(f, lo, hi, steps)
+        assert "".join(rows.lines()) == tsv(rendered(rows))
 
     @pytest.mark.parametrize(
         "f,lo,hi",
@@ -270,10 +281,18 @@ class TestLabelCarryingChain:
     )
     def test_closed_form_matches_plain_steps_at_2000_rows(self, f, lo, hi):
         value, rows = bisect_to_precision(f, lo, hi, 2000)
-        assert rendered(rows) == plain_transcript(f, lo, hi, 2000)
+        plain = plain_transcript(f, lo, hi, 2000)
+        assert rendered(rows) == plain
+        assert "".join(rows.lines()) == tsv(plain)
         # the limit reads the transcript's rows, and past them it closes in on the largest threshold
         assert approx_to(value, 1990) == rows[value.regulator(1991)].lo
         assert abs(approx_to(value, 2500) - max(c for c in f.thresholds if lo < c <= hi)) <= pow2(-2500)
+
+    def test_lines_past_the_digit_limit(self):
+        # every row's denominator has more than 4,300 digits, so render_ratio takes its fallback
+        f, lo, hi = StepMap(THIRD), Fraction(1, 3**9100), Fraction(1)
+        _, rows = bisect_to_precision(f, lo, hi, 2000)
+        assert "".join(rows.lines()) == tsv(plain_transcript(f, lo, hi, 2000))
 
     def test_one_label_per_row(self):
         # only the two endpoints are ever labelled, however many rows are read
@@ -355,6 +374,23 @@ class TestBisectToPrecision:
     def test_transcript_length_cap(self):
         with pytest.raises(BudgetExceeded, match="MAX_BISECT_STEPS = 10000$"):
             bisect_to_precision(StepMap(THIRD), Fraction(0), Fraction(1), MAX_BISECT_STEPS + 1)
+
+    def test_rows_are_a_lazy_sequence(self, monkeypatch):
+        built = []
+        row = analysis._BisectionChain.row
+        monkeypatch.setattr(analysis._BisectionChain, "row", lambda chain, i: built.append(i) or row(chain, i))
+        _, rows = bisect_to_precision(StepMap(THIRD), Fraction(0), Fraction(1), 4)
+        assert len(rows) == 5 and built == []
+        assert rows[-1] == rows[4] == analysis.TranscriptRow(4, Fraction(5, 16), Fraction(3, 8), "upper")
+        assert rows[-5] == rows[0] == analysis.TranscriptRow(0, Fraction(0), Fraction(1), "init")
+        assert built == [4, 4, 0, 0]
+        for i in (5, -6, 10**30):
+            with pytest.raises(IndexError):
+                rows[i]
+        listed = list(rows)
+        assert [r.index for r in listed] == [0, 1, 2, 3, 4]
+        assert rows[1:3] == listed[1:3] and rows[::-2] == listed[::-2] and rows[7:] == []
+        assert isinstance(rows[1:3], list)
 
     def test_lazy_rows_past_the_cap_are_refused(self):
         value = bisect_limit(StepMap(THIRD), Fraction(0), Fraction(1))

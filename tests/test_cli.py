@@ -5,7 +5,7 @@ from math import prod
 
 import pytest
 
-from nicecover import cover as cover_mod, machine
+from nicecover import analysis, cover as cover_mod, machine
 from nicecover.cli import dispatch
 
 TWO_INTERVAL_COVER = "-1/10 6/10\n4/10 11/10\n"
@@ -267,6 +267,20 @@ class TestBisect:
             "3\t1/4\t3/8\tlower\n"
             "4\t5/16\t3/8\tupper\n"
         )
+
+    def test_enclosure_builds_only_the_last_row(self, capsys, monkeypatch):
+        built = []
+        row = analysis._BisectionChain.row
+        monkeypatch.setattr(analysis._BisectionChain, "row", lambda chain, i: built.append(i) or row(chain, i))
+        code, out, _ = run(capsys, "bisect", "--oracle", "step@1/3", "--lo", "0", "--hi", "1", "--steps", "10000")
+        assert code == 0 and out.startswith("steps=10000\nlo=")
+        assert built == [10000]
+
+    def test_transcript_path_is_a_directory(self, capsys, tmp_path):
+        assert run(
+            capsys, "bisect", "--oracle", "step@1/3",
+            "--lo", "0", "--hi", "1", "--steps", "4", "--transcript", str(tmp_path),
+        ) == (2, "", f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
 
     def test_not_separated_is_domain_error(self, capsys):
         code, out, _ = run(

@@ -500,8 +500,8 @@ def covers(draw, max_size=10):
                  min_size=2, max_size=8, unique=True)
     )
     pairs = draw(
-        st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool))
-                 .filter(lambda p: p[0] != p[1]), min_size=1, max_size=max_size)
+        st.lists(st.lists(st.sampled_from(pool), min_size=2, max_size=2, unique=True),
+                 min_size=1, max_size=max_size)
     )
     return [OpenInterval(min(p), max(p)) for p in pairs]
 
