@@ -9,8 +9,8 @@ each net point an element containing its ball, and packages the result as
 a certificate that an independent sweep can verify with rational
 arithmetic alone.
 
-Every step is a sorted sweep: O(k log k) for k elements, plus O(N) to
-write out and O(N log N) to re-check the N points of a net.
+Checks are sorted sweeps: O(k log k) for k elements, O(N log N) for the N
+points of a net.  Extraction reads elements in order, up to the last it needs.
 `lebesgue_candidates` evaluated with `uniform_radius_at` is the
 brute-force O(k^3) reference the Lebesgue sweep is tested against.
 
@@ -31,7 +31,6 @@ one, is refused before any point is built.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -73,6 +72,7 @@ CoverList = Sequence[OpenInterval]
 
 
 MAX_SCALED_BITS = 2**28
+MAX_COVER_ELEMENTS = 10**5
 # Past this many bits of ends over their common denominator, the sweeps
 # compare the Fractions: on covers with a distinct prime denominator per
 # end, that is as fast at about 2^22 bits and faster beyond.
@@ -106,9 +106,13 @@ def _common_unit(values: Sequence[Rational]) -> tuple[list, int]:
 
 
 def parse_cover(text: str) -> list[OpenInterval]:
-    """One interval per line as `lo hi` (rationals or exact decimals); `#` comments."""
+    """One interval per line as `lo hi` (rationals or exact decimals); `#` comments.
+    More than MAX_COVER_ELEMENTS intervals raise BudgetExceeded before any is read."""
+    lines = text.splitlines()
+    if len(lines) > MAX_COVER_ELEMENTS and sum(bool(x.split("#", 1)[0].strip()) for x in lines) > MAX_COVER_ELEMENTS:
+        raise BudgetExceeded(f"cover has more than MAX_COVER_ELEMENTS = {MAX_COVER_ELEMENTS} intervals")
     intervals: list[OpenInterval] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(lines, start=1):
         code = line.split("#", 1)[0].strip()
         if not code:
             continue
@@ -307,7 +311,7 @@ def find_containing_element(
     """Smallest element index whose interval contains the ball around `center`.
 
     O(k) scan; `extract_finite_subcover` calls it only to raise
-    NoContainingElement for a ball that no element contains.
+    NoContainingElement for a ball that no element read contains.
     """
     if radius <= 0:
         raise NonpositiveRadius(f"ball radius {render(radius)} is not positive")
@@ -329,7 +333,7 @@ def _ball_bounds(cover: CoverList, r: int, unit: int) -> tuple[list[int], list[i
             [e.hi.numerator * unit // e.hi.denominator - r for e in cover])
 
 
-def _net_over_unit(radius: Rational, numerators: Sequence[int], denominators: Sequence[int]) -> tuple[list[int], int]:
+def _net_over_unit(radius: Rational, numerators: Sequence[int], denominators: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """The net points n / d as ints over their least common denominator
     with the radius, and that unit; BudgetExceeded past MAX_SCALED_BITS."""
     scaled = _over_unit(numerators, denominators, radius.denominator, MAX_SCALED_BITS)
@@ -339,19 +343,19 @@ def _net_over_unit(radius: Rational, numerators: Sequence[int], denominators: Se
     points, unit = scaled
     # points not in lowest terms can make the unit larger than least
     g = gcd(unit // radius.denominator, *points) if unit != radius.denominator else 1
-    return ([x // g for x in points], unit // g) if g > 1 else (points, unit)
+    return (tuple(x // g for x in points), unit // g) if g > 1 else (tuple(points), unit)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SubcoverCertificate:
     """Everything needed to re-check a finite subcover without trusting us.
 
     Net point k is points[k] / unit, where `unit` is the least common
     denominator of the radius and the net points; `net` gives the points
-    as rationals.  elements[k] is the index of the cover element whose
-    interval contains the radius ball around net point k.  `selected` is the
-    deduplicated sorted list of the assigned elements.  Net points whose
-    ints over `unit` would pass MAX_SCALED_BITS raise BudgetExceeded.
+    as rationals and `of_net` builds a certificate from them.  elements[k]
+    is the index of the cover element whose interval contains the radius
+    ball around net point k.  `selected` is the deduplicated sorted list of
+    the assigned elements.  The sequences are tuples.
     """
 
     radius: Rational
@@ -360,30 +364,23 @@ class SubcoverCertificate:
     elements: tuple[int, ...]
     selected: tuple[int, ...]
 
-    def __init__(self, radius: Rational, net: Sequence[Rational], elements: Sequence[int], selected: Sequence[int]):
-        points, unit = _net_over_unit(radius, [c.numerator for c in net], [c.denominator for c in net])
-        self._fill(radius, points, unit, elements, selected)
+    def __post_init__(self):
+        if len(self.points) != len(self.elements):
+            raise ValueError(f"{len(self.points)} net points but {len(self.elements)} assigned elements")
 
     @classmethod
-    def _of_ints(cls, radius: Rational, points: Sequence[int], unit: int,
-                 elements: Sequence[int], selected: Sequence[int]) -> SubcoverCertificate:
-        """The certificate whose net points are points[k] / unit, `unit` as in the class docstring."""
-        certificate = cls.__new__(cls)
-        certificate._fill(radius, points, unit, elements, selected)
-        return certificate
-
-    def _fill(self, radius, points, unit, elements, selected) -> None:
-        if len(points) != len(elements):
-            raise ValueError(f"{len(points)} net points but {len(elements)} assigned elements")
-        self.__dict__.update(radius=radius, points=tuple(points), unit=unit,  # past the frozen __setattr__
-                             elements=tuple(elements), selected=tuple(selected))
+    def of_net(cls, radius: Rational, net: Sequence[Rational], elements: Sequence[int],
+               selected: Sequence[int]) -> SubcoverCertificate:
+        """The certificate of rational net points; BudgetExceeded past MAX_SCALED_BITS."""
+        points, unit = _net_over_unit(radius, [c.numerator for c in net], [c.denominator for c in net])
+        return cls(radius, points, unit, tuple(elements), tuple(selected))
 
     @property
     def net(self) -> tuple[Rational, ...]:
         return tuple(Rational(x, self.unit) for x in self.points)
 
 
-def extract_finite_subcover(cover: CoverList, modulus: NiceModulus) -> SubcoverCertificate:
+def extract_finite_subcover(cover: Iterable[OpenInterval], modulus: NiceModulus) -> SubcoverCertificate:
     """The whole pipeline: radius, net, per-point assignment, certificate.
 
     Each net point is assigned the smallest index whose element contains
@@ -391,34 +388,35 @@ def extract_finite_subcover(cover: CoverList, modulus: NiceModulus) -> SubcoverC
     assignment and the fixed net make the certificate byte-reproducible
     for identical inputs.
 
-    The net ascends, so the points whose ball fits element j are one run,
-    found by bisection from `_ball_bounds`.  The 2k ends of the runs cut the
-    net into stretches; walking them in order, an element joins a min-heap
-    of indices where its run starts and leaves where it ends, and the
-    heap's top is the stretch's first match.
+    The search reads the elements of any iterable, endless ones too, in
+    order until every net point is assigned.  The net ascends, so the points
+    whose ball fits an element are one run, found by bisection from
+    `_ball_bounds`; the element claims those of them that are still
+    unassigned, kept as ascending disjoint runs.  Reading an element past
+    MAX_COVER_ELEMENTS raises BudgetExceeded.
     """
-    if not cover:
-        raise ValueError("cover must be nonempty")
     radius = extract_constant_radius(modulus)
     points, unit = _grid(radius), radius.denominator
-    lows, highs = _ball_bounds(cover, radius.numerator, unit)
-    starts = [bisect_left(points, low) for low in lows]
-    stops = [bisect_right(points, high) for high in highs]
-    by_start = sorted(range(len(starts)), key=starts.__getitem__)
-    cuts = sorted({0, len(points), *starts, *stops})
-    joined = 0
-    heap: list[int] = []
-    runs = []
-    for start, stop in zip(cuts, cuts[1:]):
-        while joined < len(by_start) and starts[by_start[joined]] <= start:
-            heapq.heappush(heap, by_start[joined])
-            joined += 1
-        while heap and stops[heap[0]] <= start:
-            heapq.heappop(heap)
-        element = heap[0] if heap else find_containing_element(cover, Rational(points[start], unit), radius)
-        runs.append((element, stop - start))
-    elements = tuple(chain.from_iterable(repeat(j, n) for j, n in runs))
-    return SubcoverCertificate._of_ints(radius, points, unit, elements, sorted({j for j, _ in runs}))
+    free, claims, read = [(0, len(points))], [], []
+    for j, e in enumerate(cover):
+        if j == MAX_COVER_ELEMENTS:
+            raise BudgetExceeded(f"net point {render(Rational(points[free[0][0]], unit))} is unassigned after "
+                                 f"MAX_COVER_ELEMENTS = {MAX_COVER_ELEMENTS} cover elements")
+        read.append(e)
+        (low,), (high,) = _ball_bounds((e,), radius.numerator, unit)
+        start, stop = bisect_left(points, low), bisect_right(points, high)
+        first = bisect_right(free, start, key=itemgetter(1))
+        end = bisect_left(free, stop, first, key=itemgetter(0))
+        if start < stop and first < end:
+            claims += ((max(a, start), min(b, stop), j) for a, b in free[first:end])
+            free[first:end] = [(a, b) for a, b in ((free[first][0], start), (stop, free[end - 1][1])) if a < b]
+            if not free:
+                break
+    else:
+        find_containing_element(read, Rational(points[free[0][0]], unit), radius)
+    claims.sort()
+    elements = tuple(chain.from_iterable(repeat(j, b - a) for a, b, j in claims))
+    return SubcoverCertificate(radius, tuple(points), unit, elements, tuple(sorted({j for _, _, j in claims})))
 
 
 @dataclass(frozen=True)
@@ -518,7 +516,7 @@ def parse_certificate(text: str) -> SubcoverCertificate:
     if selected is None:
         raise ParseError("certificate has no selected line")
     del lines  # at N = 10^6 the line strings outweigh the points
-    return SubcoverCertificate._of_ints(radius, *_net_over_unit(radius, numerators, denominators), elements, selected)
+    return SubcoverCertificate(radius, *_net_over_unit(radius, numerators, denominators), tuple(elements), selected)
 
 
 def load_certificate(path: str | Path) -> SubcoverCertificate:

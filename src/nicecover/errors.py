@@ -25,9 +25,9 @@ class DomainError(Exception):
 class BudgetExceeded(DomainError):
     """A computation would need more work than its cap allows.
 
-    See `cover.MAX_NET_POINTS`, `cover.MAX_SCALED_BITS`,
-    `analysis.MAX_BISECT_STEPS`, `analysis.MAX_WAITING_STEPS`,
-    `machine.MAX_DOVETAIL_INPUTS` and `machine.MAX_INTERPRETED_STEPS`.
+    See `cover.MAX_NET_POINTS`, `cover.MAX_SCALED_BITS`, `cover.MAX_COVER_ELEMENTS`,
+    `analysis.MAX_BISECT_STEPS`, `analysis.MAX_WAITING_STEPS`, `machine.MAX_DOVETAIL_INPUTS`
+    and `machine.MAX_INTERPRETED_STEPS`.
     """
 
 

@@ -384,6 +384,23 @@ class TestCover:
             1, "budget-exceeded certificate has more than MAX_NET_POINTS = 10 net lines\n", "",
         )
 
+    def test_cover_over_the_element_cap_is_refused(self, capsys, cover_file, tmp_path, monkeypatch):
+        _, cert_text, _ = run(capsys, "cover", "subcover", "--cover", cover_file)
+        cert = tmp_path / "cert.txt"
+        cert.write_text(cert_text)
+        at_cap = tmp_path / "at-cap.txt"
+        at_cap.write_text("# three intervals\n" + TWO_INTERVAL_COVER + "\n0 1/2  # redundant\n")
+        past_cap = tmp_path / "past-cap.txt"
+        past_cap.write_text(at_cap.read_text() + "x 1\n")  # refused before the bad line is read
+        monkeypatch.setattr(cover_mod, "MAX_COVER_ELEMENTS", 3)
+        commands = [["lebesgue"], ["subcover", "--modulus", "const:1/10"], ["verify", "--selected", "0,1"],
+                    ["verify-cert", "--cert", str(cert)]]
+        for command in commands:
+            assert run(capsys, "cover", command[0], "--cover", str(at_cap), *command[1:])[0] == 0
+            assert run(capsys, "cover", command[0], "--cover", str(past_cap), *command[1:]) == (
+                1, "budget-exceeded cover has more than MAX_COVER_ELEMENTS = 3 intervals\n", "",
+            )
+
     def test_tampered_cert_exits_1(self, capsys, cover_file, tmp_path):
         _, cert_text, _ = run(capsys, "cover", "subcover", "--cover", cover_file)
         cert = tmp_path / "cert.txt"

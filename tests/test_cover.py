@@ -1,6 +1,7 @@
 import re
 from fractions import Fraction
-from math import ceil, floor, lcm
+from itertools import count, islice
+from math import ceil, floor, gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -380,18 +381,18 @@ class TestCertificateVerification:
 
     def test_zero_radius_reported(self):
         c = self.cert()
-        bad = SubcoverCertificate(F(0), c.net, c.elements, c.selected)
+        bad = SubcoverCertificate.of_net(F(0), c.net, c.elements, c.selected)
         assert any("positive" in p for p in verify_certificate(TWO_INTERVALS, bad))
 
     def test_wrong_assignment_reported(self):
         c = self.cert()
         elements = (1,) + c.elements[1:]  # element 1 does not contain the ball at 0
-        bad = SubcoverCertificate(c.radius, c.net, elements, c.selected)
+        bad = SubcoverCertificate.of_net(c.radius, c.net, elements, c.selected)
         assert verify_certificate(TWO_INTERVALS, bad)
 
     def test_selected_mismatch_reported(self):
         c = self.cert()
-        bad = SubcoverCertificate(c.radius, c.net, c.elements, (0,))
+        bad = SubcoverCertificate.of_net(c.radius, c.net, c.elements, (0,))
         assert verify_certificate(TWO_INTERVALS, bad)
 
     def test_sparse_net_reported(self):
@@ -399,19 +400,19 @@ class TestCertificateVerification:
         c = self.cert()
         net = c.net[:5] + c.net[6:]
         elements = c.elements[:5] + c.elements[6:]
-        bad = SubcoverCertificate(c.radius, net, elements, c.selected)
+        bad = SubcoverCertificate.of_net(c.radius, net, elements, c.selected)
         assert verify_certificate(TWO_INTERVALS, bad)
 
     def test_out_of_range_element_reported_not_crashed(self):
         c = self.cert()
-        bad = SubcoverCertificate(c.radius, c.net, (7,) * len(c.net), (7,))
+        bad = SubcoverCertificate.of_net(c.radius, c.net, (7,) * len(c.net), (7,))
         assert verify_certificate(TWO_INTERVALS, bad)
 
     def test_net_and_elements_of_different_lengths_refused_when_built(self):
         c = self.cert()
         for elements in (c.elements + (0,), c.elements[:-1], ()):
             with pytest.raises(ValueError, match=f"11 net points but {len(elements)} assigned"):
-                SubcoverCertificate(c.radius, c.net, elements, c.selected)
+                SubcoverCertificate.of_net(c.radius, c.net, elements, c.selected)
 
     def test_wrong_cover_detected(self):
         problems = verify_certificate(ONE_INTERVAL, self.cert())
@@ -452,7 +453,7 @@ def rescan_verify_subcover(cover, selected):
 def scan_subcover(cover, radius):
     net = build_eps_net(radius)
     elements = tuple(find_containing_element(cover, point, radius) for point in net)
-    return SubcoverCertificate(radius, tuple(net), elements, tuple(sorted(set(elements))))
+    return SubcoverCertificate.of_net(radius, tuple(net), elements, tuple(sorted(set(elements))))
 
 
 def rescan_verify_certificate(cover, certificate):
@@ -524,9 +525,9 @@ def sweep_oracles():
 
         @given(covers(), radii)
         def test_assignment(self, cover, radius):
-            assert outcome(extract_finite_subcover, cover, ConstantModulus(radius)) == outcome(
-                scan_subcover, cover, radius
-            )
+            expected = outcome(scan_subcover, cover, radius)
+            for elements in (cover, iter(cover)):
+                assert outcome(extract_finite_subcover, elements, ConstantModulus(radius)) == expected
 
         @given(covers(), radii, st.data())
         def test_verify_certificate_on_damaged_nets(self, cover, radius, data):
@@ -553,7 +554,7 @@ def sweep_oracles():
             selected = tuple(sorted(set(elements)))
             if data.draw(st.booleans()) and selected:
                 selected = selected[1:]
-            certificate = SubcoverCertificate(radius, tuple(net), elements, selected)
+            certificate = SubcoverCertificate.of_net(radius, tuple(net), elements, selected)
             assert verify_certificate(cover, certificate) == rescan_verify_certificate(cover, certificate)
 
     return SweepsMatchScans
@@ -599,14 +600,26 @@ def prime_chain(k):
     ]
 
 
-def singular_prefix(count):
-    """A finite prefix of a Tseitin-Zaslavskii singular cover: the e-th interval has
-    width 2^-(e+2) around a point with a prime denominator, so the total length is below 1/2."""
-    cover = []
-    for e, p in enumerate(primes_above(1000, count)):
+def singular_cover():
+    """A Tseitin-Zaslavskii singular cover, without end: the e-th interval has width
+    2^-(e+2) around a point with a prime denominator, so the total length is below 1/2."""
+    p = 1000
+    for e in count():
+        p = primes_above(p, 1)[0]
         centre, half = F((37 * e + 11) % p, p), F(1, 2 ** (e + 3))
-        cover.append(OpenInterval(centre - half, centre + half))
-    return cover
+        yield OpenInterval(centre - half, centre + half)
+
+
+def singular_prefix(length):
+    return list(islice(singular_cover(), length))
+
+
+def farey_cover(width):
+    """Intervals of the given width around the rationals of [0, 1] in Farey order, without end."""
+    for q in count(1):
+        for p in range(q + 1):
+            if gcd(p, q) == 1:
+                yield OpenInterval(F(p, q) - width / 2, F(p, q) + width / 2)
 
 
 class TestHostileDenominators:
@@ -657,7 +670,7 @@ class TestHostileDenominators:
                 elements.append(0)
 
         def certificate(points):
-            return SubcoverCertificate(
+            return SubcoverCertificate.of_net(
                 radius, tuple(points), tuple(elements[: len(points)]), tuple(sorted(set(elements)))
             )
 
@@ -675,7 +688,7 @@ class TestHostileDenominators:
         certificate = extract_finite_subcover(TWO_INTERVALS, ConstantModulus(radius))
         assert len(certificate.points) == 100 and certificate.unit == radius.denominator
         assert parse_certificate(render_certificate(certificate)) == certificate
-        rebuilt = SubcoverCertificate(radius, certificate.net, certificate.elements, certificate.selected)
+        rebuilt = SubcoverCertificate.of_net(radius, certificate.net, certificate.elements, certificate.selected)
         assert rebuilt == certificate and verify_certificate(TWO_INTERVALS, rebuilt) == []
 
     def test_two_thousand_point_net_with_pairwise_coprime_denominators(self, monkeypatch):
@@ -684,20 +697,61 @@ class TestHostileDenominators:
         radius = F(6, 10 * n)
         assert lcm_past_256_bits(net)
         elements = [find_containing_element(TWO_INTERVALS, point, radius) for point in net]
-        whole = SubcoverCertificate(radius, net, elements, (0, 1))
+        whole = SubcoverCertificate.of_net(radius, net, elements, (0, 1))
         assert verify_certificate(TWO_INTERVALS, whole) == []
         text = render_certificate(whole)
         assert parse_certificate(text) == whole
         elements[7] = 1  # its ball is not inside element 1
-        damaged = SubcoverCertificate(radius, net[:40] + net[42:], elements[:40] + elements[42:], (0, 1))
+        damaged = SubcoverCertificate.of_net(radius, net[:40] + net[42:], elements[:40] + elements[42:], (0, 1))
         problems = verify_certificate(TWO_INTERVALS, damaged)
         assert problems == rescan_verify_certificate(TWO_INTERVALS, damaged)
         assert len(problems) == 2 and "uncovered" in problems[1]
         monkeypatch.setattr(cover_mod, "MAX_SCALED_BITS", 10**6)
-        for build in (lambda: SubcoverCertificate(radius, net, elements, (0, 1)), lambda: parse_certificate(text)):
+        for build in (lambda: SubcoverCertificate.of_net(radius, net, elements, (0, 1)),
+                      lambda: parse_certificate(text)):
             with pytest.raises(BudgetExceeded, match="^2001 net points over their common denominator need more than "
                                                      "MAX_SCALED_BITS = 1000000 bits beyond the radius's denominator$"):
                 build()
+
+
+class TestEndlessCovers:
+    """Extraction reads a cover in order and stops at the first prefix that assigns the whole net."""
+
+    def test_nice_cover_gives_a_verified_certificate(self):
+        radius = F(1, 1000)
+        certificate = extract_finite_subcover(farey_cover(4 * radius), ConstantModulus(radius))
+        assert len(certificate.selected) == 701 and certificate.selected[-1] == 33982
+        assert verify_certificate(list(islice(farey_cover(4 * radius), 33983)), certificate) == []
+
+    def test_singular_cover_stops_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(cover_mod, "MAX_COVER_ELEMENTS", 40)
+        radius, prefix = F(1, 64), singular_prefix(40)
+        least = next(c for c in build_eps_net(radius) if not any(e.contains_ball(c, radius) for e in prefix))
+        assert least > 0
+
+        def endless():  # a search that ignores the cap fails here instead of running on
+            yield from islice(singular_cover(), 41)
+            raise AssertionError("read past MAX_COVER_ELEMENTS + 1 elements")
+
+        with pytest.raises(BudgetExceeded, match=f"^net point {least} is unassigned after "
+                                                 "MAX_COVER_ELEMENTS = 40 cover elements$"):
+            extract_finite_subcover(endless(), ConstantModulus(radius))
+        # the same elements as a finite cover name the same point's ball
+        with pytest.raises(NoContainingElement, match=f"^ball \\({least - radius}, {least + radius}\\) fits"):
+            extract_finite_subcover(prefix, ConstantModulus(radius))
+
+    def test_reading_stops_at_the_first_covering_prefix(self):
+        too_narrow = OpenInterval(F(1, 3), F(2, 5))  # holds no ball of radius 1/10
+
+        def elements():
+            yield too_narrow
+            yield from TWO_INTERVALS
+            raise AssertionError("read past the covering prefix")
+
+        modulus = ConstantModulus(F(1, 10))
+        certificate = extract_finite_subcover(elements(), modulus)
+        assert certificate == extract_finite_subcover([too_narrow, *TWO_INTERVALS], modulus)
+        assert certificate.selected == (1, 2)
 
 
 @given(
@@ -761,7 +815,7 @@ class TestCheckersAgainstTheDefinition:
         net = data.draw(st.lists(st.sampled_from(grid) | st.fractions(min_value=-1, max_value=2, max_denominator=24),
                                  min_size=1, max_size=len(grid) + 2))
         elements = data.draw(st.lists(st.integers(0, len(cover)), min_size=len(net), max_size=len(net)))
-        problems = verify_certificate(cover, SubcoverCertificate(radius, net, elements, sorted(set(elements))))
+        problems = verify_certificate(cover, SubcoverCertificate.of_net(radius, net, elements, sorted(set(elements))))
         balls = [(c - radius, c + radius) for c in net]
         assigned = [(cover[j].lo, cover[j].hi) for j in set(elements) if j < len(cover)]
         for spans, pattern in ((balls, r"net with radius \S+ leaves (\S+) uncovered"),
