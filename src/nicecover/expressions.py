@@ -9,6 +9,7 @@ no division operator; the `/` inside `3/4` belongs to the literal.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Mapping, Sequence, Union
 
 from . import crn
@@ -23,7 +24,7 @@ BuiltinMap = Mapping[str, Callable[[Sequence[str]], crn.CRN]]
 
 # Most levels of nesting an expression may have: each parenthesis pair,
 # unary minus and binary operator is one level, and so is the innermost
-# literal or call.  The parser and both evaluators recurse once per level,
+# literal or call.  The parser and the evaluator recurse once per level,
 # so the cap keeps them inside Python's stack.
 MAX_DEPTH = 200
 
@@ -159,40 +160,39 @@ def _parse_call(cursor: _Cursor) -> Node:
     return ("call", name, args)
 
 
-def eval_rational(node: Node) -> Rational:
-    """Evaluate an expression containing no builtin calls, exactly."""
+def _evaluate(node: Node, builtins: BuiltinMap | None) -> Rational | crn.CRN:
+    """The exact value of a call-free subtree, and a constructive real otherwise.
+
+    A rational is its own constant sequence with regulator 0, so folding moves
+    no approximation and no regulator.  With `builtins` None, calls are refused.
+    """
     kind = node[0]
     if kind == "rat":
         return node[1]
-    if kind == "neg":
-        return -eval_rational(node[1])
     if kind == "call":
-        raise ParseError(f"{node[1]}(...) is not a rational expression")
-    left = eval_rational(node[1])
-    right = eval_rational(node[2])
-    if kind == "add":
-        return left + right
-    if kind == "sub":
-        return left - right
-    return left * right
+        if builtins is None:
+            raise ParseError(f"{node[1]}(...) is not a rational expression")
+        if node[1] not in builtins:
+            raise ParseError(f"unknown builtin {node[1]!r}")
+        return builtins[node[1]](node[2])
+    if kind == "neg":
+        value = _evaluate(node[1], builtins)
+        return crn.negate(value) if isinstance(value, crn.CRN) else -value
+    left, right = _evaluate(node[1], builtins), _evaluate(node[2], builtins)
+    if isinstance(left, crn.CRN) or isinstance(right, crn.CRN):
+        return getattr(crn, kind)(_as_crn(left), _as_crn(right))
+    return getattr(operator, kind)(left, right)
+
+
+def _as_crn(value: Rational | crn.CRN) -> crn.CRN:
+    return value if isinstance(value, crn.CRN) else crn.from_rational(value)
+
+
+def eval_rational(node: Node) -> Rational:
+    """Evaluate an expression containing no builtin calls, exactly."""
+    return _evaluate(node, None)
 
 
 def eval_crn(node: Node, builtins: BuiltinMap) -> crn.CRN:
-    """Evaluate an expression to a constructive real."""
-    kind = node[0]
-    if kind == "rat":
-        return crn.from_rational(node[1])
-    if kind == "neg":
-        return crn.negate(eval_crn(node[1], builtins))
-    if kind == "call":
-        name, args = node[1], node[2]
-        if name not in builtins:
-            raise ParseError(f"unknown builtin {name!r}")
-        return builtins[name](args)
-    left = eval_crn(node[1], builtins)
-    right = eval_crn(node[2], builtins)
-    if kind == "add":
-        return crn.add(left, right)
-    if kind == "sub":
-        return crn.sub(left, right)
-    return crn.mul(left, right)
+    """Evaluate an expression to a constructive real, folding call-free parts exactly."""
+    return _as_crn(_evaluate(node, builtins))

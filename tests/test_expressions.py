@@ -1,10 +1,13 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nicecover.crn import approx_to, from_rational
+from nicecover import crn
+from nicecover.analysis import expression_builtins
+from nicecover.crn import CRN, approx_to, from_rational
 from nicecover.errors import ParseError
 from nicecover.expressions import MAX_DEPTH, eval_crn, eval_rational, parse_expression
 from nicecover.rational import render
@@ -105,3 +108,107 @@ class TestCrnEvaluation:
 
         eval_crn(parse_expression("f(a(b,c), d)"), {"f": spy})
         assert seen == [("a(b,c)", "d")]
+
+
+def unfolded_crn(node, builtins):
+    """The reference evaluator: one CRN node per operator, literals included."""
+    kind = node[0]
+    if kind == "rat":
+        return crn.from_rational(node[1])
+    if kind == "neg":
+        return crn.negate(unfolded_crn(node[1], builtins))
+    if kind == "call":
+        return builtins[node[1]](node[2])
+    left = unfolded_crn(node[1], builtins)
+    right = unfolded_crn(node[2], builtins)
+    if kind == "add":
+        return crn.add(left, right)
+    if kind == "sub":
+        return crn.sub(left, right)
+    return crn.mul(left, right)
+
+
+def drift(args):
+    """1/3 + (-1)^i / 2^i: an approximation that moves with i, regulator n + c."""
+    c = int(args[0])
+    return CRN(approx=lambda i: F(1, 3) + F((-1) ** i, 2**i), regulator=lambda n: n + c)
+
+
+DIFFERENTIAL_BUILTINS = {**expression_builtins(), "drift": drift}
+
+# (text, exact value or None when the text calls a builtin)
+literals = st.one_of(
+    st.integers(0, 99).map(lambda n: (str(n), F(n))),
+    st.tuples(st.integers(0, 99), st.integers(1, 64)).map(lambda t: (f"{t[0]}/{t[1]}", F(*t))),
+    st.tuples(st.integers(0, 9), st.integers(0, 999)).map(lambda t: (f"{t[0]}.{t[1]:03d}", t[0] + F(t[1], 1000))),
+)
+signed_literals = st.tuples(st.booleans(), literals).map(
+    lambda t: (f"-{t[1][0]}", -t[1][1]) if t[0] else t[1])
+calls = st.one_of(
+    st.integers(2, 6).map(lambda c: (f"drift({c})", None)),
+    st.sampled_from(["step@1/3, 0, 1", "step@7/10, -1, 2", "stair:1/4,3/4, 0, 1"]).map(
+        lambda args: (f"bisect_limit({args})", None)),
+)
+
+
+def _combine(op, left, right):
+    text = f"({left[0]} {op} {right[0]})"
+    if left[1] is None or right[1] is None:
+        return text, None
+    return text, left[1] + right[1] if op == "+" else left[1] - right[1] if op == "-" else left[1] * right[1]
+
+
+def _trees(leaves):
+    level = leaves
+    for _ in range(7):  # trees up to depth 8
+        below = level
+        level = st.one_of(
+            leaves,
+            below.map(lambda t: (f"-({t[0]})", None if t[1] is None else -t[1])),
+            st.builds(_combine, st.sampled_from("+-*"), below, below),
+        )
+    return level
+
+
+call_free_trees = _trees(signed_literals)
+trees = _trees(st.one_of(signed_literals, calls))
+
+
+class TestFolding:
+    @settings(max_examples=150, deadline=None)
+    @given(trees)
+    def test_matches_one_node_per_operator(self, tree):
+        node = parse_expression(tree[0])
+        folded = eval_crn(node, DIFFERENTIAL_BUILTINS)
+        reference = unfolded_crn(node, DIFFERENTIAL_BUILTINS)
+        for n in range(41):
+            assert approx_to(folded, n) == approx_to(reference, n)
+            assert folded.regulator(n) == reference.regulator(n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(call_free_trees)
+    def test_call_free_value_is_the_fraction_value(self, tree):
+        assert value_of(tree[0]) == tree[1]
+
+    @staticmethod
+    def count_constructors(monkeypatch):
+        built = Counter()
+        for name in ("from_rational", "add", "sub", "mul", "negate"):
+            def counted(*args, _name=name, _original=getattr(crn, name)):
+                built[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(crn, name, counted)
+        return built
+
+    def test_call_free_expression_is_embedded_once(self, monkeypatch):
+        built = self.count_constructors(monkeypatch)
+        value = eval_crn(parse_expression("1/3 + 2*(5 - 0.5)"), {})
+        assert built == Counter(from_rational=1)
+        assert approx_to(value, 8) == F(28, 3)
+
+    def test_only_the_operator_above_a_call_is_built(self, monkeypatch):
+        five = CRN(approx=lambda i: F(5), regulator=lambda n: 0)
+        built = self.count_constructors(monkeypatch)
+        value = eval_crn(parse_expression("(1/3 + 1/3) * five()"), {"five": lambda args: five})
+        assert built == Counter(from_rational=1, mul=1)
+        assert approx_to(value, 8) == F(10, 3)
