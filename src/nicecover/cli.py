@@ -68,6 +68,14 @@ def _parse_samples(text: str) -> tuple[Rational, ...]:
     return tuple(parse_rational(p) for p in parts)
 
 
+def _parse_targets(text: str):  # analysis is read per call, so building the parser runs no layer
+    return analysis.parse_targets(text)
+
+
+def _parse_oracle(text: str):
+    return analysis.parse_oracle(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nicecover",
@@ -106,11 +114,11 @@ def build_parser() -> argparse.ArgumentParser:
     waiting_approx.set_defaults(run=_cmd_waiting_approx)
     waiting_approx.add_argument("--prog", required=True, help="monitored program file")
     waiting_approx.add_argument("--input", required=True, type=_flag(parse_natural))
-    waiting_approx.add_argument("--targets", default="geometric", type=_flag(analysis.parse_targets))
+    waiting_approx.add_argument("--targets", default="geometric", type=_flag(_parse_targets))
     waiting_approx.add_argument("--prec", required=True, type=_flag(parse_natural))
     waiting_approx.add_argument(
-        "--max-steps", type=_flag(parse_natural), default=analysis.MAX_WAITING_STEPS,
-        help=f"cap on machine steps per entry (default {analysis.MAX_WAITING_STEPS})",
+        "--max-steps", type=_flag(parse_natural), default=None,
+        help="cap on machine steps per entry (default 100000)",  # analysis.MAX_WAITING_STEPS, pinned by a test
     )
 
     reduce_cmd = commands.add_parser("reduce", help="step-certified halting probe of a waiting value")
@@ -118,13 +126,13 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_cmd.add_argument("--prog", required=True, help="monitored program file")
     reduce_cmd.add_argument("--input", required=True, type=_flag(parse_natural))
     reduce_cmd.add_argument("--prec", required=True, type=_flag(parse_natural), help="probe precision level")
-    reduce_cmd.add_argument("--targets", default="geometric", type=_flag(analysis.parse_targets))
-    reduce_cmd.add_argument("--oracle", default="step@1/2", type=_flag(analysis.parse_oracle),
+    reduce_cmd.add_argument("--targets", default="geometric", type=_flag(_parse_targets))
+    reduce_cmd.add_argument("--oracle", default="step@1/2", type=_flag(_parse_oracle),
                             help="validated, but does not change the verdict")
 
     bisect_cmd = commands.add_parser("bisect", help="bisection search for a discontinuity")
     bisect_cmd.set_defaults(run=_cmd_bisect)
-    bisect_cmd.add_argument("--oracle", required=True, type=_flag(analysis.parse_oracle), help="step@<r> or stair:<r1>,...")
+    bisect_cmd.add_argument("--oracle", required=True, type=_flag(_parse_oracle), help="step@<r> or stair:<r1>,...")
     bisect_cmd.add_argument("--lo", required=True, type=_flag(parse_rational))
     bisect_cmd.add_argument("--hi", required=True, type=_flag(parse_rational))
     bisect_cmd.add_argument("--steps", required=True, type=_flag(parse_natural))
@@ -140,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     cover_subcover.add_argument("--cover", required=True, help="cover file")
     cover_subcover.add_argument("--modulus", default=None, type=_flag(_parse_modulus), help="lebesgue | const:<r>")
     cover_subcover.add_argument(
-        "--samples", default=cover_mod.DEFAULT_SAMPLE_POINTS, type=_flag(_parse_samples),
+        "--samples", default=None, type=_flag(_parse_samples),
         help="constancy sample points, comma-separated",
     )
     cover_verify = cover_sub.add_parser("verify", help="check that selected elements cover [0,1]")
@@ -192,7 +200,8 @@ def _cmd_machine_dovetail(args) -> int:
 
 def _cmd_waiting_approx(args) -> int:
     program = machine.load_program(args.prog)
-    value = analysis.waiting_crn(program, args.input, args.targets, max_steps=args.max_steps)
+    max_steps = analysis.MAX_WAITING_STEPS if args.max_steps is None else args.max_steps
+    value = analysis.waiting_crn(program, args.input, args.targets, max_steps=max_steps)
     print(f"{render(crn.approx_to(value, args.prec))} ± 2^-{args.prec}")
     return 0
 

@@ -20,7 +20,8 @@ Node = Union[
     tuple,  # ("rat", Rational) | ("neg", Node) | ("add"|"sub"|"mul", Node, Node)
 ]
 
-BuiltinMap = Mapping[str, Callable[[Sequence[str]], crn.CRN]]
+# a string, so that importing this module does not load the crn layer
+BuiltinMap = Mapping[str, Callable[[Sequence[str]], "crn.CRN"]]
 
 # Most levels of nesting an expression may have: each parenthesis pair,
 # unary minus and binary operator is one level, and so is the innermost
@@ -177,15 +178,15 @@ def _evaluate(node: Node, builtins: BuiltinMap | None) -> Rational | crn.CRN:
         return builtins[node[1]](node[2])
     if kind == "neg":
         value = _evaluate(node[1], builtins)
-        return crn.negate(value) if isinstance(value, crn.CRN) else -value
+        return -value if isinstance(value, Rational) else crn.negate(value)
     left, right = _evaluate(node[1], builtins), _evaluate(node[2], builtins)
-    if isinstance(left, crn.CRN) or isinstance(right, crn.CRN):
-        return getattr(crn, kind)(_as_crn(left), _as_crn(right))
-    return getattr(operator, kind)(left, right)
+    if isinstance(left, Rational) and isinstance(right, Rational):
+        return getattr(operator, kind)(left, right)
+    return getattr(crn, kind)(_as_crn(left), _as_crn(right))
 
 
 def _as_crn(value: Rational | crn.CRN) -> crn.CRN:
-    return value if isinstance(value, crn.CRN) else crn.from_rational(value)
+    return crn.from_rational(value) if isinstance(value, Rational) else value
 
 
 def eval_rational(node: Node) -> Rational:

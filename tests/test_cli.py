@@ -213,6 +213,18 @@ class TestWaitingAndReduce:
             capsys, "waiting", "approx", "--prog", str(looper_file), "--input", "0", "--prec", "1000000",
         ) == (1, "budget-exceeded index 1000001 needs 1000001 steps; cap is 100000\n", "")
 
+    def test_waiting_max_steps_zero_is_a_cap(self, capsys, countdown_file):
+        assert run(
+            capsys, "waiting", "approx",
+            "--prog", str(countdown_file), "--input", "2", "--prec", "6", "--max-steps", "0",
+        ) == (1, "budget-exceeded index 7 needs 7 steps; cap is 0\n", "")
+
+    def test_waiting_help_names_the_default_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # argparse wraps help to the terminal width
+        code, out, _ = run(capsys, "waiting", "approx", "-h")
+        assert code == 0
+        assert f"cap on machine steps per entry (default {analysis.MAX_WAITING_STEPS})\n" in out
+
     def test_reduce_halts(self, capsys, countdown_file):
         code, out, _ = run(
             capsys, "reduce", "--prog", str(countdown_file), "--input", "2", "--prec", "10",
@@ -593,3 +605,48 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == "3/4\n"
+
+
+# Run in a fresh interpreter: what the command ran, by name after "nicecover.".
+# A layer the package registered but nothing has read yet is still a lazy
+# module, whose type is a subclass of types.ModuleType.
+LAYERS_RUN = """
+import sys, types
+before = set(sys.modules)
+from nicecover.cli import dispatch
+code = dispatch(sys.argv[1:])
+ran = sorted(name[len("nicecover."):] for name, module in sys.modules.items()
+             if name.startswith("nicecover.") and type(module) is types.ModuleType)
+print(code, *ran, "dataclasses" if "dataclasses" in set(sys.modules) - before else "")
+"""
+
+
+@pytest.mark.parametrize("argv,ran", [
+    (["rat", "1/2 + 1/3"], "0 cli errors expressions rational "),
+    (["cover", "lebesgue", "--cover", "{cover}"], "0 cli cover errors rational dataclasses"),
+    (["machine", "run", "--prog", "{prog}", "--input", "2", "--budget", "100"],
+     "0 cli errors machine rational dataclasses"),
+    (["crn", "approx", "--expr", "1/3 + bisect_limit(step@1/3, 0, 1)", "--prec", "5"],
+     "0 analysis cli crn errors expressions machine rational dataclasses"),
+], ids=["rat", "cover lebesgue", "machine run", "crn approx"])
+def test_command_runs_only_the_layers_it_uses(countdown_file, cover_file, argv, ran):
+    argv = [arg.format(prog=countdown_file, cover=cover_file) for arg in argv]
+    result = subprocess.run([sys.executable, "-c", LAYERS_RUN, *argv], capture_output=True, text=True)
+    assert result.stderr == ""
+    assert result.stdout.splitlines()[-1] == ran
+
+
+def test_explicit_imports_find_every_layer():
+    script = """
+import sys, types
+from fractions import Fraction
+import nicecover.cli
+print(*(name for name in ("rational", "expressions", "crn", "machine", "analysis", "cover")
+        if "nicecover." + name not in sys.modules))
+import nicecover.crn
+print(type(nicecover.crn) is types.ModuleType, nicecover.crn.approx_to(nicecover.crn.from_rational(Fraction(1, 3)), 5))
+from nicecover import cover
+print(cover.lebesgue_number(cover.parse_cover("-1/10 6/10\\n4/10 11/10\\n")))
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (result.stdout, result.stderr) == ("\nTrue 1/3\n1/10\n", "")
