@@ -26,8 +26,9 @@ class BudgetExceeded(DomainError):
     """A computation would need more work than its cap allows.
 
     See `cover.MAX_NET_POINTS`, `cover.MAX_SCALED_BITS`, `cover.MAX_COVER_ELEMENTS`,
-    `analysis.MAX_BISECT_STEPS`, `analysis.MAX_WAITING_STEPS`, `machine.MAX_DOVETAIL_INPUTS`
-    and `machine.MAX_INTERPRETED_STEPS`.
+    `analysis.MAX_BISECT_STEPS`, `analysis.MAX_WAITING_STEPS`, `machine.MAX_INSTRUCTIONS`,
+    `machine.MAX_DOVETAIL_INPUTS`, `machine.MAX_DOVETAIL_REGISTERS` and
+    `machine.MAX_INTERPRETED_STEPS`.
     """
 
 

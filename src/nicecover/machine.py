@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, insort
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -25,13 +26,25 @@ from typing import Iterable
 from .errors import BudgetExceeded, InvalidProgram, ParseError
 from .rational import parse_natural
 
-OPS = ("INC", "DEC", "JZ", "GOTO", "HALT")
+# Per instruction: the kinds of its operands (r a register, l a label),
+# and what it takes, as a wrong operand count is reported.
+_OPERANDS = {
+    "INC": ("r", "one register"),
+    "DEC": ("r", "one register"),
+    "JZ": ("rl", "a register and a label"),
+    "GOTO": ("l", "a label"),
+    "HALT": ("", "no arguments"),
+}
+OPS = tuple(_OPERANDS)
 _INC, _DEC, _JZ, _GOTO, _HALT = range(len(OPS))
 
 # Registers are a dense list per run, so the largest index sets its size.
 MAX_REGISTER = 1023
-# A dovetail holds one run state per input, all at once.
+MAX_INSTRUCTIONS = 10**5
+# A dovetail holds one run state per input, all at once: the inputs, and
+# the registers of all its runs together, are capped.
 MAX_DOVETAIL_INPUTS = 10**5
+MAX_DOVETAIL_REGISTERS = 10**7
 # Steps run one by one, per run_for or dovetail; steps applied in closed form are free.
 MAX_INTERPRETED_STEPS = 10**7
 
@@ -61,7 +74,8 @@ RunOutcome = Halted | StillRunning
 
 def parse_program(text: str) -> Program:
     """Parse program text: one instruction per line, `name:` label prefixes,
-    `#` comments, decimal register indices up to MAX_REGISTER."""
+    `#` comments, decimal register indices up to MAX_REGISTER.  More than
+    MAX_INSTRUCTIONS instructions raise BudgetExceeded before any operand is read."""
     labels: dict[str, int] = {}
     raw: list[tuple[str, list[str], int]] = []  # (op, args, source line)
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -77,6 +91,8 @@ def parse_program(text: str) -> Program:
             code = code[m.end() :].strip()
         if not code:
             continue
+        if len(raw) == MAX_INSTRUCTIONS:
+            raise BudgetExceeded(f"program has more than MAX_INSTRUCTIONS = {MAX_INSTRUCTIONS} instructions")
         tokens = code.split()
         raw.append((tokens[0].upper(), tokens[1:], line_no))
 
@@ -87,52 +103,30 @@ def parse_program(text: str) -> Program:
             raise InvalidProgram(f"label {name!r} points past the last instruction")
 
     instructions: list[tuple[int, int, int]] = []
-    max_register = 0
-
-    def register(token: str, line_no: int) -> int:
-        if not token.isdecimal():
-            raise InvalidProgram(f"line {line_no}: bad register {token!r}")
-        try:
-            reg = parse_natural(token)
-        except ParseError as exc:
-            raise InvalidProgram(f"line {line_no}: {exc}") from None
-        if reg > MAX_REGISTER:
-            raise InvalidProgram(
-                f"line {line_no}: register {reg} is above MAX_REGISTER = {MAX_REGISTER}"
-            )
-        return reg
-
-    def target(token: str, line_no: int) -> int:
-        if token not in labels:
-            raise InvalidProgram(f"line {line_no}: unknown label {token!r}")
-        return labels[token]
-
     for op, args, line_no in raw:
-        if op not in OPS:
+        if op not in _OPERANDS:
             raise InvalidProgram(f"line {line_no}: unknown instruction {op!r}")
-        opcode = OPS.index(op)
-        if opcode in (_INC, _DEC):
-            if len(args) != 1:
-                raise InvalidProgram(f"line {line_no}: {op} takes one register")
-            reg = register(args[0], line_no)
-            max_register = max(max_register, reg)
-            instructions.append((opcode, reg, 0))
-        elif opcode == _JZ:
-            if len(args) != 2:
-                raise InvalidProgram(f"line {line_no}: JZ takes a register and a label")
-            reg = register(args[0], line_no)
-            max_register = max(max_register, reg)
-            instructions.append((opcode, reg, target(args[1], line_no)))
-        elif opcode == _GOTO:
-            if len(args) != 1:
-                raise InvalidProgram(f"line {line_no}: GOTO takes a label")
-            instructions.append((opcode, 0, target(args[0], line_no)))
-        else:  # HALT
-            if args:
-                raise InvalidProgram(f"line {line_no}: HALT takes no arguments")
-            instructions.append((opcode, 0, 0))
+        kinds, takes = _OPERANDS[op]
+        if len(args) != len(kinds):
+            raise InvalidProgram(f"line {line_no}: {op} takes {takes}")
+        reg = target = 0
+        for kind, token in zip(kinds, args):
+            if kind == "l":
+                if token not in labels:
+                    raise InvalidProgram(f"line {line_no}: unknown label {token!r}")
+                target = labels[token]
+            elif not token.isdecimal():
+                raise InvalidProgram(f"line {line_no}: bad register {token!r}")
+            else:
+                try:
+                    reg = parse_natural(token)
+                except ParseError as exc:
+                    raise InvalidProgram(f"line {line_no}: {exc}") from None
+                if reg > MAX_REGISTER:
+                    raise InvalidProgram(f"line {line_no}: register {reg} is above MAX_REGISTER = {MAX_REGISTER}")
+        instructions.append((OPS.index(op), reg, target))
 
-    return Program(tuple(instructions), register_count=max_register + 1)
+    return Program(tuple(instructions), register_count=max(reg for _, reg, _ in instructions) + 1)
 
 
 def load_program(path: str | Path) -> Program:
@@ -202,10 +196,9 @@ def _repeat_lap(
 
 
 class MachineState:
-    """Mutable state of a single run, moved forward by `advance`.
-
-    Separate runs never share state, so distinct runs are safe on distinct
-    threads.
+    """Mutable state of a single run, moved forward by `advance`: its
+    registers, position and step count, nothing else.  Separate runs never
+    share state, so distinct runs are safe on distinct threads.
     """
 
     def __init__(self, program: Program, input_value: int):
@@ -217,11 +210,6 @@ class MachineState:
         self.pc = 0
         self.steps = 0
         self.halted = False
-        # loop detection: the target of the latest backward jump, and per
-        # header how many arrivals to skip before tracing a lap again
-        self._header = -1
-        self._skip = [0] * len(program.code)
-        self._backoff = [0] * len(program.code)
 
     def advance(self, limit: int, cap: int | None = None) -> int:
         """Run until the machine halts or `steps` reaches `limit`; return the
@@ -232,17 +220,20 @@ class MachineState:
         are then applied in closed form by `_repeat_lap`.  When fewer than
         two laps could be applied, that header is not traced again for a
         doubling number of arrivals, so loops whose path keeps changing run
-        at the plain loop's speed.  A run that would need more than `cap`
-        steps run one by one (default MAX_INTERPRETED_STEPS) raises
-        BudgetExceeded instead; the check is the loop's own bound.
+        at the plain loop's speed.  This loop detection lives only for the
+        call, keyed by the headers it reaches.  A run that would need more
+        than `cap` steps run one by one (default MAX_INTERPRETED_STEPS)
+        raises BudgetExceeded instead; the check is the loop's own bound.
         """
         if self.halted:
             return 0
         code = self.program.code
         end = len(code)
         regs = self.registers
-        skip, backoff = self._skip, self._backoff
-        pc, steps, header = self.pc, self.steps, self._header
+        # per header reached: arrivals to skip before tracing a lap again, and the back-off
+        skip: dict[int, int] = defaultdict(int)
+        backoff: dict[int, int] = defaultdict(int)
+        pc, steps, header = self.pc, self.steps, -1
         start, closed = steps, 0
         stop = min(limit, start + (MAX_INTERPRETED_STEPS if cap is None else cap))
         while steps < stop:
@@ -270,8 +261,7 @@ class MachineState:
                         closed += laps * length
                         stop = min(limit, stop + laps * length)
                         if laps < 2:
-                            backoff[target] = 2 * backoff[target] or 1
-                            skip[target] = backoff[target]
+                            backoff[target] = skip[target] = 2 * backoff[target] or 1
                         else:
                             backoff[target] = 0
                 pc = target
@@ -281,7 +271,7 @@ class MachineState:
             if pc >= end:
                 self.halted = True
                 break
-        self.pc, self.steps, self._header = pc, steps, header
+        self.pc, self.steps = pc, steps
         if steps < limit and not self.halted:
             raise BudgetExceeded(
                 f"more than MAX_INTERPRETED_STEPS = {MAX_INTERPRETED_STEPS} steps would run one by one"
@@ -322,7 +312,8 @@ def dovetail_enumerate(
     steps of earlier sweeps plus one for each smaller input still pending,
     and it is emitted while that count is below `total_budget`.
 
-    More than MAX_DOVETAIL_INPUTS inputs, repeats included, are refused
+    More than MAX_DOVETAIL_INPUTS inputs, repeats included, or distinct
+    inputs times registers per run above MAX_DOVETAIL_REGISTERS, are refused
     before any run starts, and more than MAX_INTERPRETED_STEPS steps run one
     by one over all the runs raise BudgetExceeded.
     """
@@ -332,6 +323,9 @@ def dovetail_enumerate(
     if len(values) > MAX_DOVETAIL_INPUTS:
         raise BudgetExceeded(f"more inputs than MAX_DOVETAIL_INPUTS = {MAX_DOVETAIL_INPUTS}")
     values = sorted(set(values))
+    if len(values) * program.register_count > MAX_DOVETAIL_REGISTERS:
+        raise BudgetExceeded(f"{len(values)} inputs of {program.register_count} registers each need more than "
+                             f"MAX_DOVETAIL_REGISTERS = {MAX_DOVETAIL_REGISTERS} registers")
     if not values:
         return []
     states = [MachineState(program, v) for v in values]

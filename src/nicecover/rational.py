@@ -88,21 +88,22 @@ def parse_natural(text: str) -> int:
 
 def render(q: Rational) -> str:
     """Canonical text `p/q`; a denominator of 1 is elided."""
-    try:
-        return str(q)
-    except ValueError:  # a part longer than the interpreter's digit limit
-        text = ("-" if q < 0 else "") + _decimal(abs(q.numerator))
-        return text if q.denominator == 1 else f"{text}/{_decimal(q.denominator)}"
+    return _render(q.numerator, q.denominator)
 
 
 def render_ratio(numerator: int, denominator: int) -> str:
     """`render` of numerator / denominator, a positive denominator, without building a Fraction."""
     g = gcd(numerator, denominator)
+    return _render(numerator // g, denominator // g)
+
+
+def _render(numerator: int, denominator: int) -> str:
+    """`render` of numerator / denominator in lowest terms, a positive denominator."""
     try:
-        return f"{numerator // g}" if g == denominator else f"{numerator // g}/{denominator // g}"
+        return f"{numerator}" if denominator == 1 else f"{numerator}/{denominator}"
     except ValueError:  # a part longer than the interpreter's digit limit
-        text = ("-" if numerator < 0 else "") + _decimal(abs(numerator) // g)
-        return text if g == denominator else f"{text}/{_decimal(denominator // g)}"
+        text = ("-" if numerator < 0 else "") + _decimal(abs(numerator))
+        return text if denominator == 1 else f"{text}/{_decimal(denominator)}"
 
 
 def pow2(exp: int) -> Rational:

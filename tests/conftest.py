@@ -18,6 +18,16 @@ LOOPER_TEXT = """\
 loop: GOTO loop
 """
 
+# The inner loop closes, but every lap of the outer one runs one by one.
+NEST_TEXT = """\
+outer: INC 1
+       INC 1
+inner: JZ 1 next
+       DEC 1
+       GOTO inner
+next:  GOTO outer
+"""
+
 # Halts exactly when the input is not a multiple of 3.
 MOD3_TEXT = """\
 top:  JZ 0 spin

@@ -179,6 +179,33 @@ class TestMachine:
             "--prog", str(countdown_file), "--inputs", "0..999999999", "--budget", "10",
         ) == (1, "budget-exceeded more inputs than MAX_DOVETAIL_INPUTS = 100000\n", "")
 
+    def test_program_over_the_instruction_cap_is_refused(self, capsys, tmp_path, monkeypatch):
+        at_cap = tmp_path / "at-cap.cm"
+        at_cap.write_text("start: INC 1\nDEC 0\n# stop\nHALT\n")
+        past_cap = tmp_path / "past-cap.cm"
+        past_cap.write_text(at_cap.read_text() + "HALT 0\n")  # refused before the bad operand is read
+        monkeypatch.setattr(machine, "MAX_INSTRUCTIONS", 3)
+        assert run(capsys, "machine", "run", "--prog", str(at_cap), "--input", "2", "--budget", "10") == (
+            0, "halted steps=3\n", "",
+        )
+        commands = [["machine", "run", "--input", "2", "--budget", "10"],
+                    ["machine", "dovetail", "--inputs", "0..3", "--budget", "10"],
+                    ["waiting", "approx", "--input", "2", "--prec", "4"],
+                    ["reduce", "--input", "2", "--prec", "4"]]
+        for command in commands:
+            assert run(capsys, *command, "--prog", str(past_cap)) == (
+                1, "budget-exceeded program has more than MAX_INSTRUCTIONS = 3 instructions\n", "",
+            )
+
+    def test_dovetail_register_cap(self, capsys, tmp_path, monkeypatch):
+        program = tmp_path / "wide.cm"
+        program.write_text("INC 1023\nHALT\n")
+        argv = ["machine", "dovetail", "--prog", str(program), "--budget", "100"]
+        monkeypatch.setattr(machine, "MAX_DOVETAIL_REGISTERS", 2048)
+        assert run(capsys, *argv, "--inputs", "5..6") == (0, "input=5 steps=2\ninput=6 steps=2\n", "")
+        assert run(capsys, *argv, "--inputs", "5..7") == (1, "budget-exceeded 3 inputs of 1024 registers each "
+                                                            "need more than MAX_DOVETAIL_REGISTERS = 2048 registers\n", "")
+
     def test_bad_inputs_range_exits_2(self, capsys, countdown_file):
         code, _, _ = run(
             capsys, "machine", "dovetail",

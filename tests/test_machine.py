@@ -1,12 +1,16 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import COUNTDOWN_TEXT, LOOPER_TEXT, MOD3_TEXT
+from conftest import COUNTDOWN_TEXT, LOOPER_TEXT, MOD3_TEXT, NEST_TEXT
 from nicecover import machine
 from nicecover.errors import BudgetExceeded, InvalidProgram
 from nicecover.machine import (
     MAX_DOVETAIL_INPUTS,
+    MAX_DOVETAIL_REGISTERS,
+    MAX_INSTRUCTIONS,
     MAX_REGISTER,
     Halted,
     MachineState,
@@ -27,15 +31,6 @@ ALTERNATING_TEXT = """a:   JZ 1 b
 b:   INC 1
      GOTO a
 end: HALT
-"""
-
-# The inner loop closes, but every lap of the outer one runs one by one.
-NEST_TEXT = """outer: INC 1
-       INC 1
-inner: JZ 1 next
-       DEC 1
-       GOTO inner
-next:  GOTO outer
 """
 
 
@@ -177,6 +172,16 @@ class TestParsing:
         with pytest.raises(InvalidProgram, match="MAX_REGISTER"):
             parse_program("INC 1000000000\n")
 
+    def test_instruction_cap(self, monkeypatch):
+        assert MAX_INSTRUCTIONS == 10**5
+        monkeypatch.setattr(machine, "MAX_INSTRUCTIONS", 3)
+        # label-only lines, blank lines and comments hold no instruction
+        at_cap = "# three\na: INC 0\n\nb:\nDEC 0  # two\nGOTO a\n"
+        assert len(parse_program(at_cap).code) == 3
+        # refused before any operand is read: the unknown instruction is never reported
+        with pytest.raises(BudgetExceeded, match="^program has more than MAX_INSTRUCTIONS = 3 instructions$"):
+            parse_program("NOP 1\n" + at_cap)
+
 
 class TestSemantics:
     def test_input_lands_in_register_zero(self, countdown):
@@ -271,6 +276,30 @@ class TestDovetail:
         assert dovetail_enumerate(countdown, range(4), 1000) == [(0, 2), (1, 5), (2, 8), (3, 11)]
         with pytest.raises(BudgetExceeded, match="= 4$"):
             dovetail_enumerate(countdown, [0, 1, 2, 3, 3], 1000)  # repeats count
+
+    def test_register_count_cap(self, monkeypatch):
+        assert MAX_DOVETAIL_REGISTERS == 10**7
+        program = parse_program("INC 3\nHALT\n")  # 4 registers per run
+        monkeypatch.setattr(machine, "MAX_DOVETAIL_REGISTERS", 12)
+        assert dovetail_enumerate(program, [0, 1, 2, 2], 100) == [(0, 2), (1, 2), (2, 2)]  # repeats run once
+        with monkeypatch.context() as patched:
+            patched.setattr(machine, "MachineState", None)  # building any run state would fail
+            with pytest.raises(BudgetExceeded, match="^4 inputs of 4 registers each need more than "
+                                                     "MAX_DOVETAIL_REGISTERS = 12 registers$"):
+                dovetail_enumerate(program, range(4), 100)
+
+    def test_run_state_is_registers_position_and_steps(self):
+        # 3,001 instructions over 2,000 inputs: nothing a dovetail holds per input grows with the program
+        program = parse_program("INC 1\n" * 3000 + "HALT\n")
+        state = MachineState(program, 0)
+        assert vars(state).keys() == {"program", "registers", "pc", "steps", "halted"}
+        tracemalloc.start()
+        try:
+            assert dovetail_enumerate(program, range(2000), 1) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
     def test_consumes_at_most_total_budget(self, countdown):
         # with only 6 total steps nothing past the first halt can be seen
