@@ -7,9 +7,10 @@ constructive real.  The bisection engine takes a discrete-valued map whose
 endpoint labels differ and halves the interval while keeping the labels
 apart, converging to a discontinuity point.  Both are exact and fully
 deterministic.  Every waiting verdict is backed by an actual step-counted
-run.  Bisection labels the two endpoints, which must differ; every row
-after them is a closed form in the map's thresholds, and `bisect_step`,
-which labels each midpoint, is the reference those rows agree with.
+run.  Bisection labels the two endpoints, which must differ; one
+`Transcript` holds every row after them in closed form, for the printed
+rows and the limit's deeper ones alike, and `bisect_step`, which labels
+each midpoint, is the reference those rows agree with.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ def bisect_step(pair: tuple[Rational, Rational], f: StairMap) -> tuple[Rational,
     one at hi and so differs from the one at lo, and the lower half is
     taken.  The fixed preference keeps transcripts deterministic even when
     the midpoint label differs from both endpoints.  This labels all three
-    points; it is the reference the closed-form chain below agrees with.
+    points; it is the reference the closed-form `Transcript` rows agree with.
     """
     lo, hi = pair
     label_lo, label_hi = f.label(lo), f.label(hi)
@@ -150,18 +151,26 @@ class TranscriptRow:
     branch: str  # "init" | "upper" | "lower"
 
 
-class _BisectionChain:
-    """The rows iterated bisect_step yields from (lo, hi), each in closed form.
+class Transcript(Sequence[TranscriptRow]):
+    """Rows 0..steps of iterated bisect_step from (lo, hi), each in closed form
+    and built only when it is read.
 
     A label counts the thresholds <= t, so a step keeps the upper half
-    exactly when some threshold lies in (mid, hi].  The chain therefore
-    always encloses c, the largest threshold in (lo, hi].  With w = hi - lo
+    exactly when some threshold lies in (mid, hi].  Every row therefore
+    encloses c, the largest threshold in (lo, hi].  With w = hi - lo
     and u = (c - lo) / w in (0, 1], row i is lo + k_i * w / 2^i with
     k_i = ceil(u * 2^i) - 1, and it kept the upper half exactly when k_i is
     odd.  Only lo and hi are labelled, once, to check they are separated.
+    `row` answers past `steps` too; steps and rows are capped at MAX_BISECT_STEPS.
     """
 
-    def __init__(self, f: StairMap, lo: Rational, hi: Rational):
+    def __init__(self, f: StairMap, lo: Rational, hi: Rational, steps: int):
+        if steps < 0:
+            raise ValueError("steps must be a natural number")
+        if steps > MAX_BISECT_STEPS:
+            raise BudgetExceeded(
+                f"transcript of {steps} steps is longer than MAX_BISECT_STEPS = {MAX_BISECT_STEPS}"
+            )
         if not lo < hi:
             raise ValueError("bisection needs lo < hi")
         if f.label(lo) == f.label(hi):
@@ -175,6 +184,7 @@ class _BisectionChain:
         self._den = lcm(lo.denominator, width.denominator)
         self._lo = lo.numerator * (self._den // lo.denominator)
         self._w = width.numerator * (self._den // width.denominator)
+        self._len = steps + 1
 
     def ends(self, i: int) -> tuple[int, int, int, str]:
         """Row i as ints: lo and hi over one denominator, and its branch."""
@@ -191,44 +201,24 @@ class _BisectionChain:
         lo, hi, den, branch = self.ends(i)
         return TranscriptRow(i, Rational(lo, den), Rational(hi, den), branch)
 
-
-class Transcript(Sequence[TranscriptRow]):
-    """Rows 0..steps of a bisection chain, each built only when it is read."""
-
-    def __init__(self, chain: _BisectionChain, steps: int):
-        self._chain, self._len = chain, steps + 1
-
     def __len__(self) -> int:
         return self._len
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self._chain.row(j) for j in range(self._len)[i]]
-        return self._chain.row(range(self._len)[i])
+            return [self.row(j) for j in range(self._len)[i]]
+        return self.row(range(self._len)[i])
 
     def lines(self) -> Iterator[str]:
         """The rows as TSV lines `index lo hi branch`.  A row renders only the
         endpoint that moved; an upper row keeps hi's text, a lower row lo's."""
         for i in range(self._len):
-            lo_num, hi_num, den, branch = self._chain.ends(i)
+            lo_num, hi_num, den, branch = self.ends(i)
             if branch != "lower":
                 lo = render_ratio(lo_num, den)
             if branch != "upper":
                 hi = render_ratio(hi_num, den)
             yield f"{i}\t{lo}\t{hi}\t{branch}\n"
-
-
-def _chain_crn(chain: _BisectionChain, width0: Rational) -> CRN:
-    """The limit of `chain`, whose row i has width width0 * 2^-i.
-
-    The regulator is the least i >= 0 with width0 * 2^-i < 2^-m.  With j
-    the least integer such that width0 < 2^j, that is max(0, m + j); the
-    bit lengths of width0's numerator and denominator give j up to one.
-    """
-    j = width0.numerator.bit_length() - width0.denominator.bit_length()
-    if not width0 < pow2(j):
-        j += 1
-    return CRN(approx=lambda i: chain.row(i).lo, regulator=lambda m: max(0, m + j))
 
 
 def bisect_to_precision(
@@ -239,26 +229,23 @@ def bisect_to_precision(
     The transcript covers rows 0..steps and satisfies, exactly, width
     halving, nesting, and label separation at every row; it is a lazy
     sequence that builds a row only when it is read.  The returned CRN
-    keeps bisecting lazily past `steps` when deeper approximations are
-    requested; its regulator is the first index at which the initial width
-    scaled by 2^-i drops below 2^-m.  A transcript of more than
-    MAX_BISECT_STEPS halvings, and a lazy row past that index, raise
-    BudgetExceeded.
+    reads rows past `steps` when deeper approximations are requested.  Its
+    regulator, the least i >= 0 with (hi - lo) * 2^-i < 2^-m, is max(0, m + j)
+    for the least j with hi - lo < 2^j, which bit lengths give up to one.
+    A transcript of more than MAX_BISECT_STEPS halvings, and a lazy row
+    past that index, raise BudgetExceeded.
     """
-    if steps < 0:
-        raise ValueError("steps must be a natural number")
-    if steps > MAX_BISECT_STEPS:
-        raise BudgetExceeded(
-            f"transcript of {steps} steps is longer than MAX_BISECT_STEPS = {MAX_BISECT_STEPS}"
-        )
-    chain = _BisectionChain(f, lo, hi)
-    return _chain_crn(chain, hi - lo), Transcript(chain, steps)
+    transcript = Transcript(f, lo, hi, steps)
+    width = hi - lo
+    j = width.numerator.bit_length() - width.denominator.bit_length()
+    if not width < pow2(j):
+        j += 1
+    return CRN(approx=lambda i: transcript.row(i).lo, regulator=lambda m: max(0, m + j)), transcript
 
 
 def bisect_limit(f: StairMap, lo: Rational, hi: Rational) -> CRN:
     """The bisection limit alone, with the transcript left implicit."""
-    limit, _ = bisect_to_precision(f, lo, hi, 0)
-    return limit
+    return bisect_to_precision(f, lo, hi, 0)[0]
 
 
 def expression_builtins() -> dict[str, Callable[[Sequence[str]], CRN]]:

@@ -10,7 +10,8 @@ a certificate that an independent sweep can verify with rational
 arithmetic alone.
 
 Checks are sorted sweeps: O(k log k) for k elements, O(N log N) for the N
-points of a net.  Extraction reads elements in order, up to the last it needs.
+points of a net.  Extraction reads elements in order, up to the last it
+needs, and holds only the net's unassigned runs and its claims.
 `lebesgue_candidates` evaluated with `uniform_radius_at` is the
 brute-force O(k^3) reference the Lebesgue sweep is tested against.
 
@@ -310,8 +311,8 @@ def find_containing_element(
 ) -> int:
     """Smallest element index whose interval contains the ball around `center`.
 
-    O(k) scan; `extract_finite_subcover` calls it only to raise
-    NoContainingElement for a ball that no element read contains.
+    O(k) scan; the reference for the first-match assignment of
+    `extract_finite_subcover`, which raises the same NoContainingElement.
     """
     if radius <= 0:
         raise NonpositiveRadius(f"ball radius {render(radius)} is not positive")
@@ -392,17 +393,18 @@ def extract_finite_subcover(cover: Iterable[OpenInterval], modulus: NiceModulus)
     order until every net point is assigned.  The net ascends, so the points
     whose ball fits an element are one run, found by bisection from
     `_ball_bounds`; the element claims those of them that are still
-    unassigned, kept as ascending disjoint runs.  Reading an element past
-    MAX_COVER_ELEMENTS raises BudgetExceeded.
+    unassigned.  Only the unassigned points, as ascending disjoint runs, and
+    the claims are kept, not the elements.  If the elements run out, the
+    least unassigned point's ball fits none of them: NoContainingElement.
+    Reading an element past MAX_COVER_ELEMENTS raises BudgetExceeded.
     """
     radius = extract_constant_radius(modulus)
     points, unit = _grid(radius), radius.denominator
-    free, claims, read = [(0, len(points))], [], []
+    free, claims = [(0, len(points))], []
     for j, e in enumerate(cover):
         if j == MAX_COVER_ELEMENTS:
             raise BudgetExceeded(f"net point {render(Rational(points[free[0][0]], unit))} is unassigned after "
                                  f"MAX_COVER_ELEMENTS = {MAX_COVER_ELEMENTS} cover elements")
-        read.append(e)
         (low,), (high,) = _ball_bounds((e,), radius.numerator, unit)
         start, stop = bisect_left(points, low), bisect_right(points, high)
         first = bisect_right(free, start, key=itemgetter(1))
@@ -413,7 +415,8 @@ def extract_finite_subcover(cover: Iterable[OpenInterval], modulus: NiceModulus)
             if not free:
                 break
     else:
-        find_containing_element(read, Rational(points[free[0][0]], unit), radius)
+        c = Rational(points[free[0][0]], unit)
+        raise NoContainingElement(f"ball ({render(c - radius)}, {render(c + radius)}) fits no cover element")
     claims.sort()
     elements = tuple(chain.from_iterable(repeat(j, b - a) for a, b, j in claims))
     return SubcoverCertificate(radius, tuple(points), unit, elements, tuple(sorted({j for _, _, j in claims})))

@@ -75,7 +75,7 @@ RunOutcome = Halted | StillRunning
 def parse_program(text: str) -> Program:
     """Parse program text: one instruction per line, `name:` label prefixes,
     `#` comments, decimal register indices up to MAX_REGISTER.  More than
-    MAX_INSTRUCTIONS instructions raise BudgetExceeded before any operand is read."""
+    MAX_INSTRUCTIONS instructions, or labels, raise BudgetExceeded before any operand is read."""
     labels: dict[str, int] = {}
     raw: list[tuple[str, list[str], int]] = []  # (op, args, source line)
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -87,6 +87,8 @@ def parse_program(text: str) -> Program:
             name = m.group(1)
             if name in labels:
                 raise InvalidProgram(f"line {line_no}: duplicate label {name!r}")
+            if len(labels) == MAX_INSTRUCTIONS:
+                raise BudgetExceeded(f"program has more than MAX_INSTRUCTIONS = {MAX_INSTRUCTIONS} labels")
             labels[name] = len(raw)
             code = code[m.end() :].strip()
         if not code:

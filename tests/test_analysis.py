@@ -377,8 +377,8 @@ class TestBisectToPrecision:
 
     def test_rows_are_a_lazy_sequence(self, monkeypatch):
         built = []
-        row = analysis._BisectionChain.row
-        monkeypatch.setattr(analysis._BisectionChain, "row", lambda chain, i: built.append(i) or row(chain, i))
+        row = analysis.Transcript.row
+        monkeypatch.setattr(analysis.Transcript, "row", lambda transcript, i: built.append(i) or row(transcript, i))
         _, rows = bisect_to_precision(StepMap(THIRD), Fraction(0), Fraction(1), 4)
         assert len(rows) == 5 and built == []
         assert rows[-1] == rows[4] == analysis.TranscriptRow(4, Fraction(5, 16), Fraction(3, 8), "upper")

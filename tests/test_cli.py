@@ -197,6 +197,18 @@ class TestMachine:
                 1, "budget-exceeded program has more than MAX_INSTRUCTIONS = 3 instructions\n", "",
             )
 
+    def test_program_over_the_label_cap_is_refused(self, capsys, tmp_path, monkeypatch):
+        at_cap = tmp_path / "at-cap.cm"
+        at_cap.write_text("a:\nb:\n# none\nc: HALT\n")
+        past_cap = tmp_path / "past-cap.cm"
+        past_cap.write_text("HALT 0\nd:\n" + at_cap.read_text())  # refused before the bad operand is read
+        monkeypatch.setattr(machine, "MAX_INSTRUCTIONS", 3)
+        argv = ["machine", "run", "--input", "2", "--budget", "10", "--prog"]
+        assert run(capsys, *argv, str(at_cap)) == (0, "halted steps=1\n", "")
+        assert run(capsys, *argv, str(past_cap)) == (
+            1, "budget-exceeded program has more than MAX_INSTRUCTIONS = 3 labels\n", "",
+        )
+
     def test_dovetail_register_cap(self, capsys, tmp_path, monkeypatch):
         program = tmp_path / "wide.cm"
         program.write_text("INC 1023\nHALT\n")
@@ -309,8 +321,8 @@ class TestBisect:
 
     def test_enclosure_builds_only_the_last_row(self, capsys, monkeypatch):
         built = []
-        row = analysis._BisectionChain.row
-        monkeypatch.setattr(analysis._BisectionChain, "row", lambda chain, i: built.append(i) or row(chain, i))
+        row = analysis.Transcript.row
+        monkeypatch.setattr(analysis.Transcript, "row", lambda transcript, i: built.append(i) or row(transcript, i))
         code, out, _ = run(capsys, "bisect", "--oracle", "step@1/3", "--lo", "0", "--hi", "1", "--steps", "10000")
         assert code == 0 and out.startswith("steps=10000\nlo=")
         assert built == [10000]

@@ -1,4 +1,5 @@
 import re
+import weakref
 from fractions import Fraction
 from itertools import count, islice
 from math import ceil, floor, gcd, lcm
@@ -739,6 +740,24 @@ class TestEndlessCovers:
         # the same elements as a finite cover name the same point's ball
         with pytest.raises(NoContainingElement, match=f"^ball \\({least - radius}, {least + radius}\\) fits"):
             extract_finite_subcover(prefix, ConstantModulus(radius))
+
+    def test_search_keeps_no_element_it_has_read(self):
+        # one element, read anew without end, at the real cap: only its run of the
+        # net is ever claimed, and no element before the last one read stays alive
+        survivors, earlier, last = 0, None, None
+
+        def endless():
+            nonlocal survivors, earlier, last
+            while True:
+                survivors += earlier is not None and earlier() is not None
+                element = OpenInterval(F(9, 10), F(19, 20))
+                earlier, last = last, weakref.ref(element)
+                yield element
+
+        with pytest.raises(BudgetExceeded, match="^net point 0 is unassigned after "
+                                                 "MAX_COVER_ELEMENTS = 100000 cover elements$"):
+            extract_finite_subcover(endless(), ConstantModulus(F(1, 64)))
+        assert survivors == 0
 
     def test_reading_stops_at_the_first_covering_prefix(self):
         too_narrow = OpenInterval(F(1, 3), F(2, 5))  # holds no ball of radius 1/10

@@ -182,6 +182,15 @@ class TestParsing:
         with pytest.raises(BudgetExceeded, match="^program has more than MAX_INSTRUCTIONS = 3 instructions$"):
             parse_program("NOP 1\n" + at_cap)
 
+    def test_label_cap(self, monkeypatch):
+        monkeypatch.setattr(machine, "MAX_INSTRUCTIONS", 3)
+        # three labels on one instruction; comment-only lines count for nothing
+        at_cap = "a:\n# one\nb: c:\n" + "#\n" * 10 + "HALT\n"
+        assert parse_program(at_cap).code == ((machine.OPS.index("HALT"), 0, 0),)
+        # refused in the label pass: the unknown instruction is never reported
+        with pytest.raises(BudgetExceeded, match="^program has more than MAX_INSTRUCTIONS = 3 labels$"):
+            parse_program("NOP 1\nd:\n" + at_cap)
+
 
 class TestSemantics:
     def test_input_lands_in_register_zero(self, countdown):
