@@ -17,7 +17,8 @@ floating point anywhere. The layers, bottom up:
 ``crn``, ``machine``, ``analysis``, ``cover`` and ``expressions`` are
 registered through ``importlib.util.LazyLoader``: a layer runs when one of
 its names is first read, so a command runs only the layers it uses, and
-``import nicecover.cover`` still runs that layer at once.
+``import nicecover.cover`` still runs that layer at once.  No command
+imports ``dataclasses``: ``rational.record`` makes every layer's value classes.
 """
 
 import importlib.util

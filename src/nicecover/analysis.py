@@ -16,13 +16,12 @@ each midpoint, is the reference those rows agree with.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
 from math import lcm
 
 from .crn import CRN
 from .errors import BudgetExceeded, NotSeparated, ParseError
 from .machine import Halted, Program, RunOutcome, load_program, run_for
-from .rational import ONE, Rational, parse_natural, parse_rational, pow2, render, render_ratio
+from .rational import ONE, Rational, parse_natural, parse_rational, pow2, record, render, render_ratio
 
 # Row i of a transcript holds rationals of about i bits, so a transcript of
 # n rows holds about n^2 / 2 bits.  The cap holds for printed transcripts
@@ -46,7 +45,7 @@ def parse_targets(name: str) -> CRN:
     raise ParseError(f"unknown target sequence {name!r} (expected: geometric)")
 
 
-@dataclass(frozen=True)
+@record
 class StairMap:
     """Label of t is the number of thresholds that are <= t."""
 
@@ -143,7 +142,7 @@ def bisect_step(pair: tuple[Rational, Rational], f: StairMap) -> tuple[Rational,
     return (mid, hi) if f.label(mid) != label_hi else (lo, mid)
 
 
-@dataclass(frozen=True)
+@record
 class TranscriptRow:
     index: int
     lo: Rational

@@ -176,7 +176,7 @@ def _cmd_rat(args) -> int:
 
 def _cmd_crn_approx(args) -> int:
     node = expressions.parse_expression(args.expr)
-    value = expressions.eval_crn(node, analysis.expression_builtins())
+    value = expressions.eval_crn(node, lambda: analysis.expression_builtins())  # runs analysis only at a call
     print(f"{render(crn.approx_to(value, args.prec))} ± 2^-{args.prec}")
     return 0
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from math import gcd, lcm
 from operator import itemgetter
@@ -49,10 +48,10 @@ from .errors import (
     NotNiceCover,
     ParseError,
 )
-from .rational import ONE, ZERO, Rational, _int, parse_ratio, parse_rational, render, render_ratio
+from .rational import ONE, ZERO, Rational, _int, parse_ratio, parse_rational, record, render, render_ratio
 
 
-@dataclass(frozen=True)
+@record
 class OpenInterval:
     lo: Rational
     hi: Rational
@@ -347,16 +346,16 @@ def _net_over_unit(radius: Rational, numerators: Sequence[int], denominators: Se
     return (tuple(x // g for x in points), unit // g) if g > 1 else (tuple(points), unit)
 
 
-@dataclass(frozen=True)
+@record
 class SubcoverCertificate:
     """Everything needed to re-check a finite subcover without trusting us.
 
     Net point k is points[k] / unit, where `unit` is the least common
     denominator of the radius and the net points; `net` gives the points
-    as rationals and `of_net` builds a certificate from them.  elements[k]
-    is the index of the cover element whose interval contains the radius
-    ball around net point k.  `selected` is the deduplicated sorted list of
-    the assigned elements.  The sequences are tuples.
+    as rationals.  elements[k] is the index of the cover element whose
+    interval contains the radius ball around net point k.  `selected` is
+    the deduplicated sorted list of the assigned elements.  The sequences
+    are tuples.
     """
 
     radius: Rational
@@ -368,13 +367,6 @@ class SubcoverCertificate:
     def __post_init__(self):
         if len(self.points) != len(self.elements):
             raise ValueError(f"{len(self.points)} net points but {len(self.elements)} assigned elements")
-
-    @classmethod
-    def of_net(cls, radius: Rational, net: Sequence[Rational], elements: Sequence[int],
-               selected: Sequence[int]) -> SubcoverCertificate:
-        """The certificate of rational net points; BudgetExceeded past MAX_SCALED_BITS."""
-        points, unit = _net_over_unit(radius, [c.numerator for c in net], [c.denominator for c in net])
-        return cls(radius, points, unit, tuple(elements), tuple(selected))
 
     @property
     def net(self) -> tuple[Rational, ...]:
@@ -422,12 +414,12 @@ def extract_finite_subcover(cover: Iterable[OpenInterval], modulus: NiceModulus)
     return SubcoverCertificate(radius, tuple(points), unit, elements, tuple(sorted({j for _, _, j in claims})))
 
 
-@dataclass(frozen=True)
+@record
 class Covered:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Uncovered:
     witness: Rational
 

@@ -15,15 +15,14 @@ or certifies the two values are within 2^-n of each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache, lru_cache
 from typing import Callable, Iterable
 
-from .rational import Rational, pow2
+from .rational import Rational, pow2, record
 
 
-@dataclass(frozen=True)
+@record
 class CRN:
     """A constructive real: approximation sequence plus regulator.
 
@@ -132,7 +131,7 @@ def compare_apart(x: CRN, y: CRN, n: int) -> Apartness:
     return Apartness.INDISTINGUISHABLE
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     """One failed pairwise check: |approx(i) - approx(j)| did not stay under 2^-level."""
 
@@ -142,7 +141,7 @@ class Violation:
     gap: Rational
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
     levels: tuple[int, ...]
     probes_per_level: int

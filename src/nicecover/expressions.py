@@ -161,11 +161,12 @@ def _parse_call(cursor: _Cursor) -> Node:
     return ("call", name, args)
 
 
-def _evaluate(node: Node, builtins: BuiltinMap | None) -> Rational | crn.CRN:
+def _evaluate(node: Node, builtins: Callable[[], BuiltinMap] | None) -> Rational | crn.CRN:
     """The exact value of a call-free subtree, and a constructive real otherwise.
 
     A rational is its own constant sequence with regulator 0, so folding moves
-    no approximation and no regulator.  With `builtins` None, calls are refused.
+    no approximation and no regulator.  `builtins()`, the builtin table, is read
+    only at a call; with `builtins` None, calls are refused.
     """
     kind = node[0]
     if kind == "rat":
@@ -173,9 +174,10 @@ def _evaluate(node: Node, builtins: BuiltinMap | None) -> Rational | crn.CRN:
     if kind == "call":
         if builtins is None:
             raise ParseError(f"{node[1]}(...) is not a rational expression")
-        if node[1] not in builtins:
+        table = builtins()
+        if node[1] not in table:
             raise ParseError(f"unknown builtin {node[1]!r}")
-        return builtins[node[1]](node[2])
+        return table[node[1]](node[2])
     if kind == "neg":
         value = _evaluate(node[1], builtins)
         return -value if isinstance(value, Rational) else crn.negate(value)
@@ -194,6 +196,6 @@ def eval_rational(node: Node) -> Rational:
     return _evaluate(node, None)
 
 
-def eval_crn(node: Node, builtins: BuiltinMap) -> crn.CRN:
+def eval_crn(node: Node, builtins: Callable[[], BuiltinMap]) -> crn.CRN:
     """Evaluate an expression to a constructive real, folding call-free parts exactly."""
     return _as_crn(_evaluate(node, builtins))

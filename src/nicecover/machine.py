@@ -18,13 +18,12 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, insort
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 from typing import Iterable
 
 from .errors import BudgetExceeded, InvalidProgram, ParseError
-from .rational import parse_natural
+from .rational import parse_natural, record
 
 # Per instruction: the kinds of its operands (r a register, l a label),
 # and what it takes, as a wrong operand count is reported.
@@ -51,7 +50,7 @@ MAX_INTERPRETED_STEPS = 10**7
 _LABEL_RE = re.compile(r"([A-Za-z_]\w*):")
 
 
-@dataclass(frozen=True)
+@record
 class Program:
     # (opcode, register, target) per instruction; target is the resolved
     # instruction index for JZ / GOTO, unused fields are 0
@@ -59,12 +58,12 @@ class Program:
     register_count: int
 
 
-@dataclass(frozen=True)
+@record
 class Halted:
     steps: int
 
 
-@dataclass(frozen=True)
+@record
 class StillRunning:
     budget: int
 

@@ -3,7 +3,7 @@
 Values are plain `fractions.Fraction` instances: unbounded integers, the
 denominator always positive and coprime to the numerator, so equality is
 component-wise and the rendered text is canonical.  Nothing in the library
-ever rounds.
+ever rounds.  `record` makes the small frozen value classes of every layer.
 """
 
 from __future__ import annotations
@@ -111,3 +111,26 @@ def pow2(exp: int) -> Rational:
     if exp >= 0:
         return Fraction(2**exp)
     return Fraction(1, 2**-exp)
+
+
+def record(cls):
+    """Make `cls` a frozen value class of its annotated fields, as `dataclass(frozen=True)` would, without
+    importing `dataclasses` and with it `inspect`.  `__init__` takes the fields in order, by position or
+    keyword, then calls `__post_init__` if the class has one.  A record equals only a record of its class
+    with equal fields, and hashes and prints as `Name(field=value, ...)`."""
+    names = tuple(cls.__annotations__)  # strings, under `from __future__ import annotations`
+    scope = {"_set": object.__setattr__}
+    exec(f"def __init__(self, {', '.join(names)}):\n"
+         + "".join(f" _set(self, {name!r}, {name})\n" for name in names)
+         + (" self.__post_init__()\n" if hasattr(cls, "__post_init__") else " pass\n")
+         + f"def values(self): return ({''.join(f'self.{name}, ' for name in names)})\n", scope)
+    values = scope["values"]
+
+    def frozen(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot change {name!r}")
+
+    cls.__init__, cls.__setattr__, cls.__delattr__ = scope["__init__"], frozen, frozen
+    cls.__eq__ = lambda self, other: values(self) == values(other) if other.__class__ is self.__class__ else NotImplemented
+    cls.__hash__ = lambda self: hash(values(self))
+    cls.__repr__ = lambda self: f"{type(self).__qualname__}({', '.join(map('{}={!r}'.format, names, values(self)))})"
+    return cls

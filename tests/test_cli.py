@@ -646,9 +646,10 @@ def test_module_entry_point():
     assert result.stdout == "3/4\n"
 
 
-# Run in a fresh interpreter: what the command ran, by name after "nicecover.".
-# A layer the package registered but nothing has read yet is still a lazy
-# module, whose type is a subclass of types.ModuleType.
+# Run in a fresh interpreter: what the command ran, by name after "nicecover.",
+# then any of `dataclasses` and `inspect` that it imported.  A layer the
+# package registered but nothing has read yet is still a lazy module, whose
+# type is a subclass of types.ModuleType.
 LAYERS_RUN = """
 import sys, types
 before = set(sys.modules)
@@ -656,20 +657,35 @@ from nicecover.cli import dispatch
 code = dispatch(sys.argv[1:])
 ran = sorted(name[len("nicecover."):] for name, module in sys.modules.items()
              if name.startswith("nicecover.") and type(module) is types.ModuleType)
-print(code, *ran, "dataclasses" if "dataclasses" in set(sys.modules) - before else "")
+print(code, *ran, *sorted({"dataclasses", "inspect"} & (set(sys.modules) - before)))
 """
+
+ANALYSIS_RAN = "0 analysis cli crn errors machine rational"
 
 
 @pytest.mark.parametrize("argv,ran", [
-    (["rat", "1/2 + 1/3"], "0 cli errors expressions rational "),
-    (["cover", "lebesgue", "--cover", "{cover}"], "0 cli cover errors rational dataclasses"),
-    (["machine", "run", "--prog", "{prog}", "--input", "2", "--budget", "100"],
-     "0 cli errors machine rational dataclasses"),
+    (["rat", "1/2 + 1/3"], "0 cli errors expressions rational"),
+    (["crn", "approx", "--expr", "1/3 + 1/3", "--prec", "5"], "0 cli crn errors expressions rational"),
     (["crn", "approx", "--expr", "1/3 + bisect_limit(step@1/3, 0, 1)", "--prec", "5"],
-     "0 analysis cli crn errors expressions machine rational dataclasses"),
-], ids=["rat", "cover lebesgue", "machine run", "crn approx"])
-def test_command_runs_only_the_layers_it_uses(countdown_file, cover_file, argv, ran):
-    argv = [arg.format(prog=countdown_file, cover=cover_file) for arg in argv]
+     "0 analysis cli crn errors expressions machine rational"),
+    (["cover", "lebesgue", "--cover", "{cover}"], "0 cli cover errors rational"),
+    (["cover", "subcover", "--cover", "{cover}"], "0 cli cover errors rational"),
+    (["cover", "verify", "--cover", "{cover}", "--selected", "0,1"], "0 cli cover errors rational"),
+    (["cover", "verify-cert", "--cover", "{cover}", "--cert", "{cert}"], "0 cli cover errors rational"),
+    (["machine", "run", "--prog", "{prog}", "--input", "2", "--budget", "100"], "0 cli errors machine rational"),
+    (["machine", "dovetail", "--prog", "{prog}", "--inputs", "0..3", "--budget", "100"],
+     "0 cli errors machine rational"),
+    (["waiting", "approx", "--prog", "{prog}", "--input", "2", "--prec", "5"], ANALYSIS_RAN),
+    (["reduce", "--prog", "{prog}", "--input", "2", "--prec", "5"], ANALYSIS_RAN),
+    (["bisect", "--oracle", "step@1/3", "--lo", "0", "--hi", "1", "--steps", "4"], ANALYSIS_RAN),
+], ids=["rat", "crn approx call-free", "crn approx", "cover lebesgue", "cover subcover", "cover verify",
+        "cover verify-cert", "machine run", "machine dovetail", "waiting approx", "reduce", "bisect"])
+def test_command_runs_only_the_layers_it_uses(countdown_file, cover_file, tmp_path, argv, ran):
+    cert = tmp_path / "cert.txt"
+    intervals = cover_mod.parse_cover(TWO_INTERVAL_COVER)
+    cert.write_text(cover_mod.render_certificate(
+        cover_mod.extract_finite_subcover(intervals, cover_mod.LebesgueModulus(intervals))))
+    argv = [arg.format(prog=countdown_file, cover=cover_file, cert=cert) for arg in argv]
     result = subprocess.run([sys.executable, "-c", LAYERS_RUN, *argv], capture_output=True, text=True)
     assert result.stderr == ""
     assert result.stdout.splitlines()[-1] == ran

@@ -49,6 +49,13 @@ TWO_INTERVALS = [OpenInterval(F(-1, 10), F(6, 10)), OpenInterval(F(4, 10), F(11,
 ONE_INTERVAL = [OpenInterval(F(-1, 2), F(3, 2))]
 GAP_AT_HALF = [OpenInterval(F(0), F(1, 2)), OpenInterval(F(1, 2), F(1))]
 
+
+def certificate_of_net(radius, net, elements, selected):
+    """The certificate of rational net points; BudgetExceeded past MAX_SCALED_BITS."""
+    points, unit = cover_mod._net_over_unit(radius, [c.numerator for c in net], [c.denominator for c in net])
+    return SubcoverCertificate(radius, points, unit, tuple(elements), tuple(selected))
+
+
 unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=1000)
 # certificate-shaped text: a radius line, then lines with damaged fields
 certificate_fields = st.sampled_from(["0", "1", "1/10", "1/0", "²", "0,²", "x", "", "1" * 5000])
@@ -382,18 +389,18 @@ class TestCertificateVerification:
 
     def test_zero_radius_reported(self):
         c = self.cert()
-        bad = SubcoverCertificate.of_net(F(0), c.net, c.elements, c.selected)
+        bad = certificate_of_net(F(0), c.net, c.elements, c.selected)
         assert any("positive" in p for p in verify_certificate(TWO_INTERVALS, bad))
 
     def test_wrong_assignment_reported(self):
         c = self.cert()
         elements = (1,) + c.elements[1:]  # element 1 does not contain the ball at 0
-        bad = SubcoverCertificate.of_net(c.radius, c.net, elements, c.selected)
+        bad = certificate_of_net(c.radius, c.net, elements, c.selected)
         assert verify_certificate(TWO_INTERVALS, bad)
 
     def test_selected_mismatch_reported(self):
         c = self.cert()
-        bad = SubcoverCertificate.of_net(c.radius, c.net, c.elements, (0,))
+        bad = certificate_of_net(c.radius, c.net, c.elements, (0,))
         assert verify_certificate(TWO_INTERVALS, bad)
 
     def test_sparse_net_reported(self):
@@ -401,19 +408,19 @@ class TestCertificateVerification:
         c = self.cert()
         net = c.net[:5] + c.net[6:]
         elements = c.elements[:5] + c.elements[6:]
-        bad = SubcoverCertificate.of_net(c.radius, net, elements, c.selected)
+        bad = certificate_of_net(c.radius, net, elements, c.selected)
         assert verify_certificate(TWO_INTERVALS, bad)
 
     def test_out_of_range_element_reported_not_crashed(self):
         c = self.cert()
-        bad = SubcoverCertificate.of_net(c.radius, c.net, (7,) * len(c.net), (7,))
+        bad = certificate_of_net(c.radius, c.net, (7,) * len(c.net), (7,))
         assert verify_certificate(TWO_INTERVALS, bad)
 
     def test_net_and_elements_of_different_lengths_refused_when_built(self):
         c = self.cert()
         for elements in (c.elements + (0,), c.elements[:-1], ()):
             with pytest.raises(ValueError, match=f"11 net points but {len(elements)} assigned"):
-                SubcoverCertificate.of_net(c.radius, c.net, elements, c.selected)
+                certificate_of_net(c.radius, c.net, elements, c.selected)
 
     def test_wrong_cover_detected(self):
         problems = verify_certificate(ONE_INTERVAL, self.cert())
@@ -454,7 +461,7 @@ def rescan_verify_subcover(cover, selected):
 def scan_subcover(cover, radius):
     net = build_eps_net(radius)
     elements = tuple(find_containing_element(cover, point, radius) for point in net)
-    return SubcoverCertificate.of_net(radius, tuple(net), elements, tuple(sorted(set(elements))))
+    return certificate_of_net(radius, tuple(net), elements, tuple(sorted(set(elements))))
 
 
 def rescan_verify_certificate(cover, certificate):
@@ -555,7 +562,7 @@ def sweep_oracles():
             selected = tuple(sorted(set(elements)))
             if data.draw(st.booleans()) and selected:
                 selected = selected[1:]
-            certificate = SubcoverCertificate.of_net(radius, tuple(net), elements, selected)
+            certificate = certificate_of_net(radius, tuple(net), elements, selected)
             assert verify_certificate(cover, certificate) == rescan_verify_certificate(cover, certificate)
 
     return SweepsMatchScans
@@ -671,7 +678,7 @@ class TestHostileDenominators:
                 elements.append(0)
 
         def certificate(points):
-            return SubcoverCertificate.of_net(
+            return certificate_of_net(
                 radius, tuple(points), tuple(elements[: len(points)]), tuple(sorted(set(elements)))
             )
 
@@ -689,7 +696,7 @@ class TestHostileDenominators:
         certificate = extract_finite_subcover(TWO_INTERVALS, ConstantModulus(radius))
         assert len(certificate.points) == 100 and certificate.unit == radius.denominator
         assert parse_certificate(render_certificate(certificate)) == certificate
-        rebuilt = SubcoverCertificate.of_net(radius, certificate.net, certificate.elements, certificate.selected)
+        rebuilt = certificate_of_net(radius, certificate.net, certificate.elements, certificate.selected)
         assert rebuilt == certificate and verify_certificate(TWO_INTERVALS, rebuilt) == []
 
     def test_two_thousand_point_net_with_pairwise_coprime_denominators(self, monkeypatch):
@@ -698,17 +705,17 @@ class TestHostileDenominators:
         radius = F(6, 10 * n)
         assert lcm_past_256_bits(net)
         elements = [find_containing_element(TWO_INTERVALS, point, radius) for point in net]
-        whole = SubcoverCertificate.of_net(radius, net, elements, (0, 1))
+        whole = certificate_of_net(radius, net, elements, (0, 1))
         assert verify_certificate(TWO_INTERVALS, whole) == []
         text = render_certificate(whole)
         assert parse_certificate(text) == whole
         elements[7] = 1  # its ball is not inside element 1
-        damaged = SubcoverCertificate.of_net(radius, net[:40] + net[42:], elements[:40] + elements[42:], (0, 1))
+        damaged = certificate_of_net(radius, net[:40] + net[42:], elements[:40] + elements[42:], (0, 1))
         problems = verify_certificate(TWO_INTERVALS, damaged)
         assert problems == rescan_verify_certificate(TWO_INTERVALS, damaged)
         assert len(problems) == 2 and "uncovered" in problems[1]
         monkeypatch.setattr(cover_mod, "MAX_SCALED_BITS", 10**6)
-        for build in (lambda: SubcoverCertificate.of_net(radius, net, elements, (0, 1)),
+        for build in (lambda: certificate_of_net(radius, net, elements, (0, 1)),
                       lambda: parse_certificate(text)):
             with pytest.raises(BudgetExceeded, match="^2001 net points over their common denominator need more than "
                                                      "MAX_SCALED_BITS = 1000000 bits beyond the radius's denominator$"):
@@ -834,7 +841,7 @@ class TestCheckersAgainstTheDefinition:
         net = data.draw(st.lists(st.sampled_from(grid) | st.fractions(min_value=-1, max_value=2, max_denominator=24),
                                  min_size=1, max_size=len(grid) + 2))
         elements = data.draw(st.lists(st.integers(0, len(cover)), min_size=len(net), max_size=len(net)))
-        problems = verify_certificate(cover, SubcoverCertificate.of_net(radius, net, elements, sorted(set(elements))))
+        problems = verify_certificate(cover, certificate_of_net(radius, net, elements, sorted(set(elements))))
         balls = [(c - radius, c + radius) for c in net]
         assigned = [(cover[j].lo, cover[j].hi) for j in set(elements) if j < len(cover)]
         for spans, pattern in ((balls, r"net with radius \S+ leaves (\S+) uncovered"),

@@ -40,7 +40,7 @@ class TestRationalEvaluation:
     )
     def test_values(self, text, expected):
         assert value_of(text) == expected
-        assert approx_to(eval_crn(parse_expression(text), {}), 8) == expected
+        assert approx_to(eval_crn(parse_expression(text), dict), 8) == expected
 
     @pytest.mark.parametrize(
         "text",
@@ -84,20 +84,31 @@ class TestCrnEvaluation:
         return {"five": lambda args: from_rational(F(5) + sum(F(a) for a in args))}
 
     def test_plain_arithmetic(self):
-        value = eval_crn(parse_expression("1/3 + 1/3"), {})
+        value = eval_crn(parse_expression("1/3 + 1/3"), dict)
         assert approx_to(value, 8) == F(2, 3)
 
+    def test_builtins_are_read_only_at_a_call(self):
+        def table():
+            tables.append(self.builtins())
+            return tables[-1]
+
+        tables = []
+        assert approx_to(eval_crn(parse_expression("-(1/3 + 1/3) * 3"), table), 8) == F(-2)
+        assert tables == []
+        assert approx_to(eval_crn(parse_expression("five() * five(1)"), table), 4) == F(30)
+        assert len(tables) == 2
+
     def test_builtin_call(self):
-        value = eval_crn(parse_expression("five() * 2"), self.builtins())
+        value = eval_crn(parse_expression("five() * 2"), self.builtins)
         assert approx_to(value, 4) == F(10)
 
     def test_builtin_receives_raw_args(self):
-        value = eval_crn(parse_expression("five(1, 2)"), self.builtins())
+        value = eval_crn(parse_expression("five(1, 2)"), self.builtins)
         assert approx_to(value, 4) == F(8)
 
     def test_unknown_builtin(self):
         with pytest.raises(ParseError):
-            eval_crn(parse_expression("nope()"), self.builtins())
+            eval_crn(parse_expression("nope()"), self.builtins)
 
     def test_nested_parens_inside_call_args(self):
         seen = []
@@ -106,7 +117,7 @@ class TestCrnEvaluation:
             seen.append(tuple(args))
             return from_rational(F(0))
 
-        eval_crn(parse_expression("f(a(b,c), d)"), {"f": spy})
+        eval_crn(parse_expression("f(a(b,c), d)"), lambda: {"f": spy})
         assert seen == [("a(b,c)", "d")]
 
 
@@ -179,7 +190,7 @@ class TestFolding:
     @given(trees)
     def test_matches_one_node_per_operator(self, tree):
         node = parse_expression(tree[0])
-        folded = eval_crn(node, DIFFERENTIAL_BUILTINS)
+        folded = eval_crn(node, lambda: DIFFERENTIAL_BUILTINS)
         reference = unfolded_crn(node, DIFFERENTIAL_BUILTINS)
         for n in range(41):
             assert approx_to(folded, n) == approx_to(reference, n)
@@ -202,13 +213,13 @@ class TestFolding:
 
     def test_call_free_expression_is_embedded_once(self, monkeypatch):
         built = self.count_constructors(monkeypatch)
-        value = eval_crn(parse_expression("1/3 + 2*(5 - 0.5)"), {})
+        value = eval_crn(parse_expression("1/3 + 2*(5 - 0.5)"), dict)
         assert built == Counter(from_rational=1)
         assert approx_to(value, 8) == F(28, 3)
 
     def test_only_the_operator_above_a_call_is_built(self, monkeypatch):
         five = CRN(approx=lambda i: F(5), regulator=lambda n: 0)
         built = self.count_constructors(monkeypatch)
-        value = eval_crn(parse_expression("(1/3 + 1/3) * five()"), {"five": lambda args: five})
+        value = eval_crn(parse_expression("(1/3 + 1/3) * five()"), lambda: {"five": lambda args: five})
         assert built == Counter(from_rational=1, mul=1)
         assert approx_to(value, 8) == F(10, 3)

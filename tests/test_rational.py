@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nicecover.analysis import TranscriptRow
+from nicecover.cover import Covered, OpenInterval
+from nicecover.crn import CRN
 from nicecover.errors import ParseError, ZeroDenominator
 from nicecover.expressions import eval_rational, parse_expression
+from nicecover.machine import Halted, StillRunning
 from nicecover.rational import (
     ONE,
     ZERO,
@@ -167,3 +171,49 @@ class TestPow2:
     @given(st.integers(min_value=-64, max_value=64), st.integers(min_value=-64, max_value=64))
     def test_exponent_law(self, a, b):
         assert pow2(a) * pow2(b) == pow2(a + b)
+
+
+class TestRecord:
+    """`record`, the frozen value classes of every layer, behaves as `dataclass(frozen=True)` did."""
+
+    def test_equal_only_within_one_class(self):
+        assert Halted(8) == Halted(steps=8)
+        assert Halted(8) != Halted(9)
+        assert Halted(8) != StillRunning(8)
+        assert Halted(8) != 8 and Halted(8).__eq__(8) is NotImplemented
+        assert Covered() == Covered()
+
+    def test_equal_records_hash_equal(self):
+        assert hash(Halted(8)) == hash(Halted(8))
+        assert hash(OpenInterval(Fraction(0), Fraction(1, 2))) == hash(OpenInterval(Fraction(0), Fraction(2, 4)))
+        assert len({TranscriptRow(0, ZERO, ONE, "init"), TranscriptRow(0, ZERO, ONE, "init"), Covered()}) == 2
+
+    def test_repr_names_every_field(self):
+        assert repr(Halted(8)) == "Halted(steps=8)"
+        assert repr(OpenInterval(Fraction(-1, 10), Fraction(6, 10))) == "OpenInterval(lo=Fraction(-1, 10), hi=Fraction(3, 5))"
+        assert repr(TranscriptRow(2, Fraction(1, 4), Fraction(1, 2), "lower")) == (
+            "TranscriptRow(index=2, lo=Fraction(1, 4), hi=Fraction(1, 2), branch='lower')")
+        assert repr(Covered()) == "Covered()"
+
+    def test_fields_cannot_change(self):
+        halted = Halted(8)
+        with pytest.raises(AttributeError):
+            halted.steps = 9
+        with pytest.raises(AttributeError):
+            del halted.steps
+        with pytest.raises(AttributeError):
+            halted.other = 1
+        assert halted == Halted(8)
+
+    def test_post_init_runs(self):
+        with pytest.raises(ValueError, match="interval needs lo < hi"):
+            OpenInterval(Fraction(1), Fraction(0))
+
+    def test_fields_by_keyword_and_position(self):
+        approx, regulator = (lambda i: ONE), (lambda n: 0)
+        value = CRN(approx=approx, regulator=regulator)
+        assert (value.approx, value.regulator) == (approx, regulator) and value == CRN(approx, regulator)
+        with pytest.raises(TypeError):
+            Halted()
+        with pytest.raises(TypeError):
+            Halted(8, steps=8)
