@@ -24,21 +24,21 @@ from those ints.  A net line is read once, by its pieces: the point before
 the first ` -> element `, read by `parse_ratio`, and a decimal element
 index after it.  Sweeps that compare cover ends with each other write
 them over their least common denominator, or compare the Fractions past
-_END_BITS, as pairwise coprime denominators reach.  A certificate of more
-than MAX_NET_POINTS net lines, or whose points would take more than
-MAX_SCALED_BITS bits beyond the radius's denominator over their common
-one, is refused before any point is built.
+_END_BITS, as pairwise coprime denominators reach.  A certificate is
+refused at its first net line past MAX_NET_POINTS, and when its points
+would take more than MAX_SCALED_BITS bits beyond the radius's denominator
+over their common one, before any point is built.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from math import gcd, lcm
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, TextIO
 
 from .errors import (
     BudgetExceeded,
@@ -47,8 +47,9 @@ from .errors import (
     NotACover,
     NotNiceCover,
     ParseError,
+    ZeroDenominator,
 )
-from .rational import ONE, ZERO, Rational, _int, parse_ratio, parse_rational, record, render, render_ratio
+from .rational import ONE, ZERO, Rational, _int, input_lines, parse_ratio, parse_rational, record, render, render_ratio
 
 
 @record
@@ -105,17 +106,16 @@ def _common_unit(values: Sequence[Rational]) -> tuple[list, int]:
         list(values), 1)
 
 
-def parse_cover(text: str) -> list[OpenInterval]:
-    """One interval per line as `lo hi` (rationals or exact decimals); `#` comments.
-    More than MAX_COVER_ELEMENTS intervals raise BudgetExceeded before any is read."""
-    lines = text.splitlines()
-    if len(lines) > MAX_COVER_ELEMENTS and sum(bool(x.split("#", 1)[0].strip()) for x in lines) > MAX_COVER_ELEMENTS:
+def parse_cover(source: str | TextIO) -> list[OpenInterval]:
+    """One interval per line as `lo hi` (rationals or exact decimals); `#` comments.  `source` is text
+    or an open text file, read by `input_lines`.  More than MAX_COVER_ELEMENTS intervals raise
+    BudgetExceeded before any is read, so a file past the cap is refused even with a malformed line."""
+    lines = ((line_no, code) for line_no, line in input_lines(source) if (code := line.split("#", 1)[0].rstrip()))
+    codes = list(islice(lines, MAX_COVER_ELEMENTS + 1))  # the interval lines, not yet read into ints
+    if len(codes) > MAX_COVER_ELEMENTS:
         raise BudgetExceeded(f"cover has more than MAX_COVER_ELEMENTS = {MAX_COVER_ELEMENTS} intervals")
     intervals: list[OpenInterval] = []
-    for line_no, line in enumerate(lines, start=1):
-        code = line.split("#", 1)[0].strip()
-        if not code:
-            continue
+    for line_no, code in codes:
         parts = code.split()
         if len(parts) != 2:
             raise ParseError(f"line {line_no}: expected `lo hi`, got {code!r}")
@@ -129,7 +129,8 @@ def parse_cover(text: str) -> list[OpenInterval]:
 
 
 def load_cover(path: str | Path) -> list[OpenInterval]:
-    return parse_cover(Path(path).read_text())
+    with Path(path).open() as lines:
+        return parse_cover(lines)
 
 
 def uniform_radius_at(cover: CoverList, x: Rational) -> Rational:
@@ -468,54 +469,63 @@ def render_certificate(certificate: SubcoverCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_certificate(text: str) -> SubcoverCertificate:
-    """Inverse of `render_certificate`; raises ParseError on anything off.
+def parse_certificate(source: str | TextIO) -> SubcoverCertificate:
+    """Inverse of `render_certificate`; raises ParseError on anything off.  `source` is text or an
+    open text file, read by `input_lines`.
 
-    More than MAX_NET_POINTS net lines raise BudgetExceeded before any
-    point is read.
+    A net line past MAX_NET_POINTS raises BudgetExceeded, also after a malformed line below the
+    `r=` line: that line's error waits until the rest is counted.
     """
-    lines = [line for line in map(str.strip, text.splitlines()) if line]
-    if not lines or not lines[0].startswith("r="):
+    lines = (line for _, line in input_lines(source) if line)
+    first = next(lines, "")
+    if not first.startswith("r="):
         raise ParseError("certificate must start with `r=<rational>`")
-    radius = parse_rational(lines[0][len("r=") :])
-    if len(lines) > MAX_NET_POINTS + 1 and sum(line.startswith("net ") for line in lines) > MAX_NET_POINTS:
-        raise BudgetExceeded(f"certificate has more than MAX_NET_POINTS = {MAX_NET_POINTS} net lines")
+    radius = parse_rational(first[len("r=") :])
+    too_many = f"certificate has more than MAX_NET_POINTS = {MAX_NET_POINTS} net lines"
     numerators: list[int] = []
     denominators: list[int] = []
+    shared: dict[int, int] = {}  # one int per distinct denominator: a net has few
     elements: list[int] = []
     selected: tuple[int, ...] | None = None
-    for line in lines[1:]:
-        if line.startswith("net "):
-            if selected is not None:
-                raise ParseError("net line after the selected line")
-            point_text, arrow, element_text = line[len("net ") :].partition(" -> element ")
-            if not arrow:
-                raise ParseError(f"bad net line: {line!r}")
-            element_text = element_text.strip()
-            if not element_text.isdecimal():
-                raise ParseError(f"bad element index in: {line!r}")
-            numerator, denominator = parse_ratio(point_text)
-            numerators.append(numerator)
-            denominators.append(denominator)
-            elements.append(_int(element_text))
-        elif line.startswith("selected"):
-            if selected is not None:
-                raise ParseError("duplicate selected line")
-            body = line[len("selected") :].strip()
-            parts = [p for p in body.split(",") if p.strip()]
-            if not all(p.strip().isdecimal() for p in parts):
-                raise ParseError(f"bad selected line: {line!r}")
-            selected = tuple(_int(p.strip()) for p in parts)
-        else:
-            raise ParseError(f"unrecognized certificate line: {line!r}")
+    try:
+        for line in lines:
+            if line.startswith("net "):
+                if len(elements) == MAX_NET_POINTS:
+                    raise BudgetExceeded(too_many)
+                if selected is not None:
+                    raise ParseError("net line after the selected line")
+                point_text, arrow, element_text = line[len("net ") :].partition(" -> element ")
+                if not arrow:
+                    raise ParseError(f"bad net line: {line!r}")
+                element_text = element_text.strip()
+                if not element_text.isdecimal():
+                    raise ParseError(f"bad element index in: {line!r}")
+                numerator, denominator = parse_ratio(point_text)
+                numerators.append(numerator)
+                denominators.append(shared.setdefault(denominator, denominator))
+                elements.append(_int(element_text))
+            elif line.startswith("selected"):
+                if selected is not None:
+                    raise ParseError("duplicate selected line")
+                body = line[len("selected") :].strip()
+                parts = [p for p in body.split(",") if p.strip()]
+                if not all(p.strip().isdecimal() for p in parts):
+                    raise ParseError(f"bad selected line: {line!r}")
+                selected = tuple(_int(p.strip()) for p in parts)
+            else:
+                raise ParseError(f"unrecognized certificate line: {line!r}")
+    except (ParseError, ZeroDenominator):
+        if len(elements) + sum(x.startswith("net ") for x in chain((line,), lines)) > MAX_NET_POINTS:
+            raise BudgetExceeded(too_many) from None
+        raise
     if selected is None:
         raise ParseError("certificate has no selected line")
-    del lines  # at N = 10^6 the line strings outweigh the points
     return SubcoverCertificate(radius, *_net_over_unit(radius, numerators, denominators), tuple(elements), selected)
 
 
 def load_certificate(path: str | Path) -> SubcoverCertificate:
-    return parse_certificate(Path(path).read_text())
+    with Path(path).open() as lines:
+        return parse_certificate(lines)
 
 
 def verify_certificate(cover: CoverList, certificate: SubcoverCertificate) -> list[str]:

@@ -20,10 +20,10 @@ from bisect import bisect_left, insort
 from collections import defaultdict
 from itertools import islice
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, TextIO
 
 from .errors import BudgetExceeded, InvalidProgram, ParseError
-from .rational import parse_natural, record
+from .rational import input_lines, parse_natural, record
 
 # Per instruction: the kinds of its operands (r a register, l a label),
 # and what it takes, as a wrong operand count is reported.
@@ -71,13 +71,13 @@ class StillRunning:
 RunOutcome = Halted | StillRunning
 
 
-def parse_program(text: str) -> Program:
-    """Parse program text: one instruction per line, `name:` label prefixes,
-    `#` comments, decimal register indices up to MAX_REGISTER.  More than
+def parse_program(source: str | TextIO) -> Program:
+    """Parse a program, text or an open text file read by `input_lines`: one instruction per line,
+    `name:` label prefixes, `#` comments, decimal register indices up to MAX_REGISTER.  More than
     MAX_INSTRUCTIONS instructions, or labels, raise BudgetExceeded before any operand is read."""
     labels: dict[str, int] = {}
     raw: list[tuple[str, list[str], int]] = []  # (op, args, source line)
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in input_lines(source):
         code = line.split("#", 1)[0].strip()
         while code:
             m = _LABEL_RE.match(code)
@@ -131,7 +131,8 @@ def parse_program(text: str) -> Program:
 
 
 def load_program(path: str | Path) -> Program:
-    return parse_program(Path(path).read_text())
+    with Path(path).open() as lines:
+        return parse_program(lines)
 
 
 def _repeat_lap(

@@ -3,16 +3,19 @@
 Values are plain `fractions.Fraction` instances: unbounded integers, the
 denominator always positive and coprime to the numerator, so equality is
 component-wise and the rendered text is canonical.  Nothing in the library
-ever rounds.  `record` makes the small frozen value classes of every layer.
+ever rounds.  `record` makes the small frozen value classes of every layer,
+and `input_lines` reads the lines of every input file.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from io import StringIO
 from math import gcd
+from typing import Iterator, TextIO
 
-from .errors import ParseError, ZeroDenominator
+from .errors import BudgetExceeded, ParseError, ZeroDenominator
 
 Rational = Fraction
 
@@ -134,3 +137,17 @@ def record(cls):
     cls.__hash__ = lambda self: hash(values(self))
     cls.__repr__ = lambda self: f"{type(self).__qualname__}({', '.join(map('{}={!r}'.format, names, values(self)))})"
     return cls
+
+
+# Lines of every kind in one input: twice the 10^6 + 2 of a certificate at cover.MAX_NET_POINTS.
+MAX_INPUT_LINES = 2 * 10**6
+
+
+def input_lines(source: str | TextIO) -> Iterator[tuple[int, str]]:
+    """(line number, line stripped of surrounding whitespace) for each line of `source`, text or an open text
+    file.  A line ends at a line feed, a carriage return or both, as `open` splits a file by default, and at
+    nothing else.  A line past MAX_INPUT_LINES raises BudgetExceeded before it is yielded."""
+    lines = StringIO(source, newline=None) if isinstance(source, str) else source
+    yield from zip(range(1, MAX_INPUT_LINES + 1), map(str.strip, lines))
+    if next(lines, None) is not None:
+        raise BudgetExceeded(f"input has more than MAX_INPUT_LINES = {MAX_INPUT_LINES} lines")

@@ -41,6 +41,9 @@ spin: GOTO spin
 done: HALT
 """
 
+# Characters at which str.splitlines() ends a line but a file read in text mode does not
+NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
 
 @pytest.fixture
 def countdown():

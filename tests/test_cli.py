@@ -452,6 +452,19 @@ class TestCover:
                 1, "budget-exceeded cover has more than MAX_COVER_ELEMENTS = 3 intervals\n", "",
             )
 
+    def test_certificate_from_a_pipe(self, cover_file):
+        # a pipe can be read only once
+        def nicecover(*argv, **kwargs):
+            done = subprocess.run([sys.executable, "-m", "nicecover", *argv], capture_output=True, text=True, **kwargs)
+            return done.returncode, done.stdout, done.stderr
+
+        code, cert_text, _ = nicecover("cover", "subcover", "--cover", cover_file)
+        verify = ["cover", "verify-cert", "--cover", cover_file, "--cert", "/dev/stdin"]
+        assert code == 0 and nicecover(*verify, input=cert_text) == (0, "certificate-ok\n", "")
+        assert nicecover(*verify, input=cert_text + "junk\n") == (
+            2, "", "error: unrecognized certificate line: 'junk'\n",
+        )
+
     def test_tampered_cert_exits_1(self, capsys, cover_file, tmp_path):
         _, cert_text, _ = run(capsys, "cover", "subcover", "--cover", cover_file)
         cert = tmp_path / "cert.txt"

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import nicecover.cover as cover_mod
+from conftest import NOT_LINE_ENDS
 from nicecover.cover import (
     DEFAULT_SAMPLE_POINTS,
     ConstantModulus,
@@ -24,6 +25,7 @@ from nicecover.cover import (
     find_containing_element,
     lebesgue_candidates,
     lebesgue_number,
+    load_certificate,
     load_cover,
     parse_certificate,
     parse_cover,
@@ -105,6 +107,29 @@ class TestParsing:
         path = tmp_path / "cov.txt"
         path.write_text("-1/10 6/10\n4/10 11/10\n")
         assert load_cover(path) == TWO_INTERVALS
+
+    def test_interval_cap(self, monkeypatch):
+        monkeypatch.setattr(cover_mod, "MAX_COVER_ELEMENTS", 3)
+        at_cap = "# three\n-1/10 6/10\n\n4/10 11/10\n0 1/2  # redundant\n"
+        assert parse_cover(at_cap) == [*TWO_INTERVALS, OpenInterval(F(0), F(1, 2))]
+        # refused though an earlier line is malformed, which is reported only within the cap
+        with pytest.raises(ParseError, match="^line 1: expected `lo hi`, got 'x'$"):
+            parse_cover("x\n" + at_cap.replace("0 1/2", "#"))
+        with pytest.raises(BudgetExceeded, match="^cover has more than MAX_COVER_ELEMENTS = 3 intervals$"):
+            parse_cover("x\n" + at_cap)
+
+    @pytest.mark.parametrize("char", NOT_LINE_ENDS)
+    def test_lines_end_as_in_a_file(self, tmp_path, char):
+        path = tmp_path / "cov.txt"
+        text = f"# note{char}0 1\r\n-1/10 6/10{char}\r4/10 11/10\n"
+        path.write_bytes(text.encode())
+        assert parse_cover(text) == load_cover(path) == TWO_INTERVALS
+        for text, error in [(f"-1/10 6/10{char}4/10 11/10\n", "line 1: expected `lo hi`"),
+                            (f"#{char}\n1 0\n", "line 2: interval needs lo < hi")]:
+            path.write_bytes(text.encode())
+            for source, read in [(text, parse_cover), (path, load_cover)]:
+                with pytest.raises(ParseError, match=f"^{re.escape(error)}"):
+                    read(source)
 
 
 class TestLebesgue:
@@ -337,10 +362,23 @@ class TestCertificateText:
         monkeypatch.setattr(cover_mod, "MAX_NET_POINTS", 11)
         assert parse_certificate(self.expected_text()).elements == (0,) * 6 + (1,) * 5
         monkeypatch.setattr(cover_mod, "MAX_NET_POINTS", 10)
-        # refused before any net line is read: the bad one would raise ParseError
-        broken = self.expected_text().replace("net 1/2 -> element 0", "net x -> element 0")
-        with pytest.raises(BudgetExceeded, match="^certificate has more than MAX_NET_POINTS = 10 net lines$"):
-            parse_certificate(broken)
+        # refused though an earlier net line is malformed: its ParseError or ZeroDenominator waits for the count
+        for bad in ("net x -> element 0", "net 1/0 -> element 0"):
+            broken = self.expected_text().replace("net 1/2 -> element 0", bad)
+            with pytest.raises(BudgetExceeded, match="^certificate has more than MAX_NET_POINTS = 10 net lines$"):
+                parse_certificate(broken)
+
+    @pytest.mark.parametrize("char", NOT_LINE_ENDS)
+    def test_lines_end_as_in_a_file(self, tmp_path, char):
+        path = tmp_path / "cert.txt"
+        text = self.expected_text().replace("\n", f"{char}\r\n")
+        path.write_bytes(text.encode())
+        assert parse_certificate(text) == load_certificate(path) == parse_certificate(self.expected_text())
+        text = self.expected_text().replace("element 0\n", f"element 0{char}", 1)
+        path.write_bytes(text.encode())
+        for source, read in [(text, parse_certificate), (path, load_certificate)]:
+            with pytest.raises(ParseError, match="^bad element index in: 'net 0 -> element 0"):
+                read(source)
 
     @given(st.lists(st.sampled_from(["", " ", "\t\xa0", "\u2003", "\u3000"]), min_size=4, max_size=4),
            st.sampled_from(["0", "-7", "07/3", "7/0", "-0.25", "\u0663/\u0667", "\u0661/\u0662", "\u0661.\u0665",

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import COUNTDOWN_TEXT, LOOPER_TEXT, MOD3_TEXT, NEST_TEXT
+from conftest import COUNTDOWN_TEXT, LOOPER_TEXT, MOD3_TEXT, NEST_TEXT, NOT_LINE_ENDS
 from nicecover import machine
 from nicecover.errors import BudgetExceeded, InvalidProgram
 from nicecover.machine import (
@@ -160,6 +160,19 @@ class TestParsing:
 
     def test_load_program(self, countdown_file):
         assert load_program(countdown_file) == parse_program(COUNTDOWN_TEXT)
+
+    @pytest.mark.parametrize("char", NOT_LINE_ENDS)
+    def test_lines_end_as_in_a_file(self, tmp_path, char):
+        path = tmp_path / "prog.cm"
+        text = f"# note{char}HALT\r\nloop: DEC 0{char}\rJZ 0 loop\n"
+        path.write_bytes(text.encode())
+        assert parse_program(text) == load_program(path) == parse_program("loop: DEC 0\nJZ 0 loop\n")
+        for text, error in [(f"INC 0{char}HALT\n", "line 1: INC takes one register"),
+                            (f"#{char}\nNOP\n", "line 2: unknown instruction 'NOP'")]:
+            path.write_bytes(text.encode())
+            for source, read in [(text, parse_program), (path, load_program)]:
+                with pytest.raises(InvalidProgram, match=f"^{error}$"):
+                    read(source)
 
     def test_non_ascii_digit_register_is_invalid(self):
         with pytest.raises(InvalidProgram, match="^line 1: bad register '²'$"):

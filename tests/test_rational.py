@@ -5,15 +5,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import NOT_LINE_ENDS
+from nicecover import rational
 from nicecover.analysis import TranscriptRow
 from nicecover.cover import Covered, OpenInterval
 from nicecover.crn import CRN
-from nicecover.errors import ParseError, ZeroDenominator
+from nicecover.errors import BudgetExceeded, ParseError, ZeroDenominator
 from nicecover.expressions import eval_rational, parse_expression
 from nicecover.machine import Halted, StillRunning
 from nicecover.rational import (
+    MAX_INPUT_LINES,
     ONE,
     ZERO,
+    input_lines,
     parse_natural,
     parse_rational,
     pow2,
@@ -217,3 +221,27 @@ class TestRecord:
             Halted()
         with pytest.raises(TypeError):
             Halted(8, steps=8)
+
+
+class TestInputLines:
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_lines_end_at_line_feeds_and_carriage_returns(self, end):
+        text = f" a b {end}{end}\tc{end}d"
+        assert list(input_lines(text)) == [(1, "a b"), (2, ""), (3, "c"), (4, "d")]
+
+    @pytest.mark.parametrize("char", NOT_LINE_ENDS)
+    def test_text_is_split_as_a_file_is(self, tmp_path, char):
+        text = f"a{char}b\r\nc{char}\rd{char}\n"
+        path = tmp_path / "lines.txt"
+        path.write_bytes(text.encode())
+        with path.open() as lines:
+            assert list(input_lines(text)) == list(input_lines(lines)) == [(1, f"a{char}b"), (2, "c"), (3, "d")]
+
+    def test_every_line_counts_against_the_cap(self, monkeypatch):
+        assert MAX_INPUT_LINES == 2 * 10**6
+        monkeypatch.setattr(rational, "MAX_INPUT_LINES", 3)
+        assert list(input_lines("#\n\n#")) == [(1, "#"), (2, ""), (3, "#")]
+        lines = input_lines("#\n\n#\n\n")
+        assert next(lines) == (1, "#") and next(lines) == (2, "") and next(lines) == (3, "#")
+        with pytest.raises(BudgetExceeded, match="^input has more than MAX_INPUT_LINES = 3 lines$"):
+            next(lines)

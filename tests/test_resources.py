@@ -22,6 +22,7 @@ from nicecover.analysis import MAX_BISECT_STEPS
 from nicecover.cover import MAX_COVER_ELEMENTS, MAX_NET_POINTS
 from nicecover.expressions import MAX_DEPTH
 from nicecover.machine import MAX_DOVETAIL_INPUTS, MAX_INSTRUCTIONS
+from nicecover.rational import MAX_INPUT_LINES
 
 ADDRESS_SPACE = 512 * 2**20
 WALL_SECONDS = 10
@@ -41,6 +42,11 @@ def intervals(count):
 def certificate(unit):
     # the net of radius 1/unit, each point assigned to element 0
     return f"r=1/{unit}\n" + "".join(f"net {x}/{unit} -> element 0\n" for x in range(unit + 1)) + "selected 0\n"
+
+
+def padded(pad, body, past):
+    # `pad` lines before `body`, MAX_INPUT_LINES lines in all and `past` more
+    return pad * (MAX_INPUT_LINES + past - body.count("\n")) + body
 
 
 # Input files by name, each built in the cases' folder the first time a case names it.
@@ -66,6 +72,17 @@ FILES = {
     # net lines up to the cap, and one past it
     "cert-at-cap": lambda: certificate(MAX_NET_POINTS - 1),
     "cert-past-cap": lambda: certificate(MAX_NET_POINTS),
+    # comment or blank lines before a valid body: MAX_INPUT_LINES lines in all, and one more
+    "cover-comments-at-cap": lambda: padded("#\n", "-1 2\n", 0),
+    "cover-comments-past-cap": lambda: padded("#\n", "-1 2\n", 1),
+    "cover-blanks-at-cap": lambda: padded("\n", "-1 2\n", 0),
+    "cover-blanks-past-cap": lambda: padded("\n", "-1 2\n", 1),
+    "prog-comments-at-cap": lambda: padded("#\n", "HALT\n", 0),
+    "prog-comments-past-cap": lambda: padded("#\n", "HALT\n", 1),
+    "prog-blanks-at-cap": lambda: padded("\n", "HALT\n", 0),
+    "prog-blanks-past-cap": lambda: padded("\n", "HALT\n", 1),
+    "cert-blanks-at-cap": lambda: padded("\n", certificate(4), 0),
+    "cert-blanks-past-cap": lambda: padded("\n", certificate(4), 1),
 }
 LAST = str(MAX_DOVETAIL_INPUTS - 1)
 
@@ -84,6 +101,10 @@ CASES = [
     (["reduce", "--prog", "countdown", "--input", "9" * 4300, "--prec", "40"], 0),
     (["machine", "run", "--prog", "labels-at-cap", "--input", "0", "--budget", "10"], 0),
     (["machine", "run", "--prog", "labels-past-cap", "--input", "0", "--budget", "10"], 1),
+    (["waiting", "approx", "--prog", "at-cap", "--input", "0", "--prec", "4"], 0),
+    (["reduce", "--prog", "at-cap", "--input", "0", "--prec", "4"], 0),
+    *((["machine", "run", "--prog", f"prog-{pad}-{at}", "--input", "0", "--budget", "10"], code)
+      for pad in ("comments", "blanks") for at, code in [("at-cap", 0), ("past-cap", 1)]),
 ]
 
 
@@ -116,6 +137,11 @@ OTHER_CASES = [
     *(case(["cover", *command, "--cover", "cover-past-cap"], 1) for command in COVER_COMMANDS),
     case(["cover", "verify-cert", "--cover", "whole", "--cert", "cert-at-cap"], 0, slow=True),
     case(["cover", "verify-cert", "--cover", "whole", "--cert", "cert-past-cap"], 1),
+    *(case(["cover", "lebesgue", "--cover", f"cover-{pad}-{at}"], code)
+      for pad in ("comments", "blanks") for at, code in [("at-cap", 0), ("past-cap", 1)]),
+    case(["cover", "verify-cert", "--cover", "whole", "--cert", "cert-blanks-at-cap"], 0),
+    case(["cover", "verify-cert", "--cover", "whole", "--cert", "cert-blanks-past-cap"], 1),
+    case(["cover", "verify-cert", "--cover", "cover-comments-past-cap", "--cert", "small-cert"], 1),
 ]
 
 
