@@ -255,23 +255,18 @@ NiceModulus = ConstantModulus | LebesgueModulus | OracleModulus
 DEFAULT_SAMPLE_POINTS: tuple[Rational, ...] = (ZERO, Rational(1, 2), ONE)
 
 
-def extract_constant_radius(
-    modulus: NiceModulus, sample_points: Sequence[Rational] = DEFAULT_SAMPLE_POINTS
-) -> Rational:
-    """Sample the radius oracle and insist on one positive answer.
+def extract_constant_radius(modulus: NiceModulus) -> Rational:
+    """Sample the radius oracle at DEFAULT_SAMPLE_POINTS and insist on one positive answer.
 
     A legitimate uniform modulus answers identically everywhere, so any
     two samples that disagree expose the oracle as no such thing; the
     disagreeing pair is reported as the NotNiceCover witness.
     """
-    points = list(sample_points)
-    if not points:
-        raise ValueError("need at least one sample point")
-    first = modulus.radius_at(points[0])
-    for p in points[1:]:
+    first = modulus.radius_at(DEFAULT_SAMPLE_POINTS[0])
+    for p in DEFAULT_SAMPLE_POINTS[1:]:
         value = modulus.radius_at(p)
         if value != first:
-            raise NotNiceCover(points[0], p, first, value)
+            raise NotNiceCover(DEFAULT_SAMPLE_POINTS[0], p, first, value)
     if first <= 0:
         raise NonpositiveRadius(f"common radius {render(first)} is not positive")
     return first

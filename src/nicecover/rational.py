@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from functools import partial
 from io import StringIO
 from math import gcd
 from typing import Iterator, TextIO
@@ -141,13 +142,20 @@ def record(cls):
 
 # Lines of every kind in one input: twice the 10^6 + 2 of a certificate at cover.MAX_NET_POINTS.
 MAX_INPUT_LINES = 2 * 10**6
+# Characters in one line, not counting its end: above the ~589,000 of a `selected` line that lists
+# all cover.MAX_COVER_ELEMENTS elements, so that a line in memory costs a few MB at most.
+MAX_LINE_CHARS = 10**6
 
 
 def input_lines(source: str | TextIO) -> Iterator[tuple[int, str]]:
     """(line number, line stripped of surrounding whitespace) for each line of `source`, text or an open text
     file.  A line ends at a line feed, a carriage return or both, as `open` splits a file by default, and at
-    nothing else.  A line past MAX_INPUT_LINES raises BudgetExceeded before it is yielded."""
+    nothing else.  A line past MAX_INPUT_LINES, or longer than MAX_LINE_CHARS, raises BudgetExceeded before
+    it is yielded, and no more than MAX_LINE_CHARS + 1 characters of it are read."""
     lines = StringIO(source, newline=None) if isinstance(source, str) else source
-    yield from zip(range(1, MAX_INPUT_LINES + 1), map(str.strip, lines))
-    if next(lines, None) is not None:
-        raise BudgetExceeded(f"input has more than MAX_INPUT_LINES = {MAX_INPUT_LINES} lines")
+    for line_no, line in enumerate(iter(partial(lines.readline, MAX_LINE_CHARS + 1), ""), 1):
+        if line_no > MAX_INPUT_LINES:
+            raise BudgetExceeded(f"input has more than MAX_INPUT_LINES = {MAX_INPUT_LINES} lines")
+        if len(line) > MAX_LINE_CHARS and line[-1] != "\n":
+            raise BudgetExceeded(f"input line {line_no} has more than MAX_LINE_CHARS = {MAX_LINE_CHARS} characters")
+        yield line_no, line.strip()

@@ -1,7 +1,9 @@
+import random
 import subprocess
 import sys
 from decimal import Decimal
-from math import prod
+from fractions import Fraction
+from math import ceil, floor, isqrt, prod
 
 import pytest
 
@@ -104,6 +106,30 @@ class TestCrnApprox:
             "--expr", "bisect_limit(stair:1/4,3/4, 0, 1)", "--prec", "10",
         )
         assert (code, out) == (0, "3071/4096 ± 2^-10\n")
+
+    def test_call_free_expression_is_its_exact_value(self, capsys):
+        # a balanced expression of 4,096 random leaves and no builtin call
+        rng = random.Random(4096)
+
+        def tree(leaves):
+            if leaves == 1:
+                form = rng.randrange(3)
+                text = (str(rng.randint(0, 99)) if form == 0 else
+                        f"{rng.randint(0, 99)}/{rng.randint(1, 64)}" if form == 1 else
+                        f"{rng.randint(0, 9)}.{rng.randint(0, 999):03d}")
+                return f"-{text}" if rng.random() < 0.1 else text
+            half = leaves // 2
+            return f"({tree(half)} {rng.choice('+-*')} {tree(leaves - half)})"
+
+        expr = tree(4096)
+        code, exact, _ = run(capsys, "rat", expr)
+        assert code == 0
+        assert run(capsys, "crn", "approx", "--expr", expr, "--prec", "10") == (0, f"{exact[:-1]} ± 2^-10\n", "")
+
+    def test_call_free_factor_of_a_builtin_call(self, capsys):
+        # what one CRN node per operator printed
+        assert run(capsys, "crn", "approx", "--expr", "(1/3 + 1/3) * bisect_limit(step@1/3, 0, 1)", "--prec", "20") == (
+            0, "1864135/8388608 ± 2^-20\n", "")
 
     def test_lazy_bisection_rows_are_capped(self, capsys):
         assert run(
@@ -327,6 +353,19 @@ class TestBisect:
         assert code == 0 and out.startswith("steps=10000\nlo=")
         assert built == [10000]
 
+    @pytest.mark.slow
+    def test_transcript_at_the_row_cap_ends_in_the_printed_enclosure(self, capsys, tmp_path):
+        transcript = tmp_path / "rows.tsv"
+        steps = analysis.MAX_BISECT_STEPS
+        code, out, _ = run(capsys, "bisect", "--oracle", "step@1/3", "--lo", "0", "--hi", "1", "--steps", str(steps),
+                           "--transcript", str(transcript))
+        with transcript.open() as rows:
+            for count, last in enumerate(rows, 1):
+                pass
+        index, lo, hi, _ = last.rstrip("\n").split("\t")
+        assert (code, count, index) == (0, steps + 1, str(steps))
+        assert out.splitlines()[1:3] == [f"lo={lo}", f"hi={hi}"]
+
     def test_transcript_path_is_a_directory(self, capsys, tmp_path):
         assert run(
             capsys, "bisect", "--oracle", "step@1/3",
@@ -425,6 +464,31 @@ class TestCover:
         assert run(capsys, "cover", "verify-cert", "--cover", cover_file, "--cert", str(cert)) == (
             0, "certificate-ok\n", "",
         )
+
+    @pytest.mark.slow
+    def test_certificate_at_the_net_point_cap_reads_back_as_extracted(self, capsys, cover_file, tmp_path):
+        radius = Fraction(1, cover_mod.MAX_NET_POINTS - 1)
+        code, cert_text, _ = run(capsys, "cover", "subcover", "--cover", cover_file, "--modulus", f"const:{radius}")
+        cert = tmp_path / "cert.txt"
+        cert.write_text(cert_text)
+        extracted = cover_mod.extract_finite_subcover(cover_mod.load_cover(cover_file), cover_mod.ConstantModulus(radius))
+        assert code == 0 and cover_mod.load_certificate(cert) == extracted
+
+    @pytest.mark.slow
+    def test_prime_denominator_cover_round_trip(self, capsys, tmp_path):
+        # 40 intervals whose 80 ends have distinct prime denominators above 1000
+        primes = [n for n in range(1001, 2000) if all(n % d for d in range(2, isqrt(n) + 1))][:80]
+        step = Fraction(1, 39)
+        ends = [((i - Fraction(7, 10)) * step, (i + Fraction(7, 10)) * step) for i in range(40)]
+        cover = tmp_path / "primes.txt"
+        cover.write_text("".join(f"{Fraction(floor(lo * p), p)} {Fraction(ceil(hi * q), q)}\n"
+                                 for (lo, hi), p, q in zip(ends, primes[::2], primes[1::2])))
+        code, cert_text, _ = run(capsys, "cover", "subcover", "--cover", str(cover), "--modulus", "const:1/99999")
+        cert = tmp_path / "cert.txt"
+        cert.write_text(cert_text)
+        assert code == 0
+        assert run(capsys, "cover", "verify-cert", "--cover", str(cover), "--cert", str(cert)) == (
+            0, "certificate-ok\n", "")
 
     def test_certificate_over_the_net_line_cap_is_refused(self, capsys, cover_file, tmp_path, monkeypatch):
         _, cert_text, _ = run(capsys, "cover", "subcover", "--cover", cover_file)

@@ -208,10 +208,6 @@ class TestModuli:
         with pytest.raises(NonpositiveRadius):
             extract_constant_radius(ConstantModulus(F(0)))
 
-    def test_empty_samples_rejected(self):
-        with pytest.raises(ValueError):
-            extract_constant_radius(ConstantModulus(F(1, 4)), sample_points=())
-
 
 class TestEpsNet:
     def test_even_tenth_grid(self):

@@ -15,6 +15,7 @@ from nicecover.expressions import eval_rational, parse_expression
 from nicecover.machine import Halted, StillRunning
 from nicecover.rational import (
     MAX_INPUT_LINES,
+    MAX_LINE_CHARS,
     ONE,
     ZERO,
     input_lines,
@@ -245,3 +246,21 @@ class TestInputLines:
         assert next(lines) == (1, "#") and next(lines) == (2, "") and next(lines) == (3, "#")
         with pytest.raises(BudgetExceeded, match="^input has more than MAX_INPUT_LINES = 3 lines$"):
             next(lines)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_a_line_past_the_length_cap_is_refused(self, tmp_path, monkeypatch, end):
+        assert MAX_LINE_CHARS == 10**6
+        monkeypatch.setattr(rational, "MAX_LINE_CHARS", 4)
+        at_cap = f" ab {end}wxyz"  # a line's end does not count
+        assert list(input_lines(at_cap)) == [(1, "ab"), (2, "wxyz")]
+        text = f"{at_cap}{end}vwxyz{end}"
+        path = tmp_path / "lines.txt"
+        path.write_bytes(text.encode())
+        with path.open() as file:
+            for source in (text, file):
+                lines = input_lines(source)
+                assert next(lines) == (1, "ab") and next(lines) == (2, "wxyz")
+                with pytest.raises(BudgetExceeded, match="^input line 3 has more than MAX_LINE_CHARS = 4 characters$"):
+                    next(lines)
+        with pytest.raises(BudgetExceeded):
+            list(input_lines("vwxyz"))

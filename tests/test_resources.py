@@ -1,33 +1,56 @@
 """Resource contract of the commands: hostile input ends in its exact exit
-code within a wall timeout and an address-space limit, never in a traceback,
+code within a wall time and an address-space limit, never in a traceback,
 and a refusal (exit 1) names the cap it hit.  Each cap is met at the cap and
-one past it.
+one past it.  A case may also bound its exact stdout (with an empty stderr),
+its wall time below the 10 s default, and its own peak resident memory.
 
-Each case runs in its own child process, one at a time.  The limits are
-set on the child alone, from `preexec_fn`.  Cases that take about a second
-or more are marked `slow` and run apart from tier-1: `pytest -m slow`.
+Each case runs one at a time, through a small launcher process.  The
+launcher forks a child, sets the limits on it alone, runs the command in it,
+waits for it with `os.wait4` and reports its exit status and peak RSS.  A
+child's peak RSS starts at its parent's resident size, so a peak measured
+from the launcher is the command's own, whatever ran before it and however
+large pytest has grown.  Cases that take about a second or more are marked
+`slow` and run apart from tier-1: `pytest -m slow`.
 """
 
 import os
 import re
 import resource
+import signal
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from conftest import COUNTDOWN_TEXT, LOOPER_TEXT, NEST_TEXT
 from nicecover.analysis import MAX_BISECT_STEPS
-from nicecover.cover import MAX_COVER_ELEMENTS, MAX_NET_POINTS
+from nicecover.cover import (MAX_COVER_ELEMENTS, MAX_NET_POINTS, ConstantModulus, extract_finite_subcover, parse_cover,
+                             render_certificate)
 from nicecover.expressions import MAX_DEPTH
-from nicecover.machine import MAX_DOVETAIL_INPUTS, MAX_INSTRUCTIONS
-from nicecover.rational import MAX_INPUT_LINES
+from nicecover.machine import MAX_DOVETAIL_INPUTS, MAX_DOVETAIL_REGISTERS, MAX_INSTRUCTIONS
+from nicecover.rational import MAX_INPUT_LINES, MAX_LINE_CHARS
 
 ADDRESS_SPACE = 512 * 2**20
 WALL_SECONDS = 10
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 CAP_NAMED = re.compile(r"(MAX_[A-Z_]+ = \d+|cap is \d+)")
+# `python -S -c LAUNCHER REPORT SECONDS ARGV...` runs `python -m nicecover ARGV...` in a child under the
+# address-space limit and a real-time timer of SECONDS, which a child keeps across exec and whose SIGALRM
+# ends it, then writes the child's exit status and peak RSS in KB to the file descriptor REPORT.
+LAUNCHER = f"""
+import os, resource, signal, sys
+report, seconds, *argv = sys.argv[1:]
+pid = os.fork()
+if pid == 0:
+    os.close(int(report))
+    resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_SPACE}, {ADDRESS_SPACE}))
+    signal.setitimer(signal.ITIMER_REAL, float(seconds))
+    os.execv(sys.executable, [sys.executable, "-m", "nicecover", *argv])
+_, status, usage = os.wait4(pid, 0)
+os.write(int(report), f"{{os.waitstatus_to_exitcode(status)}} {{usage.ru_maxrss}}".encode())
+"""
 
 
 def labels(count):
@@ -49,6 +72,11 @@ def padded(pad, body, past):
     return pad * (MAX_INPUT_LINES + past - body.count("\n")) + body
 
 
+def widened(body, past):
+    # one blank line of MAX_LINE_CHARS spaces and `past` more, before `body`
+    return " " * (MAX_LINE_CHARS + past) + "\n" + body
+
+
 # Input files by name, each built in the cases' folder the first time a case names it.
 FILES = {
     "countdown": lambda: COUNTDOWN_TEXT,
@@ -61,50 +89,88 @@ FILES = {
     "long": lambda: "INC 1\n" * 3000 + "HALT\n",
     # the largest register: every run of a dovetail holds 1,024 of them
     "wide": lambda: "INC 1023\nHALT\n",
-    # label-only lines up to the cap, and one past it
+    # label-only lines up to the cap, one past it, and 20 times the cap
     "labels-at-cap": lambda: labels(MAX_INSTRUCTIONS),
     "labels-past-cap": lambda: labels(MAX_INSTRUCTIONS + 1),
+    "labels-2e6": lambda: labels(2 * 10**6),
     "two": lambda: "-1/10 6/10\n4/10 11/10\n",
     "whole": lambda: "-1 2\n",
     "cover-at-cap": lambda: intervals(MAX_COVER_ELEMENTS),
     "cover-past-cap": lambda: intervals(MAX_COVER_ELEMENTS + 1),
+    "cover-1e6": lambda: intervals(10**6),
     "small-cert": lambda: certificate(4),
     # net lines up to the cap, and one past it
     "cert-at-cap": lambda: certificate(MAX_NET_POINTS - 1),
     "cert-past-cap": lambda: certificate(MAX_NET_POINTS),
-    # comment or blank lines before a valid body: MAX_INPUT_LINES lines in all, and one more
+    # what `cover subcover` prints for `two` at a net of MAX_NET_POINTS points
+    "two-cert-at-cap": lambda: render_certificate(
+        extract_finite_subcover(parse_cover(FILES["two"]()), ConstantModulus(Fraction(1, MAX_NET_POINTS - 1)))),
+    # comment or blank lines before a valid body: MAX_INPUT_LINES lines in all, one more, and 10^7 in all
     "cover-comments-at-cap": lambda: padded("#\n", "-1 2\n", 0),
     "cover-comments-past-cap": lambda: padded("#\n", "-1 2\n", 1),
+    "cover-comments-1e7": lambda: "#\n" * 10**7 + "-1 2\n",
     "cover-blanks-at-cap": lambda: padded("\n", "-1 2\n", 0),
     "cover-blanks-past-cap": lambda: padded("\n", "-1 2\n", 1),
     "prog-comments-at-cap": lambda: padded("#\n", "HALT\n", 0),
     "prog-comments-past-cap": lambda: padded("#\n", "HALT\n", 1),
+    "prog-comments-1e7": lambda: "#\n" * 10**7 + "HALT\n",
     "prog-blanks-at-cap": lambda: padded("\n", "HALT\n", 0),
     "prog-blanks-past-cap": lambda: padded("\n", "HALT\n", 1),
     "cert-blanks-at-cap": lambda: padded("\n", certificate(4), 0),
     "cert-blanks-past-cap": lambda: padded("\n", certificate(4), 1),
+    # a line of MAX_LINE_CHARS characters before a valid body, and one of a character more
+    "cover-line-at-cap": lambda: widened("-1 2\n", 0),
+    "cover-line-past-cap": lambda: widened("-1 2\n", 1),
+    "prog-line-at-cap": lambda: widened("HALT\n", 0),
+    "prog-line-past-cap": lambda: widened("HALT\n", 1),
+    "cert-line-at-cap": lambda: widened(certificate(4), 0),
+    "cert-line-past-cap": lambda: widened(certificate(4), 1),
 }
 LAST = str(MAX_DOVETAIL_INPUTS - 1)
+TOO_LONG = f"budget-exceeded input line 1 has more than MAX_LINE_CHARS = {MAX_LINE_CHARS} characters\n"
+TOO_MANY_LINES = f"budget-exceeded input has more than MAX_INPUT_LINES = {MAX_INPUT_LINES} lines\n"
 
-CASES = [
-    (["machine", "run", "--prog", "at-cap", "--input", "0", "--budget", "10"], 0),
-    (["machine", "run", "--prog", "past-cap", "--input", "0", "--budget", "10"], 1),
-    (["machine", "dovetail", "--prog", "past-cap", "--inputs", "0..3", "--budget", "10"], 1),
-    (["waiting", "approx", "--prog", "past-cap", "--input", "0", "--prec", "4"], 1),
-    (["reduce", "--prog", "past-cap", "--input", "0", "--prec", "4"], 1),
-    (["machine", "run", "--prog", "countdown", "--input", "9" * 4300, "--budget", "9" * 4300], 0),
-    (["machine", "dovetail", "--prog", "long", "--inputs", "0.." + LAST, "--budget", "1"], 0),
-    (["machine", "dovetail", "--prog", "wide", "--inputs", "0.." + LAST, "--budget", "1"], 1),
-    (["machine", "dovetail", "--prog", "countdown", "--inputs", f"0..{MAX_DOVETAIL_INPUTS}", "--budget", "1"], 1),
-    (["waiting", "approx", "--prog", "looper", "--input", "0", "--prec", "1000000"], 1),
-    (["reduce", "--prog", "nest", "--input", "0", "--prec", "1000000000"], 1),
-    (["reduce", "--prog", "countdown", "--input", "9" * 4300, "--prec", "40"], 0),
-    (["machine", "run", "--prog", "labels-at-cap", "--input", "0", "--budget", "10"], 0),
-    (["machine", "run", "--prog", "labels-past-cap", "--input", "0", "--budget", "10"], 1),
-    (["waiting", "approx", "--prog", "at-cap", "--input", "0", "--prec", "4"], 0),
-    (["reduce", "--prog", "at-cap", "--input", "0", "--prec", "4"], 0),
-    *((["machine", "run", "--prog", f"prog-{pad}-{at}", "--input", "0", "--budget", "10"], code)
+
+def case(argv, code, slow=False, name=None, **bounds):
+    """A case of `run_bounded`; `bounds` are its optional `stdout`, `seconds` and `peak_mb`."""
+    return pytest.param(argv, code, bounds, marks=[pytest.mark.slow] if slow else [], id=name or " ".join(argv)[:80])
+
+
+MACHINE_CASES = [
+    case(["machine", "run", "--prog", "at-cap", "--input", "0", "--budget", "10"], 0),
+    case(["machine", "run", "--prog", "past-cap", "--input", "0", "--budget", "10"], 1, seconds=2,
+         stdout=f"budget-exceeded program has more than MAX_INSTRUCTIONS = {MAX_INSTRUCTIONS} instructions\n"),
+    case(["machine", "dovetail", "--prog", "past-cap", "--inputs", "0..3", "--budget", "10"], 1),
+    case(["waiting", "approx", "--prog", "past-cap", "--input", "0", "--prec", "4"], 1),
+    case(["reduce", "--prog", "past-cap", "--input", "0", "--prec", "4"], 1),
+    case(["machine", "run", "--prog", "countdown", "--input", "9" * 4300, "--budget", "9" * 4300], 0),
+    case(["machine", "dovetail", "--prog", "long", "--inputs", "0.." + LAST, "--budget", "1"], 0, stdout="", peak_mb=128),
+    case(["machine", "dovetail", "--prog", "wide", "--inputs", "0.." + LAST, "--budget", "1"], 1, seconds=2,
+         stdout=f"budget-exceeded {MAX_DOVETAIL_INPUTS} inputs of 1024 registers each need more than "
+                f"MAX_DOVETAIL_REGISTERS = {MAX_DOVETAIL_REGISTERS} registers\n"),
+    case(["machine", "dovetail", "--prog", "countdown", "--inputs", f"0..{MAX_DOVETAIL_INPUTS}", "--budget", "1"], 1),
+    case(["waiting", "approx", "--prog", "looper", "--input", "0", "--prec", "1000000"], 1),
+    case(["reduce", "--prog", "nest", "--input", "0", "--prec", "1000000000"], 1, slow=True),
+    case(["reduce", "--prog", "countdown", "--input", "9" * 4300, "--prec", "40"], 0),
+    case(["machine", "run", "--prog", "labels-at-cap", "--input", "0", "--budget", "10"], 0),
+    case(["machine", "run", "--prog", "labels-past-cap", "--input", "0", "--budget", "10"], 1),
+    case(["machine", "run", "--prog", "labels-2e6", "--input", "0", "--budget", "10"], 1, slow=True, seconds=2,
+         stdout=f"budget-exceeded program has more than MAX_INSTRUCTIONS = {MAX_INSTRUCTIONS} labels\n"),
+    case(["waiting", "approx", "--prog", "at-cap", "--input", "0", "--prec", "4"], 0),
+    case(["reduce", "--prog", "at-cap", "--input", "0", "--prec", "4"], 0),
+    *(case(["machine", "run", "--prog", f"prog-{pad}-{at}", "--input", "0", "--budget", "10"], code)
       for pad in ("comments", "blanks") for at, code in [("at-cap", 0), ("past-cap", 1)]),
+    # the other commands that read a program, on comment-line files
+    *(case([*command, "--prog", f"prog-comments-{at}", *rest], code, slow=True)
+      for command, rest in [(["machine", "dovetail"], ["--inputs", "0..3", "--budget", "10"]),
+                            (["waiting", "approx"], ["--input", "0", "--prec", "4"]),
+                            (["reduce"], ["--input", "0", "--prec", "4"])]
+      for at, code in [("at-cap", 0), ("past-cap", 1)]),
+    case(["machine", "run", "--prog", "prog-comments-1e7", "--input", "0", "--budget", "10"], 1, slow=True, seconds=2,
+         stdout=TOO_MANY_LINES),
+    case(["machine", "run", "--prog", "prog-line-at-cap", "--input", "0", "--budget", "10"], 0, peak_mb=32),
+    case(["machine", "run", "--prog", "prog-line-past-cap", "--input", "0", "--budget", "10"], 1, peak_mb=32,
+         stdout=TOO_LONG),
 ]
 
 
@@ -113,40 +179,53 @@ def nested(levels):
     return "(" * (levels - 1) + "1" + ")" * (levels - 1)
 
 
-def case(argv, code, slow=False, name=None):
-    return pytest.param(argv, code, marks=[pytest.mark.slow] if slow else [], id=name or " ".join(argv)[:80])
-
-
 BISECT = ["--oracle", "step@1/3", "--lo", "0", "--hi", "1", "--transcript", "rows.tsv"]
+# the enclosure of 1/3 after n halvings of [0, 1] is (floor(2^n / 3) / 2^n, that + 2^-n)
+LO, WIDTH = Fraction(2**MAX_BISECT_STEPS // 3, 2**MAX_BISECT_STEPS), Fraction(1, 2**MAX_BISECT_STEPS)
 LIMIT = ["crn", "approx", "--expr", "bisect_limit(step@1/3, 0, 1)", "--prec"]
 COVER_COMMANDS = [["lebesgue"], ["subcover", "--modulus", "const:1/4"], ["verify", "--selected", "0"],
                   ["verify-cert", "--cert", "small-cert"]]
+TOO_MANY_INTERVALS = f"budget-exceeded cover has more than MAX_COVER_ELEMENTS = {MAX_COVER_ELEMENTS} intervals\n"
 OTHER_CASES = [
     case(["rat", nested(MAX_DEPTH)], 0, name=f"rat nested {MAX_DEPTH} levels"),
     case(["rat", nested(MAX_DEPTH + 1)], 2, name=f"rat nested {MAX_DEPTH + 1} levels"),
     case(["rat", "9" * 4301], 0, name="rat 4301 digits"),
     # the limit's approximation at precision n reads row n + 2
     case([*LIMIT, str(MAX_BISECT_STEPS - 2)], 0),
-    case([*LIMIT, str(MAX_BISECT_STEPS - 1)], 1),
-    case(["bisect", "--steps", str(MAX_BISECT_STEPS), *BISECT], 0, slow=True),
+    case([*LIMIT, str(MAX_BISECT_STEPS - 1)], 1, stdout=f"budget-exceeded bisection row {MAX_BISECT_STEPS + 1} "
+         f"is past MAX_BISECT_STEPS = {MAX_BISECT_STEPS}\n"),
+    case(["bisect", "--steps", str(MAX_BISECT_STEPS), *BISECT], 0, slow=True, peak_mb=64,
+         stdout=f"steps={MAX_BISECT_STEPS}\nlo={LO}\nhi={LO + WIDTH}\nwidth={WIDTH}\n"),
     case(["bisect", "--steps", str(MAX_BISECT_STEPS + 1), *BISECT], 1),
     # nets of MAX_NET_POINTS points and of one more
     case(["cover", "subcover", "--cover", "two", "--modulus", f"const:1/{MAX_NET_POINTS - 1}"], 0, slow=True),
-    case(["cover", "subcover", "--cover", "two", "--modulus", f"const:1/{MAX_NET_POINTS}"], 1),
+    case(["cover", "subcover", "--cover", "two", "--modulus", f"const:1/{MAX_NET_POINTS}"], 1,
+         stdout=f"budget-exceeded net spacing 1/{MAX_NET_POINTS} needs {MAX_NET_POINTS + 1} points, "
+                f"more than MAX_NET_POINTS = {MAX_NET_POINTS}\n"),
+    case(["cover", "verify-cert", "--cover", "two", "--cert", "two-cert-at-cap"], 0, slow=True, stdout="certificate-ok\n",
+         peak_mb=150),
     *(case(["cover", *command, "--cover", "cover-at-cap"], 0, slow=True) for command in COVER_COMMANDS),
     *(case(["cover", *command, "--cover", "cover-past-cap"], 1) for command in COVER_COMMANDS),
+    # ten times the cap is refused as soon, by a command that needs one element and one that needs all
+    *(case(["cover", *command, "--cover", "cover-1e6"], 1, slow=True, seconds=2, stdout=TOO_MANY_INTERVALS)
+      for command in COVER_COMMANDS[:2]),
     case(["cover", "verify-cert", "--cover", "whole", "--cert", "cert-at-cap"], 0, slow=True),
     case(["cover", "verify-cert", "--cover", "whole", "--cert", "cert-past-cap"], 1),
     *(case(["cover", "lebesgue", "--cover", f"cover-{pad}-{at}"], code)
       for pad in ("comments", "blanks") for at, code in [("at-cap", 0), ("past-cap", 1)]),
+    # the other commands that read a cover alone, on comment-line files
+    *(case(["cover", *command, "--cover", f"cover-comments-{at}"], code, slow=True)
+      for command in COVER_COMMANDS[1:3] for at, code in [("at-cap", 0), ("past-cap", 1)]),
+    case(["cover", "lebesgue", "--cover", "cover-comments-1e7"], 1, slow=True, seconds=2, peak_mb=64,
+         stdout=TOO_MANY_LINES),
     case(["cover", "verify-cert", "--cover", "whole", "--cert", "cert-blanks-at-cap"], 0),
     case(["cover", "verify-cert", "--cover", "whole", "--cert", "cert-blanks-past-cap"], 1),
     case(["cover", "verify-cert", "--cover", "cover-comments-past-cap", "--cert", "small-cert"], 1),
+    case(["cover", "lebesgue", "--cover", "cover-line-at-cap"], 0, peak_mb=32),
+    case(["cover", "lebesgue", "--cover", "cover-line-past-cap"], 1, peak_mb=32, stdout=TOO_LONG),
+    case(["cover", "verify-cert", "--cover", "whole", "--cert", "cert-line-at-cap"], 0, peak_mb=32),
+    case(["cover", "verify-cert", "--cover", "whole", "--cert", "cert-line-past-cap"], 1, peak_mb=32, stdout=TOO_LONG),
 ]
-
-
-def _limit_child():
-    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
 
 @pytest.fixture(scope="module")
@@ -154,25 +233,44 @@ def folder(tmp_path_factory):
     return tmp_path_factory.mktemp("inputs")
 
 
-def run_bounded(folder, argv, code):
-    """Run the command in `folder`, where each input file it names is built first."""
+def run_bounded(folder, argv, code, stdout=None, seconds=WALL_SECONDS, peak_mb=None):
+    """Run the command in `folder`, where each input file it names is built first, and hold it to its bounds."""
     for name in set(argv) & FILES.keys():
         if not (folder / name).exists():
             (folder / name).write_text(FILES[name]())
-    env = {**os.environ, "PYTHONPATH": SRC}
-    done = subprocess.run([sys.executable, "-m", "nicecover", *argv], capture_output=True, text=True,
-                          cwd=folder, env=env, preexec_fn=_limit_child, timeout=WALL_SECONDS)
+    read, write = os.pipe()
+    with open(read) as report:
+        try:
+            done = subprocess.run([sys.executable, "-S", "-c", LAUNCHER, str(write), str(seconds), *argv],
+                                  capture_output=True, text=True, cwd=folder, env={**os.environ, "PYTHONPATH": SRC},
+                                  pass_fds=[write])
+        finally:
+            os.close(write)
+        assert done.returncode == 0, done.stderr
+        status, peak_kb = map(int, report.read().split())
+    assert status != -signal.SIGALRM, f"over {seconds} s"
     assert "Traceback" not in done.stderr, done.stderr
-    assert done.returncode == code, (done.stdout, done.stderr)
+    assert status == code, (done.stdout, done.stderr)
     if code == 1:
         assert done.stdout.startswith("budget-exceeded ") and CAP_NAMED.search(done.stdout), done.stdout
+    if stdout is not None:
+        assert (done.stdout, done.stderr) == (stdout, "")
+    if peak_mb is not None:
+        assert peak_kb < peak_mb * 1024, f"peak RSS {peak_kb / 1024:.0f} MB, over {peak_mb} MB"
 
 
-@pytest.mark.parametrize("argv,code", CASES, ids=[" ".join(argv)[:80] for argv, _ in CASES])
-def test_machine_command_stays_bounded(folder, argv, code):
-    run_bounded(folder, argv, code)
+@pytest.mark.parametrize("argv,code,bounds", MACHINE_CASES)
+def test_machine_command_stays_bounded(folder, argv, code, bounds):
+    run_bounded(folder, argv, code, **bounds)
 
 
-@pytest.mark.parametrize("argv,code", OTHER_CASES)
-def test_command_stays_bounded(folder, argv, code):
-    run_bounded(folder, argv, code)
+@pytest.mark.parametrize("argv,code,bounds", OTHER_CASES)
+def test_command_stays_bounded(folder, argv, code, bounds):
+    run_bounded(folder, argv, code, **bounds)
+
+
+def test_a_peak_is_the_childs_own(folder):
+    ballast = bytearray(200 * 2**20)
+    ballast[:: resource.getpagesize()] = bytes(len(ballast) // resource.getpagesize())  # every page written
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss >= 200 * 1024
+    run_bounded(folder, ["rat", "1/2"], 0, stdout="1/2\n", peak_mb=64)
