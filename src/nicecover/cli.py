@@ -176,8 +176,10 @@ def _cmd_rat(args) -> int:
 
 def _cmd_crn_approx(args) -> int:
     node = expressions.parse_expression(args.expr)
-    value = expressions.eval_crn(node, lambda: analysis.expression_builtins())  # runs analysis only at a call
-    print(f"{render(crn.approx_to(value, args.prec))} ± 2^-{args.prec}")
+    value = expressions.evaluate(node, lambda: analysis.expression_builtins())  # runs analysis only at a call
+    if not isinstance(value, Rational):  # a call-free expression folds to its exact value
+        value = crn.approx_to(value, args.prec)
+    print(f"{render(value)} ± 2^-{args.prec}")
     return 0
 
 

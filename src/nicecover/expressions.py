@@ -161,7 +161,7 @@ def _parse_call(cursor: _Cursor) -> Node:
     return ("call", name, args)
 
 
-def _evaluate(node: Node, builtins: Callable[[], BuiltinMap] | None) -> Rational | crn.CRN:
+def evaluate(node: Node, builtins: Callable[[], BuiltinMap] | None) -> Rational | crn.CRN:
     """The exact value of a call-free subtree, and a constructive real otherwise.
 
     A rational is its own constant sequence with regulator 0, so folding moves
@@ -179,9 +179,9 @@ def _evaluate(node: Node, builtins: Callable[[], BuiltinMap] | None) -> Rational
             raise ParseError(f"unknown builtin {node[1]!r}")
         return table[node[1]](node[2])
     if kind == "neg":
-        value = _evaluate(node[1], builtins)
+        value = evaluate(node[1], builtins)
         return -value if isinstance(value, Rational) else crn.negate(value)
-    left, right = _evaluate(node[1], builtins), _evaluate(node[2], builtins)
+    left, right = evaluate(node[1], builtins), evaluate(node[2], builtins)
     if isinstance(left, Rational) and isinstance(right, Rational):
         return getattr(operator, kind)(left, right)
     return getattr(crn, kind)(_as_crn(left), _as_crn(right))
@@ -193,9 +193,9 @@ def _as_crn(value: Rational | crn.CRN) -> crn.CRN:
 
 def eval_rational(node: Node) -> Rational:
     """Evaluate an expression containing no builtin calls, exactly."""
-    return _evaluate(node, None)
+    return evaluate(node, None)
 
 
 def eval_crn(node: Node, builtins: Callable[[], BuiltinMap]) -> crn.CRN:
     """Evaluate an expression to a constructive real, folding call-free parts exactly."""
-    return _as_crn(_evaluate(node, builtins))
+    return _as_crn(evaluate(node, builtins))

@@ -10,7 +10,9 @@ library reproducible.
 Runs are exact but not literal: an innermost loop whose next laps provably
 take the same path is applied in closed form (laps times lap length steps,
 laps times the lap's register deltas), in the manner of the macro steps of
-Marxen & Buntrock, "Attacking the Busy Beaver 5" (1990).
+Marxen & Buntrock, "Attacking the Busy Beaver 5" (1990).  A traced lap is
+kept per loop header, for one run or one dovetail, and applied again while
+its register tests keep their answers.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ MAX_DOVETAIL_INPUTS = 10**5
 MAX_DOVETAIL_REGISTERS = 10**7
 # Steps run one by one, per run_for or dovetail; steps applied in closed form are free.
 MAX_INTERPRETED_STEPS = 10**7
+# A table of traced laps holds one lap per loop header, each at most len(code) steps long;
+# it is cleared before it could hold more steps than this.
+MAX_TRACED_STEPS = 2**18
 
 _LABEL_RE = re.compile(r"([A-Za-z_]\w*):")
 
@@ -136,71 +141,85 @@ def load_program(path: str | Path) -> Program:
 
 
 def _repeat_lap(
-    code: tuple[tuple[int, int, int], ...], registers: list[int], header: int, room: int
+    code: tuple[tuple[int, int, int], ...], registers: list[int], header: int, room: int, laps: dict, trace: bool
 ) -> tuple[int, int]:
     """Run the loop at `header` as many whole laps as provably repeat.
 
-    One lap is traced on the side from `header`: a forward path that ends
-    with a backward jump, so it is at most len(code) steps long.  Unless
-    that jump returns to `header` within `room` steps, nothing is changed
-    and (0, 0) is returned.  Otherwise every JZ/DEC read v of a register
-    whose lap delta is d reads v + j*d in lap j, and lap j takes the same
-    path as long as each read keeps its zero-ness: v > 0 stays positive,
-    v == 0 needs d == 0.  The largest such number of laps that fits in
-    `room` is applied to `registers` in place; returns (laps, lap length).
+    `laps` maps a header to its traced lap: (length, register deltas, reads),
+    where a read (register, offset, zero, d) is a JZ/DEC that reads register +
+    offset, was zero or not when traced, and whose register moves by d per
+    lap.  The lap holds, that is, takes the same path, as long as every read
+    keeps its zero-ness.  When the header has no lap that holds, nothing is
+    changed and (0, 0) is returned, unless `trace` is set: then one lap is
+    traced on the side, a forward path from `header` that ends with a
+    backward jump, so at most len(code) steps long, and it replaces the
+    header's lap if that jump returns to `header` (else the header's lap is
+    dropped and (0, 0) returned).  Lap j reads v + j*d for a read of v, and
+    takes the same path while v > 0 stays positive and v == 0 has d == 0.
+    The largest such number of laps that fits in `room` is applied to
+    `registers` in place; returns (laps, lap length).
     """
-    end = len(code)
-    delta: dict[int, int] = {}
-    reads: list[tuple[int, int]] = []
-    pc = header
-    length = 0
-    while length < room:
-        op, reg, target = code[pc]
-        length += 1
-        if op == _INC:
-            delta[reg] = delta.get(reg, 0) + 1
-            pc += 1
-        elif op == _DEC:
-            value = registers[reg] + delta.get(reg, 0)
-            reads.append((reg, value))
-            if value:
-                delta[reg] = delta.get(reg, 0) - 1
-            pc += 1
-        elif op == _HALT:
+    lap = laps.get(header)
+    if lap is None or any((registers[reg] + offset == 0) != zero for reg, offset, zero, _ in lap[2]):
+        if not trace:
             return 0, 0
-        else:
-            if op == _JZ:
-                value = registers[reg] + delta.get(reg, 0)
-                reads.append((reg, value))
-            if op == _GOTO or not value:
-                if target <= pc:
-                    if target != header:
-                        return 0, 0
-                    break
-                pc = target
-                continue
-            pc += 1
-        if pc >= end:
-            return 0, 0
-    else:
-        return 0, 0
+        laps.pop(header, None)
+        end = len(code)
+        delta: dict[int, int] = {}
+        reads: dict[tuple[int, int], bool] = {}  # (register, offset) -> read zero
+        pc = header
+        length = 0
+        while True:
+            op, reg, target = code[pc]
+            length += 1
+            if op == _INC:
+                delta[reg] = delta.get(reg, 0) + 1
+                pc += 1
+            elif op == _DEC:
+                offset = delta.get(reg, 0)
+                reads[reg, offset] = zero = registers[reg] + offset == 0
+                if not zero:
+                    delta[reg] = offset - 1
+                pc += 1
+            elif op == _HALT:
+                return 0, 0
+            else:
+                if op == _JZ:
+                    offset = delta.get(reg, 0)
+                    reads[reg, offset] = zero = registers[reg] + offset == 0
+                if op == _GOTO or zero:
+                    if target <= pc:
+                        if target != header:
+                            return 0, 0
+                        break
+                    pc = target
+                    continue
+                pc += 1
+            if pc >= end:
+                return 0, 0
+        # one lap per header, each at most len(code) steps: the table stays within MAX_TRACED_STEPS
+        if (len(laps) + 1) * end > MAX_TRACED_STEPS:
+            laps.clear()
+        lap = laps[header] = (length, tuple(delta.items()),
+                              tuple((reg, offset, zero, delta.get(reg, 0)) for (reg, offset), zero in reads.items()))
 
-    laps = room // length
-    for reg, value in reads:
-        d = delta.get(reg, 0)
-        if value and d < 0:
-            laps = min(laps, (value - 1) // -d + 1)
-        elif d and not value:
-            laps = min(laps, 1)
-    for reg, d in delta.items():
-        registers[reg] += laps * d
-    return laps, length
+    length, delta_items, lap_reads = lap
+    count = room // length
+    for reg, offset, zero, d in lap_reads:
+        if not zero and d < 0:
+            count = min(count, (registers[reg] + offset - 1) // -d + 1)
+        elif zero and d:
+            count = min(count, 1)
+    for reg, d in delta_items:
+        registers[reg] += count * d
+    return count, length
 
 
 class MachineState:
     """Mutable state of a single run, moved forward by `advance`: its
     registers, position and step count, nothing else.  Separate runs never
-    share state, so distinct runs are safe on distinct threads.
+    share state, so distinct runs are safe on distinct threads; a table of
+    traced laps passed to `advance` belongs to one thread.
     """
 
     def __init__(self, program: Program, input_value: int):
@@ -213,26 +232,32 @@ class MachineState:
         self.steps = 0
         self.halted = False
 
-    def advance(self, limit: int, cap: int | None = None) -> int:
+    def advance(self, limit: int, cap: int | None = None, laps: dict | None = None) -> int:
         """Run until the machine halts or `steps` reaches `limit`; return the
         number of steps this call ran one by one.
 
-        A backward jump to the same header as the previous backward jump
-        closes one lap of an innermost loop; the laps that provably repeat
-        are then applied in closed form by `_repeat_lap`.  When fewer than
-        two laps could be applied, that header is not traced again for a
-        doubling number of arrivals, so loops whose path keeps changing run
-        at the plain loop's speed.  This loop detection lives only for the
-        call, keyed by the headers it reaches.  A run that would need more
-        than `cap` steps run one by one (default MAX_INTERPRETED_STEPS)
-        raises BudgetExceeded instead; the check is the loop's own bound.
+        Loops go to `_repeat_lap`, which applies the laps that provably repeat
+        in closed form, from `laps`, the table of traced laps.  At a backward
+        jump to the same header as the previous one, a lap is traced when the
+        table has none that holds; when fewer than two laps could be applied
+        there, the header is not tried again for a doubling number of such
+        arrivals, so loops whose path keeps changing run at the plain loop's
+        speed.  At the first arrival at a header, a lap in the table that
+        holds is applied, and none is traced.  Without `laps` the table lives
+        for this call, which is all of one `run_for`; `dovetail_enumerate`
+        passes one table to all its runs and passes, since a lap depends only
+        on the program and on the zero-ness of its reads.  A run that would
+        need more than `cap` steps run one by one (default
+        MAX_INTERPRETED_STEPS) raises BudgetExceeded instead; the check is the
+        loop's own bound.
         """
         if self.halted:
             return 0
         code = self.program.code
         end = len(code)
         regs = self.registers
-        # per header reached: arrivals to skip before tracing a lap again, and the back-off
+        laps = {} if laps is None else laps
+        # per header reached: arrivals to skip before trying its lap again, and the back-off
         skip: dict[int, int] = defaultdict(int)
         backoff: dict[int, int] = defaultdict(int)
         pc, steps, header = self.pc, self.steps, -1
@@ -253,19 +278,18 @@ class MachineState:
                 break
             elif op == _GOTO or not regs[reg]:
                 if target <= pc:
-                    if target != header:
-                        header = target
-                    elif skip[target]:
+                    if target == header and skip[target]:
                         skip[target] -= 1
-                    else:
-                        laps, length = _repeat_lap(code, regs, target, limit - steps)
-                        steps += laps * length
-                        closed += laps * length
-                        stop = min(limit, stop + laps * length)
-                        if laps < 2:
-                            backoff[target] = skip[target] = 2 * backoff[target] or 1
-                        else:
+                    elif target == header or target in laps:
+                        count, length = _repeat_lap(code, regs, target, limit - steps, laps, target == header)
+                        steps += count * length
+                        closed += count * length
+                        stop = min(limit, stop + count * length)
+                        if count > 1:
                             backoff[target] = 0
+                        elif target == header:
+                            backoff[target] = skip[target] = 2 * backoff[target] or 1
+                    header = target
                 pc = target
                 continue
             else:
@@ -307,10 +331,17 @@ def dovetail_enumerate(
     emission order is therefore fully deterministic: sorted by halting
     step, ties broken by input.
 
-    The sweep is not run step by step.  Every input is advanced to a
-    common horizon m, doubled until the steps spent up to m reach the
-    budget or every input has halted; a later halt cannot be emitted.  An
-    input halting at step k takes that step after sum_j min(k_j, k - 1)
+    The sweep is not run step by step.  Pass by pass, every input is
+    advanced to a common horizon m, until the steps spent up to m reach the
+    budget or every input has halted; a later halt cannot be emitted, so
+    any such m gives the same pairs.  With h = max(1, total_budget // W)
+    for W inputs, pass j goes to the larger of h * 2^j and the least horizon
+    that could spend the rest of the budget, m + ceil((total_budget - spent)
+    / pending) from the previous m (the first pass: ceil(total_budget / W)).
+    So no pass stops short of the budget by a rounding, and no run goes
+    past where plain doubling from h would take it, unless every run has
+    halted by then.  All runs and passes share one table of traced laps.
+    An input halting at step k takes that step after sum_j min(k_j, k - 1)
     steps of earlier sweeps plus one for each smaller input still pending,
     and it is emitted while that count is below `total_budget`.
 
@@ -331,16 +362,19 @@ def dovetail_enumerate(
     if not values:
         return []
     states = [MachineState(program, v) for v in values]
-    horizon = max(1, total_budget // len(states))
-    interpreted = 0
+    laps: dict = {}
+    doubled = max(1, total_budget // len(states))
+    horizon = spent = interpreted = 0
+    pending = len(states)
     while True:
+        horizon = max(doubled, horizon - (spent - total_budget) // pending)  # ceil((budget - spent) / pending) more
         for state in states:
-            interpreted += state.advance(horizon, MAX_INTERPRETED_STEPS - interpreted)
-        if sum(state.steps for state in states) >= total_budget or all(
-            state.halted for state in states
-        ):
+            interpreted += state.advance(horizon, MAX_INTERPRETED_STEPS - interpreted, laps)
+        spent = sum(state.steps for state in states)
+        pending = sum(not state.halted for state in states)
+        if spent >= total_budget or not pending:
             break
-        horizon *= 2
+        doubled *= 2
 
     halts = sorted((state.steps, position) for position, state in enumerate(states) if state.halted)
     emitted: list[tuple[int, int]] = []

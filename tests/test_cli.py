@@ -7,7 +7,7 @@ from math import ceil, floor, isqrt, prod
 
 import pytest
 
-from nicecover import analysis, cover as cover_mod, machine
+from nicecover import analysis, cover as cover_mod, crn, machine
 from nicecover.cli import dispatch
 
 TWO_INTERVAL_COVER = "-1/10 6/10\n4/10 11/10\n"
@@ -88,6 +88,13 @@ class TestCrnApprox:
     def test_plain_expression(self, capsys):
         code, out, _ = run(capsys, "crn", "approx", "--expr", "1/3 + 1/3", "--prec", "8")
         assert (code, out) == (0, "2/3 ± 2^-8\n")
+
+    def test_call_free_expression_is_printed_as_folded(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("approx_to asked for an exact value")
+
+        monkeypatch.setattr(crn, "approx_to", refuse)
+        assert run(capsys, "crn", "approx", "--expr", "1/3 + 1/3", "--prec", "8") == (0, "2/3 ± 2^-8\n", "")
 
     def test_leading_minus(self, capsys):
         assert run(capsys, "crn", "approx", "--expr=-1/3", "--prec", "3") == (0, "-1/3 ± 2^-3\n", "")
@@ -742,7 +749,7 @@ ANALYSIS_RAN = "0 analysis cli crn errors machine rational"
 
 @pytest.mark.parametrize("argv,ran", [
     (["rat", "1/2 + 1/3"], "0 cli errors expressions rational"),
-    (["crn", "approx", "--expr", "1/3 + 1/3", "--prec", "5"], "0 cli crn errors expressions rational"),
+    (["crn", "approx", "--expr", "1/3 + 1/3", "--prec", "5"], "0 cli errors expressions rational"),
     (["crn", "approx", "--expr", "1/3 + bisect_limit(step@1/3, 0, 1)", "--prec", "5"],
      "0 analysis cli crn errors expressions machine rational"),
     (["cover", "lebesgue", "--cover", "{cover}"], "0 cli cover errors rational"),

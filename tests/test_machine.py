@@ -33,6 +33,21 @@ b:   INC 1
 end: HALT
 """
 
+# SQUARE in the benchmark: each outer lap with register 0 at i moves i - 1 units to register 1
+# and back, 8i - 4 steps, so input v halts at step 4v^2 + 2.
+SQUARE_TEXT = """outer: JZ 0 end
+       DEC 0
+mv:    JZ 0 back
+       DEC 0
+       INC 1
+       GOTO mv
+back:  JZ 1 outer
+       DEC 1
+       INC 0
+       GOTO back
+end:   HALT
+"""
+
 
 class ReferenceState:
     """The plain interpreter: one instruction per `step()`, nothing skipped."""
@@ -111,6 +126,49 @@ def programs(draw):
                 "GOTO": f" l{target}", "HALT": ""}[op]
         lines.append(f"l{index}: {op}{args}\n")
     return parse_program("".join(lines))
+
+
+@st.composite
+def loop_nests(draw):
+    """Loop nests 2-3 deep over registers 0-2, as SQUARE in the benchmark and NEST_TEXT are.
+
+    A loop is a head label, a body of INC/DEC lines and inner loops, and a
+    GOTO back to the head.  An inner loop tests a register, mostly at its
+    head, counts it down and moves it into another one; it leaves when the
+    register is zero, to just past the loop or, as SQUARE's second inner
+    loop does, to the head of the loop around it.  Two inner loops of one
+    loop mostly move a register there and back, as SQUARE's do, so a lap
+    traced in one outer lap meets other register values in the next.  The
+    outermost loop counts the input down, or never leaves, as NEST_TEXT's
+    does not.  Every loop but an innermost one holds one or two inner loops,
+    and the program ends with HALT.
+    """
+    names = iter(range(10))
+    moves = st.sampled_from([(a, b) for a in range(3) for b in range(3) if a != b])
+
+    def loop(depth, around, move):
+        """The text of a loop; `move` is the (source, destination) of an inner loop's registers."""
+        n = next(names)
+        reg, to = move
+        leaves = around is not None or draw(st.sampled_from([True, True, True, False]))
+        body = [f"INC {to}\n"] if around else []
+        body += [f"{draw(st.sampled_from(['INC', 'INC', 'DEC']))} {draw(st.sampled_from([to, 3 - reg - to]))}\n"
+                 for _ in range(draw(st.integers(0, 2)))]
+        if depth > 1:
+            there = draw(moves)
+            inner = [there] if draw(st.booleans()) else [there, there[::-1]]
+            if len(inner) == 1 and draw(st.booleans()):
+                inner.append(draw(moves))
+            for step in inner:
+                body.insert(draw(st.integers(0, len(body))), loop(depth - 1, f"h{n}", step))
+        if leaves:
+            leave = draw(st.sampled_from([f"x{n}"] * 5 + ([around] if around else [])))
+            at = draw(st.sampled_from([0, 0, 0, draw(st.integers(0, len(body)))]))
+            body[at:at] = [f"JZ {reg} {leave}\n", f"DEC {reg}\n"]
+        return f"h{n}:\n" + "".join(body) + f"GOTO h{n}\nx{n}:\n"
+
+    prefix = "".join(f"INC {r}\n" for r in draw(st.lists(st.integers(1, 2), max_size=2)))
+    return parse_program(prefix + loop(draw(st.integers(2, 3)), None, (0, draw(st.integers(1, 2)))) + "HALT\n")
 
 
 class TestParsing:
@@ -327,6 +385,27 @@ class TestDovetail:
         # with only 6 total steps nothing past the first halt can be seen
         assert dovetail_enumerate(countdown, range(0, 4), 6) == [(0, 2)]
 
+    def test_one_pass_spends_the_budget(self, countdown, monkeypatch):
+        # 20 runs that halt at 302-359 steps: 51 = ceil(1001 / 20) steps each spend the budget in one pass,
+        # where 50 = floor(1001 / 20) would leave one step for a second pass over all of them
+        limits = []
+
+        def spy(state, limit, *args):
+            limits.append(limit)
+            return advance(state, limit, *args)
+
+        advance = MachineState.advance
+        monkeypatch.setattr(MachineState, "advance", spy)
+        assert dovetail_enumerate(countdown, range(100, 120), 1001) == []
+        assert limits == [51] * 20
+
+    @pytest.mark.parametrize("inputs,budget", [(range(7), 100), (range(3, 10), 61), (range(0, 30, 3), 333),
+                                               (range(1, 30, 3), 2**40 + 1)])
+    def test_later_passes_spend_the_rest(self, countdown, mod3, inputs, budget):
+        # the widths do not divide the budgets, and the short runs halt inside the first pass
+        for program in (countdown, mod3):
+            assert dovetail_enumerate(program, inputs, budget) == reference_dovetail(program, inputs, budget)
+
 
 class TestClosedFormLoops:
     def test_countdown_at_a_trillion(self, countdown):
@@ -364,6 +443,37 @@ class TestClosedFormLoops:
         program = parse_program("loop: JZ 0 end\nDEC 0\nGOTO loop\nend: INC 1\n")
         for v in (0, 1, 2, 3, 10**12):
             assert run_for(program, v, 10**13) == Halted(3 * v + 2)
+
+    def test_square_steps(self):
+        square = parse_program(SQUARE_TEXT)
+        for v in (0, 1, 2, 7, 1000):
+            assert run_for(square, v, 10**7) == Halted(4 * v * v + 2)
+
+    def test_a_dovetail_traces_each_loop_once(self, monkeypatch):
+        # 10 runs of about 100 outer laps each: the laps of both inner loops come from one trace each
+        traced = []
+
+        def spy(code, registers, header, room, laps, trace):
+            lap = laps.get(header)
+            answer = repeat_lap(code, registers, header, room, laps, trace)
+            if laps.get(header) is not lap:
+                traced.append(header)
+            return answer
+
+        repeat_lap = machine._repeat_lap
+        monkeypatch.setattr(machine, "_repeat_lap", spy)
+        square = parse_program(SQUARE_TEXT)
+        assert dovetail_enumerate(square, range(100, 110), 10**9) == [(v, 4 * v * v + 2) for v in range(100, 110)]
+        assert sorted(traced) == [2, 6]
+
+    def test_the_lap_table_is_bounded(self, monkeypatch):
+        # room for one lap of the whole program: the table keeps the latest lap traced
+        square = parse_program(SQUARE_TEXT)
+        monkeypatch.setattr(machine, "MAX_TRACED_STEPS", len(square.code))
+        laps = {}
+        state = MachineState(square, 50)
+        state.advance(10**6, laps=laps)
+        assert state.halted and state.steps == 4 * 50**2 + 2 and list(laps) == [6]
 
     def test_dovetail_with_huge_budgets(self, countdown, looper):
         assert dovetail_enumerate(countdown, range(4), 10**15) == [(0, 2), (1, 5), (2, 8), (3, 11)]
@@ -404,6 +514,20 @@ class TestInterpretedStepCap:
         assert dovetail_enumerate(countdown, range(4), 10**15) == [(0, 2), (1, 5), (2, 8), (3, 11)]
 
 
+# Loop nests apply a lap traced in one outer lap to later ones; 2,000 examples each run with `pytest -m slow`.
+NEST_EXAMPLES = [150, pytest.param(2000, marks=pytest.mark.slow)]
+
+
+def check_resumes_exactly(program, input_value, increments, laps=None):
+    state, reference = MachineState(program, input_value), ReferenceState(program, input_value)
+    for increment in increments:
+        state.advance(state.steps + increment, laps=laps)
+        while reference.steps < state.steps:
+            reference.step()
+        assert (state.registers, state.pc, state.steps, state.halted) == (
+            reference.registers, reference.pc, reference.steps, reference.halted)
+
+
 class TestAgainstReference:
     @settings(max_examples=400, deadline=None)
     @given(programs(), st.integers(0, 60), st.integers(0, 3000))
@@ -419,10 +543,33 @@ class TestAgainstReference:
     @settings(max_examples=150, deadline=None)
     @given(programs(), st.integers(0, 60), st.lists(st.integers(0, 400), min_size=1, max_size=8))
     def test_advance_resumes_exactly(self, program, input_value, increments):
-        state, reference = MachineState(program, input_value), ReferenceState(program, input_value)
-        for increment in increments:
-            state.advance(state.steps + increment)
-            while reference.steps < state.steps:
-                reference.step()
-            assert (state.registers, state.pc, state.steps, state.halted) == (
-                reference.registers, reference.pc, reference.steps, reference.halted)
+        check_resumes_exactly(program, input_value, increments)
+
+    @pytest.mark.parametrize("examples", NEST_EXAMPLES)
+    def test_run_for_on_loop_nests(self, examples):
+        @settings(max_examples=examples, deadline=None)
+        @given(loop_nests(), st.integers(0, 8), st.integers(0, 5000))
+        def check(program, input_value, budget):
+            assert run_for(program, input_value, budget) == reference_run_for(program, input_value, budget)
+
+        check()
+
+    @pytest.mark.parametrize("examples", NEST_EXAMPLES)
+    def test_dovetail_enumerate_on_loop_nests(self, examples):
+        @settings(max_examples=examples, deadline=None)
+        @given(loop_nests(), st.integers(0, 8), st.integers(0, 10), st.integers(1, 5000))
+        def check(program, first, width, budget):
+            inputs = range(first, first + width)
+            assert dovetail_enumerate(program, inputs, budget) == reference_dovetail(program, inputs, budget)
+
+        check()
+
+    @pytest.mark.parametrize("examples", NEST_EXAMPLES)
+    def test_advance_resumes_exactly_on_loop_nests(self, examples):
+        # one table of traced laps for all the calls, as a dovetail keeps one for all its passes
+        @settings(max_examples=examples, deadline=None)
+        @given(loop_nests(), st.integers(0, 8), st.lists(st.integers(0, 400), min_size=1, max_size=8))
+        def check(program, input_value, increments):
+            check_resumes_exactly(program, input_value, increments, laps={})
+
+        check()

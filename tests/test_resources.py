@@ -149,6 +149,10 @@ MACHINE_CASES = [
          stdout=f"budget-exceeded {MAX_DOVETAIL_INPUTS} inputs of 1024 registers each need more than "
                 f"MAX_DOVETAIL_REGISTERS = {MAX_DOVETAIL_REGISTERS} registers\n"),
     case(["machine", "dovetail", "--prog", "countdown", "--inputs", f"0..{MAX_DOVETAIL_INPUTS}", "--budget", "1"], 1),
+    # every run of the widest dovetail advances, to its halt at step 3v + 2
+    case(["machine", "dovetail", "--prog", "countdown", "--inputs", "0.." + LAST, "--budget", "1000000000000"], 0,
+         slow=True, seconds=5, peak_mb=96,
+         stdout="".join(f"input={v} steps={3 * v + 2}\n" for v in range(MAX_DOVETAIL_INPUTS))),
     case(["waiting", "approx", "--prog", "looper", "--input", "0", "--prec", "1000000"], 1),
     case(["reduce", "--prog", "nest", "--input", "0", "--prec", "1000000000"], 1, slow=True),
     case(["reduce", "--prog", "countdown", "--input", "9" * 4300, "--prec", "40"], 0),
