@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import analysis, cover as cover_mod, crn, expressions, machine
-from .errors import DomainError, ParseError, ZeroDenominator
+from .errors import DomainError, ParseError
 from .rational import Rational, parse_natural, parse_rational, render
 
 
@@ -28,7 +28,7 @@ def _flag(parse):
     def flag(text: str):
         try:
             return parse(text)
-        except (ParseError, ZeroDenominator) as exc:
+        except ParseError as exc:
             raise argparse.ArgumentTypeError(str(exc))
 
     return flag
@@ -290,7 +290,7 @@ def dispatch(argv: Sequence[str]) -> int:
     except DomainError as exc:
         print(f"{_kebab(exc)} {exc}".rstrip())
         return 1
-    except (ValueError, ZeroDenominator, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -40,6 +40,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
+from . import rational
 from .errors import (
     BudgetExceeded,
     NoContainingElement,
@@ -47,7 +48,6 @@ from .errors import (
     NotACover,
     NotNiceCover,
     ParseError,
-    ZeroDenominator,
 )
 from .rational import ONE, ZERO, Rational, _int, input_lines, parse_ratio, parse_rational, record, render, render_ratio
 
@@ -109,7 +109,8 @@ def _common_unit(values: Sequence[Rational]) -> tuple[list, int]:
 def parse_cover(source: str | TextIO) -> list[OpenInterval]:
     """One interval per line as `lo hi` (rationals or exact decimals); `#` comments.  `source` is text
     or an open text file, read by `input_lines`.  More than MAX_COVER_ELEMENTS intervals raise
-    BudgetExceeded before any is read, so a file past the cap is refused even with a malformed line."""
+    BudgetExceeded before any is read, so a file past the cap is refused even with a malformed line; a
+    malformed line raises ParseError naming its line number."""
     lines = ((line_no, code) for line_no, line in input_lines(source) if (code := line.split("#", 1)[0].rstrip()))
     codes = list(islice(lines, MAX_COVER_ELEMENTS + 1))  # the interval lines, not yet read into ints
     if len(codes) > MAX_COVER_ELEMENTS:
@@ -117,11 +118,14 @@ def parse_cover(source: str | TextIO) -> list[OpenInterval]:
     intervals: list[OpenInterval] = []
     for line_no, code in codes:
         parts = code.split()
-        if len(parts) != 2:
-            raise ParseError(f"line {line_no}: expected `lo hi`, got {code!r}")
-        (a, b), (c, d) = parse_ratio(parts[0]), parse_ratio(parts[1])
-        if not a * d < c * b:
-            raise ParseError(f"line {line_no}: interval needs lo < hi")
+        try:
+            if len(parts) != 2:
+                raise ParseError(f"expected `lo hi`, got {code!r}")
+            (a, b), (c, d) = parse_ratio(parts[0]), parse_ratio(parts[1])
+            if not a * d < c * b:
+                raise ParseError("interval needs lo < hi")
+        except ParseError as exc:
+            raise ParseError(f"line {line_no}: {exc}") from None
         intervals.append(OpenInterval(Rational(a, b), Rational(c, d)))
     if not intervals:
         raise ParseError("cover file contains no intervals")
@@ -457,10 +461,16 @@ def _reach(spans: Iterable[tuple], unit: int) -> Covered | Uncovered:
 
 
 def render_certificate(certificate: SubcoverCertificate) -> str:
+    """The text `parse_certificate` reads; a line longer than `rational.MAX_LINE_CHARS`, which it would
+    refuse, raises BudgetExceeded instead."""
     unit = certificate.unit
     lines = [f"r={render(certificate.radius)}"]
     lines += [f"net {render_ratio(x, unit)} -> element {j}" for x, j in zip(certificate.points, certificate.elements)]
     lines.append("selected " + ",".join(str(j) for j in certificate.selected))
+    longest = max(lines, key=len)
+    if len(longest) > rational.MAX_LINE_CHARS:
+        raise BudgetExceeded(f"certificate line {lines.index(longest) + 1} would have {len(longest)} characters,"
+                             f" more than MAX_LINE_CHARS = {rational.MAX_LINE_CHARS}")
     return "\n".join(lines) + "\n"
 
 
@@ -509,7 +519,7 @@ def parse_certificate(source: str | TextIO) -> SubcoverCertificate:
                 selected = tuple(_int(p.strip()) for p in parts)
             else:
                 raise ParseError(f"unrecognized certificate line: {line!r}")
-    except (ParseError, ZeroDenominator):
+    except ParseError:
         if len(elements) + sum(x.startswith("net ") for x in chain((line,), lines)) > MAX_NET_POINTS:
             raise BudgetExceeded(too_many) from None
         raise

@@ -6,12 +6,12 @@ separate hierarchies so the CLI can map them to distinct exit codes.
 """
 
 
-class ZeroDenominator(ZeroDivisionError):
-    """A rational was given a zero denominator."""
-
-
 class ParseError(ValueError):
     """Malformed textual input: rational, expression, oracle, cover or certificate."""
+
+
+class ZeroDenominator(ParseError):
+    """A rational was given a zero denominator."""
 
 
 class InvalidProgram(ValueError):

@@ -5,20 +5,27 @@ parentheses, unary minus, and named builtin calls `name(arg, ...)` whose
 arguments are raw comma-separated strings interpreted by the builtin
 itself (oracle specs and file paths are not rational tokens).  There is
 no division operator; the `/` inside `3/4` belongs to the literal.
+
+Text is read as tokens of one pattern, `_TOKEN`: whitespace, then a
+literal (decimal digits, then optionally a `/` or `.` and more decimal
+digits), a name (a word character other than a decimal digit, then word
+characters), or any one other character, which is empty at the end of the
+text.  Only decimal digits are digits: `²` is not.  A call's arguments are
+not parsed: they are its raw text, split at the commas that its tokens show
+outside inner parentheses.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Callable, Mapping, Sequence, Union
+import re
+from typing import Callable, Mapping, Sequence
 
 from . import crn
 from .errors import ParseError
 from .rational import Rational, parse_rational
 
-Node = Union[
-    tuple,  # ("rat", Rational) | ("neg", Node) | ("add"|"sub"|"mul", Node, Node)
-]
+Node = tuple  # ("rat", Rational) | ("neg", Node) | ("add"|"sub"|"mul", Node, Node) | ("call", name, [arg, ...])
 
 # a string, so that importing this module does not load the crn layer
 BuiltinMap = Mapping[str, Callable[[Sequence[str]], "crn.CRN"]]
@@ -29,136 +36,98 @@ BuiltinMap = Mapping[str, Callable[[Sequence[str]], "crn.CRN"]]
 # so the cap keeps them inside Python's stack.
 MAX_DEPTH = 200
 
+_TOKEN = re.compile(r"\s*(?:(?P<literal>\d+(?:[/.]\d+)?)|(?P<name>[^\W\d]\w*)|(?P<other>.?))")
+# each binary operator's node, and how tightly it binds
+_BINARY = {"+": ("add", 1), "-": ("sub", 1), "*": ("mul", 2)}
 
-class _Cursor:
+
+class _Tokens:
+    """The tokens of `text`, read one at a time: the current `token`, its `kind` ("literal", "name" or
+    "other", its group in _TOKEN), its `start` after the whitespace before it, and its `end`."""
+
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+        self.text, self.end = text, 0
+        self.next()
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def next(self) -> None:
+        match = _TOKEN.match(self.text, self.end)
+        self.kind = match.lastgroup
+        self.token, self.start, self.end = match[self.kind], match.start(self.kind), match.end()
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, char: str) -> bool:
-        if self.peek() == char:
-            self.pos += 1
-            return True
-        return False
-
-    def expect(self, char: str) -> None:
-        if not self.take(char):
-            raise ParseError(f"expected {char!r} at position {self.pos} in expression")
-
-
-def _check_depth(levels: int) -> None:
-    if levels > MAX_DEPTH:
-        raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels")
+    def expect(self, token: str) -> None:
+        if self.token != token:
+            raise ParseError(f"expected {token!r} at position {self.start} in expression")
+        self.next()
 
 
 def parse_expression(text: str) -> Node:
-    cursor = _Cursor(text)
-    node, _ = _parse_sum(cursor, 0)
-    cursor.skip_ws()
-    if cursor.pos != len(cursor.text):
-        raise ParseError(f"trailing input at position {cursor.pos}: {text!r}")
+    tokens = _Tokens(text)
+    node, _ = _binary(tokens, 0)
+    if tokens.token:
+        raise ParseError(f"trailing input at position {tokens.start}: {text!r}")
     return node
 
 
-# Each parser below is handed the number of levels above what it parses
-# and returns the node together with its own height in levels.
-Parsed = tuple[Node, int]
+# Each parser below is given the number of levels above what it parses and
+# returns the node together with its own height in levels.  An atom past
+# MAX_DEPTH is refused before it is read, and a join as it is made, so text
+# that nests too deep is refused before the rest of its tree is built.
 
 
-def _join(kind: str, left: Parsed, right: Parsed, depth: int) -> Parsed:
-    height = max(left[1], right[1]) + 1
-    _check_depth(depth + height)
-    return (kind, left[0], right[0]), height
+def _binary(tokens: _Tokens, depth: int, binding: int = 0) -> tuple[Node, int]:
+    """Atoms joined, each operator to the left, by the binary operators that bind tighter than `binding`."""
+    node, height = _atom(tokens, depth)
+    while (op := _BINARY.get(tokens.token)) and op[1] > binding:
+        tokens.next()
+        right, right_height = _binary(tokens, depth, op[1])
+        height = max(height, right_height) + 1
+        if depth + height > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels")
+        node = (op[0], node, right)
+    return node, height
 
 
-def _parse_sum(cursor: _Cursor, depth: int) -> Parsed:
-    parsed = _parse_product(cursor, depth)
-    while (ch := cursor.peek()) in ("+", "-"):
-        cursor.take(ch)
-        kind = "add" if ch == "+" else "sub"
-        parsed = _join(kind, parsed, _parse_product(cursor, depth), depth)
-    return parsed
-
-
-def _parse_product(cursor: _Cursor, depth: int) -> Parsed:
-    parsed = _parse_atom(cursor, depth)
-    while cursor.take("*"):
-        parsed = _join("mul", parsed, _parse_atom(cursor, depth), depth)
-    return parsed
-
-
-def _parse_atom(cursor: _Cursor, depth: int) -> Parsed:
-    ch = cursor.peek()
-    if ch in ("-", "("):
-        _check_depth(depth + 2)  # this level and at least one below it
-        cursor.take(ch)
-    if ch == "-":
-        node, height = _parse_atom(cursor, depth + 1)
+def _atom(tokens: _Tokens, depth: int) -> tuple[Node, int]:
+    if depth >= MAX_DEPTH:  # one level too many below a `-` or `(`
+        raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels")
+    token = tokens.token
+    if token == "-":
+        tokens.next()
+        node, height = _atom(tokens, depth + 1)
         return ("neg", node), height + 1
-    if ch == "(":
-        node, height = _parse_sum(cursor, depth + 1)
-        cursor.expect(")")
+    if token == "(":
+        tokens.next()
+        node, height = _binary(tokens, depth + 1)
+        tokens.expect(")")
         return node, height + 1
-    if ch.isdigit():
-        return ("rat", _parse_literal(cursor)), 1
-    if ch.isalpha() or ch == "_":
-        return _parse_call(cursor), 1
-    raise ParseError(f"unexpected character {ch!r} at position {cursor.pos}")
+    if tokens.kind == "name":
+        return _call(tokens), 1
+    if tokens.kind != "literal":
+        raise ParseError(f"unexpected character {token!r} at position {tokens.start}")
+    node = ("rat", parse_rational(token))
+    tokens.next()
+    return node, 1
 
 
-def _parse_literal(cursor: _Cursor) -> Rational:
-    text = cursor.text
-    start = cursor.pos
-    while cursor.pos < len(text) and text[cursor.pos].isdigit():
-        cursor.pos += 1
-    if cursor.pos < len(text) and text[cursor.pos] in "/.":
-        mark = cursor.pos
-        cursor.pos += 1
-        digits = 0
-        while cursor.pos < len(text) and text[cursor.pos].isdigit():
-            cursor.pos += 1
-            digits += 1
-        if digits == 0:  # lone `/` or `.` belongs to something else
-            cursor.pos = mark
-    return parse_rational(text[start : cursor.pos])
-
-
-def _parse_call(cursor: _Cursor) -> Node:
-    text = cursor.text
-    start = cursor.pos
-    while cursor.pos < len(text) and (text[cursor.pos].isalnum() or text[cursor.pos] == "_"):
-        cursor.pos += 1
-    name = text[start : cursor.pos]
-    cursor.expect("(")
+def _call(tokens: _Tokens) -> Node:
+    """`name(arg, ...)`: the text between its parentheses, split at commas outside inner parentheses and
+    stripped; empty arguments are dropped."""
+    name = tokens.token
+    tokens.next()
+    tokens.expect("(")
     args: list[str] = []
-    depth = 0
-    arg_start = cursor.pos
-    while True:
-        if cursor.pos >= len(text):
+    nesting, start = 0, tokens.start
+    while nesting or tokens.token != ")":
+        if not tokens.token:
             raise ParseError(f"unterminated call {name}(...)")
-        ch = text[cursor.pos]
-        if ch == "(":
-            depth += 1
-        elif ch == ")" and depth > 0:
-            depth -= 1
-        elif ch == ")":
-            args.append(text[arg_start : cursor.pos].strip())
-            cursor.pos += 1
-            break
-        elif ch == "," and depth == 0:
-            args.append(text[arg_start : cursor.pos].strip())
-            arg_start = cursor.pos + 1
-        cursor.pos += 1
-    args = [a for a in args if a]
-    return ("call", name, args)
+        if tokens.token == "," and not nesting:
+            args.append(tokens.text[start : tokens.start].strip())
+            start = tokens.end
+        nesting += (tokens.token == "(") - (tokens.token == ")")
+        tokens.next()
+    args.append(tokens.text[start : tokens.start].strip())
+    tokens.next()
+    return ("call", name, [arg for arg in args if arg])
 
 
 def evaluate(node: Node, builtins: Callable[[], BuiltinMap] | None) -> Rational | crn.CRN:

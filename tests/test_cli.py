@@ -7,7 +7,7 @@ from math import ceil, floor, isqrt, prod
 
 import pytest
 
-from nicecover import analysis, cover as cover_mod, crn, machine
+from nicecover import analysis, cover as cover_mod, crn, machine, rational
 from nicecover.cli import dispatch
 
 TWO_INTERVAL_COVER = "-1/10 6/10\n4/10 11/10\n"
@@ -494,6 +494,33 @@ class TestCover:
         cert = tmp_path / "cert.txt"
         cert.write_text(cert_text)
         assert code == 0
+        assert run(capsys, "cover", "verify-cert", "--cover", str(cover), "--cert", str(cert)) == (
+            0, "certificate-ok\n", "")
+
+    @pytest.mark.parametrize("line,error", [("0 1/0", "1/0"), ("0 1/x", "not a rational: '1/x'")])
+    def test_a_malformed_rational_names_its_line(self, capsys, tmp_path, line, error):
+        cover = tmp_path / "cover.txt"
+        cover.write_text(f"-1 1/2\n{line}\n")
+        assert run(capsys, "cover", "lebesgue", "--cover", str(cover)) == (2, "", f"error: line 2: {error}\n")
+
+    def test_a_certificate_line_past_the_line_cap_is_not_printed(self, capsys, tmp_path, monkeypatch):
+        # 22-digit denominators give the radius and the net points parts of about 42 digits
+        q, s = 10**21 + 3, 10**21 + 7
+        cover = tmp_path / "cover.txt"
+        cover.write_text(f"-1 {6 * q // 10 + 1}/{q}\n{4 * s // 10 - 1}/{s} 2\n")
+        code, cert_text, _ = run(capsys, "cover", "subcover", "--cover", str(cover))
+        lengths = [len(line) for line in cert_text.splitlines()]
+        longest = max(lengths)
+        assert code == 0 and longest > 100
+        cert = tmp_path / "cert.txt"
+        cert.write_text(cert_text)
+        monkeypatch.setattr(rational, "MAX_LINE_CHARS", longest - 1)
+        assert run(capsys, "cover", "subcover", "--cover", str(cover)) == (
+            1, f"budget-exceeded certificate line {lengths.index(longest) + 1} would have {longest} characters, "
+               f"more than MAX_LINE_CHARS = {longest - 1}\n", "")
+        assert run(capsys, "cover", "verify-cert", "--cover", str(cover), "--cert", str(cert))[0] == 1
+        monkeypatch.setattr(rational, "MAX_LINE_CHARS", longest)
+        assert run(capsys, "cover", "subcover", "--cover", str(cover)) == (0, cert_text, "")
         assert run(capsys, "cover", "verify-cert", "--cover", str(cover), "--cert", str(cert)) == (
             0, "certificate-ok\n", "")
 

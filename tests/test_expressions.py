@@ -73,6 +73,36 @@ class TestRationalEvaluation:
         # 1/2*3 is (1/2) * 3, not 1/(2*3)
         assert value_of("1/2*3") == F(3, 2)
 
+    @pytest.mark.parametrize(
+        "text,tree",
+        [
+            ("1 - 2 - 3", ("sub", ("sub", ("rat", F(1)), ("rat", F(2))), ("rat", F(3)))),
+            ("1 - 2 * 3", ("sub", ("rat", F(1)), ("mul", ("rat", F(2)), ("rat", F(3))))),
+            ("-2 * 3", ("mul", ("neg", ("rat", F(2))), ("rat", F(3)))),
+            ("--1", ("neg", ("neg", ("rat", F(1))))),
+            ("(1)", ("rat", F(1))),
+            ("f ( a(b,c) , , d )", ("call", "f", ["a(b,c)", "d"])),
+        ],
+    )
+    def test_trees(self, text, tree):
+        assert parse_expression(text) == tree
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("(1", "expected ')' at position 2 in expression"),
+            ("1 2", "trailing input at position 2: '1 2'"),
+            ("1 +", "unexpected character '' at position 3"),
+            ("f 1", "expected '(' at position 2 in expression"),
+            ("f(1", "unterminated call f(...)"),
+            ("1..2", "trailing input at position 1: '1..2'"),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        with pytest.raises(ParseError) as raised:
+            parse_expression(text)
+        assert str(raised.value) == message
+
     def test_calls_not_allowed_in_rat_mode(self):
         node = parse_expression("waiting(x, 1)")
         with pytest.raises(ParseError):

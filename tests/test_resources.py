@@ -183,6 +183,11 @@ def nested(levels):
     return "(" * (levels - 1) + "1" + ")" * (levels - 1)
 
 
+APPROX = ["crn", "approx", "--prec", "3", "--expr"]
+# about 120 KB, under Linux's 128 KiB limit on one argument
+FLAT_TERMS = 30_000
+FLAT_SUM = " + ".join(["1"] * FLAT_TERMS)
+
 BISECT = ["--oracle", "step@1/3", "--lo", "0", "--hi", "1", "--transcript", "rows.tsv"]
 # the enclosure of 1/3 after n halvings of [0, 1] is (floor(2^n / 3) / 2^n, that + 2^-n)
 LO, WIDTH = Fraction(2**MAX_BISECT_STEPS // 3, 2**MAX_BISECT_STEPS), Fraction(1, 2**MAX_BISECT_STEPS)
@@ -193,6 +198,12 @@ TOO_MANY_INTERVALS = f"budget-exceeded cover has more than MAX_COVER_ELEMENTS = 
 OTHER_CASES = [
     case(["rat", nested(MAX_DEPTH)], 0, name=f"rat nested {MAX_DEPTH} levels"),
     case(["rat", nested(MAX_DEPTH + 1)], 2, name=f"rat nested {MAX_DEPTH + 1} levels"),
+    case([*APPROX, nested(MAX_DEPTH)], 0, name=f"crn approx nested {MAX_DEPTH} levels", seconds=2, peak_mb=32,
+         stdout="1 ± 2^-3\n"),
+    case([*APPROX, nested(MAX_DEPTH + 1)], 2, name=f"crn approx nested {MAX_DEPTH + 1} levels", seconds=2, peak_mb=32),
+    # refused at the join past the cap, before the rest of the tree is built
+    *(case([*command, FLAT_SUM], 2, name=f"{name} flat sum of {FLAT_TERMS} terms", seconds=2, peak_mb=32)
+      for name, command in [("rat", ["rat"]), ("crn approx", APPROX)]),
     case(["rat", "9" * 4301], 0, name="rat 4301 digits"),
     # the limit's approximation at precision n reads row n + 2
     case([*LIMIT, str(MAX_BISECT_STEPS - 2)], 0),
