@@ -279,19 +279,21 @@ def extract_constant_radius(modulus: NiceModulus) -> Rational:
 MAX_NET_POINTS = 10**6
 
 
-def _grid(eps: Rational) -> list[int]:
-    """The points of `build_eps_net(eps)` as ints over eps's denominator."""
+def _net_size(eps: Rational) -> int:
+    """The number of points of `build_eps_net(eps)`; BudgetExceeded past MAX_NET_POINTS."""
     if eps <= 0:
         raise NonpositiveRadius(f"net spacing {render(eps)} is not positive")
+    if (size := -(-eps.denominator // eps.numerator) + 1) > MAX_NET_POINTS:
+        raise BudgetExceeded(f"net spacing {render(eps)} needs {render(size)} points, "
+                             f"more than MAX_NET_POINTS = {MAX_NET_POINTS}")
+    return size
+
+
+def _grid(eps: Rational) -> list[int]:
+    """The points of `build_eps_net(eps)` as ints over eps's denominator, once `_net_size` has counted them."""
+    _net_size(eps)
     p, q = eps.numerator, eps.denominator
-    count = q // p
-    size = count + 1 if count * p == q else count + 2
-    if size > MAX_NET_POINTS:
-        raise BudgetExceeded(
-            f"net spacing {render(eps)} needs {render(size)} points, "
-            f"more than MAX_NET_POINTS = {MAX_NET_POINTS}"
-        )
-    return [*range(0, q + 1, p), *([q] if count * p != q else [])]
+    return [*range(0, q + 1, p), *([q] if q % p else [])]
 
 
 def build_eps_net(eps: Rational) -> list[Rational]:
@@ -388,9 +390,22 @@ def extract_finite_subcover(cover: Iterable[OpenInterval], modulus: NiceModulus)
     unassigned.  Only the unassigned points, as ascending disjoint runs, and
     the claims are kept, not the elements.  If the elements run out, the
     least unassigned point's ball fits none of them: NoContainingElement.
-    Reading an element past MAX_COVER_ELEMENTS raises BudgetExceeded.
+    Reading an element past MAX_COVER_ELEMENTS raises BudgetExceeded, and so does, before any net point is
+    built, a radius whose certificate could have a line or a length that `parse_certificate` would refuse.
     """
     radius = extract_constant_radius(modulus)
+    size = _net_size(radius)
+    # A net line `net x/q -> element j` has 16 characters, a point of at most 2d + 1 as 0 <= x <= q, and an index
+    # below MAX_COVER_ELEMENTS, of at most 5 digits; d, from bit lengths, is at least the digit count of the
+    # radius's numerator and denominator.  The `r=` line is shorter, and the `selected` line needs no bound: it
+    # has at most 6 characters a net point, and 9 + 6 * MAX_COVER_ELEMENTS = 600,009 < MAX_LINE_CHARS in all.
+    d = max(radius.numerator.bit_length(), radius.denominator.bit_length()) * 30103 // 100000 + 1
+    if (longest := 2 * d + 22) > rational.MAX_LINE_CHARS:
+        raise BudgetExceeded(f"certificate lines may need {longest} characters, "
+                             f"more than MAX_LINE_CHARS = {rational.MAX_LINE_CHARS}")
+    if (chars := (size + 2) * (longest + 1) + 6 * size) > rational.MAX_INPUT_CHARS:
+        raise BudgetExceeded(f"certificate of {size} net lines may need {chars} characters, "
+                             f"more than MAX_INPUT_CHARS = {rational.MAX_INPUT_CHARS}")
     points, unit = _grid(radius), radius.denominator
     free, claims = [(0, len(points))], []
     for j, e in enumerate(cover):
@@ -461,70 +476,45 @@ def _reach(spans: Iterable[tuple], unit: int) -> Covered | Uncovered:
 
 
 def render_certificate(certificate: SubcoverCertificate) -> str:
-    """The text `parse_certificate` reads; a line longer than `rational.MAX_LINE_CHARS`, which it would
-    refuse, raises BudgetExceeded instead."""
+    """The text `parse_certificate` reads."""
     unit = certificate.unit
     lines = [f"r={render(certificate.radius)}"]
     lines += [f"net {render_ratio(x, unit)} -> element {j}" for x, j in zip(certificate.points, certificate.elements)]
     lines.append("selected " + ",".join(str(j) for j in certificate.selected))
-    longest = max(lines, key=len)
-    if len(longest) > rational.MAX_LINE_CHARS:
-        raise BudgetExceeded(f"certificate line {lines.index(longest) + 1} would have {len(longest)} characters,"
-                             f" more than MAX_LINE_CHARS = {rational.MAX_LINE_CHARS}")
     return "\n".join(lines) + "\n"
 
 
 def parse_certificate(source: str | TextIO) -> SubcoverCertificate:
-    """Inverse of `render_certificate`; raises ParseError on anything off.  `source` is text or an
-    open text file, read by `input_lines`.
-
-    A net line past MAX_NET_POINTS raises BudgetExceeded, also after a malformed line below the
-    `r=` line: that line's error waits until the rest is counted.
-    """
-    lines = (line for _, line in input_lines(source) if line)
-    first = next(lines, "")
-    if not first.startswith("r="):
-        raise ParseError("certificate must start with `r=<rational>`")
-    radius = parse_rational(first[len("r=") :])
-    too_many = f"certificate has more than MAX_NET_POINTS = {MAX_NET_POINTS} net lines"
-    numerators: list[int] = []
-    denominators: list[int] = []
-    shared: dict[int, int] = {}  # one int per distinct denominator: a net has few
-    elements: list[int] = []
-    selected: tuple[int, ...] | None = None
-    try:
-        for line in lines:
-            if line.startswith("net "):
+    """Inverse of `render_certificate`.  `source` is text or an open text file, read once by `input_lines` up
+    to its first bad line: a line out of place or malformed raises ParseError naming its line number, and a
+    net line past MAX_NET_POINTS raises BudgetExceeded."""
+    radius = selected = None
+    numerators, denominators, elements, shared = [], [], [], {}  # `shared`: one int per distinct denominator
+    for line_no, line in filter(itemgetter(1), input_lines(source)):  # the lines that are not blank
+        try:
+            if not line.startswith(("r=",) if radius is None else ("net ", "selected") if selected is None else ()):
+                raise ParseError(f"unexpected certificate line: {line!r}")
+            if radius is None:
+                radius = parse_rational(line[len("r=") :])
+            elif line.startswith("net "):
                 if len(elements) == MAX_NET_POINTS:
-                    raise BudgetExceeded(too_many)
-                if selected is not None:
-                    raise ParseError("net line after the selected line")
+                    raise BudgetExceeded(f"certificate has more than MAX_NET_POINTS = {MAX_NET_POINTS} net lines")
                 point_text, arrow, element_text = line[len("net ") :].partition(" -> element ")
-                if not arrow:
+                if not (arrow and element_text.strip().isdecimal()):
                     raise ParseError(f"bad net line: {line!r}")
-                element_text = element_text.strip()
-                if not element_text.isdecimal():
-                    raise ParseError(f"bad element index in: {line!r}")
                 numerator, denominator = parse_ratio(point_text)
                 numerators.append(numerator)
                 denominators.append(shared.setdefault(denominator, denominator))
-                elements.append(_int(element_text))
-            elif line.startswith("selected"):
-                if selected is not None:
-                    raise ParseError("duplicate selected line")
-                body = line[len("selected") :].strip()
-                parts = [p for p in body.split(",") if p.strip()]
-                if not all(p.strip().isdecimal() for p in parts):
-                    raise ParseError(f"bad selected line: {line!r}")
-                selected = tuple(_int(p.strip()) for p in parts)
+                elements.append(_int(element_text.strip()))
             else:
-                raise ParseError(f"unrecognized certificate line: {line!r}")
-    except ParseError:
-        if len(elements) + sum(x.startswith("net ") for x in chain((line,), lines)) > MAX_NET_POINTS:
-            raise BudgetExceeded(too_many) from None
-        raise
+                parts = [p.strip() for p in line[len("selected") :].split(",") if p.strip()]
+                if not all(p.isdecimal() for p in parts):
+                    raise ParseError(f"bad selected line: {line!r}")
+                selected = tuple(map(_int, parts))
+        except ParseError as exc:
+            raise ParseError(f"line {line_no}: {exc}") from None
     if selected is None:
-        raise ParseError("certificate has no selected line")
+        raise ParseError("certificate ends before its `selected` line")
     return SubcoverCertificate(radius, *_net_over_unit(radius, numerators, denominators), tuple(elements), selected)
 
 

@@ -25,8 +25,8 @@ class DomainError(Exception):
 class BudgetExceeded(DomainError):
     """A computation would need more work than its cap allows.
 
-    See `rational.MAX_INPUT_LINES`, `rational.MAX_LINE_CHARS`, `cover.MAX_NET_POINTS`,
-    `cover.MAX_SCALED_BITS`, `cover.MAX_COVER_ELEMENTS`, `analysis.MAX_BISECT_STEPS`,
+    See `rational.MAX_INPUT_LINES`, `rational.MAX_INPUT_CHARS`, `rational.MAX_LINE_CHARS`,
+    `cover.MAX_NET_POINTS`, `cover.MAX_SCALED_BITS`, `cover.MAX_COVER_ELEMENTS`, `analysis.MAX_BISECT_STEPS`,
     `analysis.MAX_WAITING_STEPS`, `machine.MAX_INSTRUCTIONS`, `machine.MAX_DOVETAIL_INPUTS`,
     `machine.MAX_DOVETAIL_REGISTERS` and `machine.MAX_INTERPRETED_STEPS`.
     """

@@ -145,17 +145,26 @@ MAX_INPUT_LINES = 2 * 10**6
 # Characters in one line, not counting its end: above the ~589,000 of a `selected` line that lists
 # all cover.MAX_COVER_ELEMENTS elements, so that a line in memory costs a few MB at most.
 MAX_LINE_CHARS = 10**6
+# Characters in one input, line ends included: about twice the 31,888,946 of a certificate of
+# cover.MAX_NET_POINTS + 1 net lines, the largest input the tests read.  `cover subcover` writes no certificate
+# that could be longer, and peaks near 300 MB on the longest it may write.
+MAX_INPUT_CHARS = 2**26
 
 
 def input_lines(source: str | TextIO) -> Iterator[tuple[int, str]]:
     """(line number, line stripped of surrounding whitespace) for each line of `source`, text or an open text
     file.  A line ends at a line feed, a carriage return or both, as `open` splits a file by default, and at
-    nothing else.  A line past MAX_INPUT_LINES, or longer than MAX_LINE_CHARS, raises BudgetExceeded before
-    it is yielded, and no more than MAX_LINE_CHARS + 1 characters of it are read."""
+    nothing else.  A line past MAX_INPUT_LINES, longer than MAX_LINE_CHARS, or past MAX_INPUT_CHARS characters
+    of input, line ends included, raises BudgetExceeded before it is yielded, and no more than
+    MAX_LINE_CHARS + 1 characters of it are read."""
     lines = StringIO(source, newline=None) if isinstance(source, str) else source
+    chars = 0
     for line_no, line in enumerate(iter(partial(lines.readline, MAX_LINE_CHARS + 1), ""), 1):
+        chars += len(line)
         if line_no > MAX_INPUT_LINES:
             raise BudgetExceeded(f"input has more than MAX_INPUT_LINES = {MAX_INPUT_LINES} lines")
         if len(line) > MAX_LINE_CHARS and line[-1] != "\n":
             raise BudgetExceeded(f"input line {line_no} has more than MAX_LINE_CHARS = {MAX_LINE_CHARS} characters")
+        if chars > MAX_INPUT_CHARS:
+            raise BudgetExceeded(f"input has more than MAX_INPUT_CHARS = {MAX_INPUT_CHARS} characters")
         yield line_no, line.strip()

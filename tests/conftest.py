@@ -1,8 +1,18 @@
-"""Shared program texts and the acceptance summary hook."""
+"""Shared program texts, the certificate bounds of `cover subcover`, and the acceptance summary hook."""
 
 import pytest
 
 from nicecover.machine import parse_program
+
+
+def certificate_bounds(radius):
+    """The longest line and the length that `cover subcover` allows for the certificate of a net of `radius`,
+    worked out before the net is built: 2d + 22 characters, for d worked out from the bit lengths of the
+    radius's numerator and denominator, and (N + 2)(2d + 23) + 6N for the N points of the net."""
+    d = max(radius.numerator.bit_length(), radius.denominator.bit_length()) * 30103 // 100000 + 1
+    size = -(-radius.denominator // radius.numerator) + 1
+    return 2 * d + 22, (size + 2) * (2 * d + 23) + 6 * size
+
 
 # Counts register 0 down to zero: halts at step 3v + 2 for input v.
 COUNTDOWN_TEXT = """\

@@ -7,6 +7,7 @@ from math import ceil, floor, isqrt, prod
 
 import pytest
 
+from conftest import certificate_bounds
 from nicecover import analysis, cover as cover_mod, crn, machine, rational
 from nicecover.cli import dispatch
 
@@ -509,20 +510,41 @@ class TestCover:
         cover = tmp_path / "cover.txt"
         cover.write_text(f"-1 {6 * q // 10 + 1}/{q}\n{4 * s // 10 - 1}/{s} 2\n")
         code, cert_text, _ = run(capsys, "cover", "subcover", "--cover", str(cover))
-        lengths = [len(line) for line in cert_text.splitlines()]
-        longest = max(lengths)
-        assert code == 0 and longest > 100
+        longest = max(len(line) for line in cert_text.splitlines())
+        bound, _ = certificate_bounds(Fraction(cert_text.split("\n", 1)[0][len("r="):]))
+        assert code == 0 and 100 < longest <= bound
         cert = tmp_path / "cert.txt"
         cert.write_text(cert_text)
-        monkeypatch.setattr(rational, "MAX_LINE_CHARS", longest - 1)
+        # refused, with nothing printed, exactly when the bound is past the cap
+        monkeypatch.setattr(rational, "MAX_LINE_CHARS", bound - 1)
         assert run(capsys, "cover", "subcover", "--cover", str(cover)) == (
-            1, f"budget-exceeded certificate line {lengths.index(longest) + 1} would have {longest} characters, "
-               f"more than MAX_LINE_CHARS = {longest - 1}\n", "")
-        assert run(capsys, "cover", "verify-cert", "--cover", str(cover), "--cert", str(cert))[0] == 1
-        monkeypatch.setattr(rational, "MAX_LINE_CHARS", longest)
+            1, f"budget-exceeded certificate lines may need {bound} characters, "
+               f"more than MAX_LINE_CHARS = {bound - 1}\n", "")
+        monkeypatch.setattr(rational, "MAX_LINE_CHARS", bound)
         assert run(capsys, "cover", "subcover", "--cover", str(cover)) == (0, cert_text, "")
         assert run(capsys, "cover", "verify-cert", "--cover", str(cover), "--cert", str(cert)) == (
             0, "certificate-ok\n", "")
+        monkeypatch.setattr(rational, "MAX_LINE_CHARS", longest - 1)
+        assert run(capsys, "cover", "verify-cert", "--cover", str(cover), "--cert", str(cert))[0] == 1
+
+    def test_a_certificate_past_the_input_cap_is_not_printed(self, capsys, cover_file, tmp_path, monkeypatch):
+        code, cert_text, _ = run(capsys, "cover", "subcover", "--cover", cover_file, "--modulus", "const:1/1000")
+        _, bound = certificate_bounds(Fraction(1, 1000))
+        assert code == 0 and len(cert_text) <= bound
+        cert = tmp_path / "cert.txt"
+        cert.write_text(cert_text)
+        monkeypatch.setattr(rational, "MAX_INPUT_CHARS", bound - 1)
+        assert run(capsys, "cover", "subcover", "--cover", cover_file, "--modulus", "const:1/1000") == (
+            1, f"budget-exceeded certificate of 1001 net lines may need {bound} characters, "
+               f"more than MAX_INPUT_CHARS = {bound - 1}\n", "")
+        monkeypatch.setattr(rational, "MAX_INPUT_CHARS", bound)
+        assert run(capsys, "cover", "subcover", "--cover", cover_file, "--modulus", "const:1/1000") == (0, cert_text, "")
+        monkeypatch.setattr(rational, "MAX_INPUT_CHARS", len(cert_text))
+        assert run(capsys, "cover", "verify-cert", "--cover", cover_file, "--cert", str(cert)) == (
+            0, "certificate-ok\n", "")
+        monkeypatch.setattr(rational, "MAX_INPUT_CHARS", len(cert_text) - 1)
+        assert run(capsys, "cover", "verify-cert", "--cover", cover_file, "--cert", str(cert)) == (
+            1, f"budget-exceeded input has more than MAX_INPUT_CHARS = {len(cert_text) - 1} characters\n", "")
 
     def test_certificate_over_the_net_line_cap_is_refused(self, capsys, cover_file, tmp_path, monkeypatch):
         _, cert_text, _ = run(capsys, "cover", "subcover", "--cover", cover_file)
@@ -560,7 +582,7 @@ class TestCover:
         verify = ["cover", "verify-cert", "--cover", cover_file, "--cert", "/dev/stdin"]
         assert code == 0 and nicecover(*verify, input=cert_text) == (0, "certificate-ok\n", "")
         assert nicecover(*verify, input=cert_text + "junk\n") == (
-            2, "", "error: unrecognized certificate line: 'junk'\n",
+            2, "", f"error: line {len(cert_text.splitlines()) + 1}: unexpected certificate line: 'junk'\n",
         )
 
     def test_tampered_cert_exits_1(self, capsys, cover_file, tmp_path):

@@ -5,11 +5,11 @@ from itertools import count, islice
 from math import ceil, floor, gcd, lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nicecover.cover as cover_mod
-from conftest import NOT_LINE_ENDS
+from conftest import NOT_LINE_ENDS, certificate_bounds
 from nicecover.cover import (
     DEFAULT_SAMPLE_POINTS,
     ConstantModulus,
@@ -358,11 +358,15 @@ class TestCertificateText:
         monkeypatch.setattr(cover_mod, "MAX_NET_POINTS", 11)
         assert parse_certificate(self.expected_text()).elements == (0,) * 6 + (1,) * 5
         monkeypatch.setattr(cover_mod, "MAX_NET_POINTS", 10)
-        # refused though an earlier net line is malformed: its ParseError or ZeroDenominator waits for the count
+        with pytest.raises(BudgetExceeded, match="^certificate has more than MAX_NET_POINTS = 10 net lines$"):
+            parse_certificate(self.expected_text())
+        # the first bad line ends the read: a malformed net line before the cap is the error reported,
         for bad in ("net x -> element 0", "net 1/0 -> element 0"):
-            broken = self.expected_text().replace("net 1/2 -> element 0", bad)
-            with pytest.raises(BudgetExceeded, match="^certificate has more than MAX_NET_POINTS = 10 net lines$"):
-                parse_certificate(broken)
+            with pytest.raises(ParseError, match="^line 7: "):
+                parse_certificate(self.expected_text().replace("net 1/2 -> element 0", bad))
+        # and the net line past the cap is, whatever follows it
+        with pytest.raises(BudgetExceeded, match="^certificate has more than MAX_NET_POINTS = 10 net lines$"):
+            parse_certificate(self.expected_text().replace("selected 0,1", "junk"))
 
     @pytest.mark.parametrize("char", NOT_LINE_ENDS)
     def test_lines_end_as_in_a_file(self, tmp_path, char):
@@ -373,7 +377,7 @@ class TestCertificateText:
         text = self.expected_text().replace("element 0\n", f"element 0{char}", 1)
         path.write_bytes(text.encode())
         for source, read in [(text, parse_certificate), (path, load_certificate)]:
-            with pytest.raises(ParseError, match="^bad element index in: 'net 0 -> element 0"):
+            with pytest.raises(ParseError, match="^line 2: bad net line: 'net 0 -> element 0"):
                 read(source)
 
     @given(st.lists(st.sampled_from(["", " ", "\t\xa0", "\u2003", "\u3000"]), min_size=4, max_size=4),
@@ -388,11 +392,12 @@ class TestCertificateText:
 
         def pieces():
             point_text, arrow, element_text = line[len("net ") :].partition(" -> element ")
-            if not arrow:
-                raise ParseError(f"bad net line: {line!r}")
-            if not element_text.strip().isdecimal():
-                raise ParseError(f"bad element index in: {line!r}")
-            return parse_rational(point_text), int(element_text)
+            try:
+                if not (arrow and element_text.strip().isdecimal()):
+                    raise ParseError(f"bad net line: {line!r}")
+                return parse_rational(point_text), int(element_text)
+            except ParseError as exc:
+                raise ParseError(f"line 2: {exc}") from None
 
         def read():
             certificate = parse_certificate(f"r=1\n{line}\nselected 0\n")
@@ -405,6 +410,23 @@ class TestCertificateText:
             except (ParseError, ZeroDenominator) as exc:
                 answers.append((type(exc), str(exc)))
         assert answers[0] == answers[1]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 10**40), st.integers(1, 300), st.booleans())
+    def test_a_certificate_keeps_to_the_bounds_worked_out_before_its_net(self, k, n, spread):
+        # radius k / (k n + 1): n + 1 net points over a denominator of up to 43 digits.  Spread, 10^4 elements
+        # that hold no ball come first, then one element per net point that holds its ball alone, so every
+        # index has 5 digits and the `selected` line names one a net point
+        radius = F(k, k * n + 1)
+        if spread:
+            cover = [OpenInterval(F(5), F(6))] * 10**4 + [
+                OpenInterval(x - radius * 4 / 3, x + radius * 4 / 3) for x in build_eps_net(radius)]
+        else:
+            cover = [OpenInterval(F(-2), F(3))]
+        text = render_certificate(extract_finite_subcover(cover, ConstantModulus(radius)))
+        longest, chars = certificate_bounds(radius)
+        *lines, selected = text.splitlines()  # `selected` has at most 5 digits and a comma a net point
+        assert max(map(len, lines)) <= longest and len(selected) <= 8 + 6 * (len(lines) - 1) and len(text) <= chars
 
     @given(st.one_of(st.text(), certificate_texts))
     def test_arbitrary_text_raises_only_parse_errors(self, text):

@@ -14,6 +14,7 @@ from nicecover.errors import BudgetExceeded, ParseError, ZeroDenominator
 from nicecover.expressions import eval_rational, parse_expression
 from nicecover.machine import Halted, StillRunning
 from nicecover.rational import (
+    MAX_INPUT_CHARS,
     MAX_INPUT_LINES,
     MAX_LINE_CHARS,
     ONE,
@@ -245,6 +246,21 @@ class TestInputLines:
         lines = input_lines("#\n\n#\n\n")
         assert next(lines) == (1, "#") and next(lines) == (2, "") and next(lines) == (3, "#")
         with pytest.raises(BudgetExceeded, match="^input has more than MAX_INPUT_LINES = 3 lines$"):
+            next(lines)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_every_character_counts_against_the_input_cap(self, tmp_path, monkeypatch, end):
+        assert MAX_INPUT_CHARS == 2**26
+        monkeypatch.setattr(rational, "MAX_INPUT_CHARS", 8)
+        text = f" a{end}{end}bc{end}"  # a line's end counts as one character, as a file is read
+        path = tmp_path / "lines.txt"
+        path.write_bytes(text.encode())
+        with path.open() as file:
+            assert list(input_lines(text)) == list(input_lines(file)) == [(1, "a"), (2, ""), (3, "bc")]
+        assert list(input_lines(text + "d")) == [(1, "a"), (2, ""), (3, "bc"), (4, "d")]
+        lines = input_lines(text + "de")
+        assert [next(lines) for _ in range(3)] == [(1, "a"), (2, ""), (3, "bc")]
+        with pytest.raises(BudgetExceeded, match="^input has more than MAX_INPUT_CHARS = 8 characters$"):
             next(lines)
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])

@@ -20,17 +20,18 @@ import signal
 import subprocess
 import sys
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import pytest
 
-from conftest import COUNTDOWN_TEXT, LOOPER_TEXT, NEST_TEXT
+from conftest import COUNTDOWN_TEXT, LOOPER_TEXT, NEST_TEXT, certificate_bounds
 from nicecover.analysis import MAX_BISECT_STEPS
-from nicecover.cover import (MAX_COVER_ELEMENTS, MAX_NET_POINTS, ConstantModulus, extract_finite_subcover, parse_cover,
-                             render_certificate)
+from nicecover.cover import (MAX_COVER_ELEMENTS, MAX_NET_POINTS, MAX_SCALED_BITS, ConstantModulus,
+                             extract_finite_subcover, lebesgue_number, parse_cover, render_certificate)
 from nicecover.expressions import MAX_DEPTH
 from nicecover.machine import MAX_DOVETAIL_INPUTS, MAX_DOVETAIL_REGISTERS, MAX_INSTRUCTIONS
-from nicecover.rational import MAX_INPUT_LINES, MAX_LINE_CHARS
+from nicecover.rational import MAX_INPUT_CHARS, MAX_INPUT_LINES, MAX_LINE_CHARS
 
 ADDRESS_SPACE = 512 * 2**20
 WALL_SECONDS = 10
@@ -75,6 +76,47 @@ def padded(pad, body, past):
 def widened(body, past):
     # one blank line of MAX_LINE_CHARS spaces and `past` more, before `body`
     return " " * (MAX_LINE_CHARS + past) + "\n" + body
+
+
+def filled(body, past):
+    # comment lines of at most MAX_LINE_CHARS characters after `body`: MAX_INPUT_CHARS characters in all and `past` more
+    lines, rest = divmod(MAX_INPUT_CHARS + past - len(body), MAX_LINE_CHARS)
+    return body + ("#" * (MAX_LINE_CHARS - 1) + "\n") * lines + ("#" * (rest - 1) + "\n" if rest else "")
+
+
+def odd_primes(below):
+    sieve = bytearray([1]) * below
+    for n in range(3, isqrt(below) + 1, 2):
+        if sieve[n]:
+            sieve[n * n :: 2 * n] = bytes(len(range(n * n, below, 2 * n)))
+    return [n for n in range(3, below, 2) if sieve[n]]
+
+
+def coprime_net(count):
+    # `count` net points with the first odd primes as denominators, 1/p for all but the last, which is (p - 1)/p:
+    # at radius 1/2 each ball fits the cover `whole`, and together they cover [0, 1]
+    primes = odd_primes(10**5)[:count]
+    points = [f"1/{p}" for p in primes[:-1]] + [f"{primes[-1] - 1}/{primes[-1]}"]
+    return "r=1/2\n" + "".join(f"net {x} -> element 0\n" for x in points) + "selected 0\n"
+
+
+def most_coprime_points():
+    # n points of `coprime_net` are refused when n times the bits that their common denominator adds to the
+    # radius's denominator 2 is past MAX_SCALED_BITS: the most that are not
+    unit = 2
+    for n, p in enumerate(odd_primes(10**5), 1):
+        unit *= p
+        if n * (unit.bit_length() - 2) > MAX_SCALED_BITS:
+            return n - 1
+
+
+# 1/2 + 1/10^5 + 1/(10^2000 + 1) and 1/2 - 1/10^5 - 1/(10^2000 + 3): an 8 KB cover whose certificate would have
+# 100,001 net lines of about 8,000 characters
+EIGHT_KB = (Fraction(1, 2) + Fraction(1, 10**5) + Fraction(1, 10**2000 + 1),
+            Fraction(1, 2) - Fraction(1, 10**5) - Fraction(1, 10**2000 + 3))
+# a net of MAX_NET_POINTS points with the widest lines that `cover subcover` writes: its radius's denominator is
+# just under 2^63, and from 2^63 on the certificate could pass MAX_INPUT_CHARS
+WIDEST = Fraction(9 * 10**12 + 1, (9 * 10**12 + 1) * (MAX_NET_POINTS - 2) + 1)
 
 
 # Input files by name, each built in the cases' folder the first time a case names it.
@@ -125,10 +167,18 @@ FILES = {
     "prog-line-past-cap": lambda: widened("HALT\n", 1),
     "cert-line-at-cap": lambda: widened(certificate(4), 0),
     "cert-line-past-cap": lambda: widened(certificate(4), 1),
+    # MAX_INPUT_CHARS characters of input, and one more
+    "cover-chars-at-cap": lambda: filled("-1 2\n", 0),
+    "cover-chars-past-cap": lambda: filled("-1 2\n", 1),
+    "eight-kb": lambda: f"-1 {EIGHT_KB[0]}\n{EIGHT_KB[1]} 2\n",
+    # nets of pairwise coprime denominators, the most points within MAX_SCALED_BITS and one more
+    "scaled-bits-at-cap": lambda: coprime_net(most_coprime_points()),
+    "scaled-bits-past-cap": lambda: coprime_net(most_coprime_points() + 1),
 }
 LAST = str(MAX_DOVETAIL_INPUTS - 1)
 TOO_LONG = f"budget-exceeded input line 1 has more than MAX_LINE_CHARS = {MAX_LINE_CHARS} characters\n"
 TOO_MANY_LINES = f"budget-exceeded input has more than MAX_INPUT_LINES = {MAX_INPUT_LINES} lines\n"
+TOO_MANY_CHARS = f"budget-exceeded input has more than MAX_INPUT_CHARS = {MAX_INPUT_CHARS} characters\n"
 
 
 def case(argv, code, slow=False, name=None, **bounds):
@@ -240,6 +290,22 @@ OTHER_CASES = [
     case(["cover", "lebesgue", "--cover", "cover-line-past-cap"], 1, peak_mb=32, stdout=TOO_LONG),
     case(["cover", "verify-cert", "--cover", "whole", "--cert", "cert-line-at-cap"], 0, peak_mb=32),
     case(["cover", "verify-cert", "--cover", "whole", "--cert", "cert-line-past-cap"], 1, peak_mb=32, stdout=TOO_LONG),
+    case(["cover", "lebesgue", "--cover", "cover-chars-at-cap"], 0, seconds=2, peak_mb=32, stdout="lebesgue-number=1\n"),
+    case(["cover", "lebesgue", "--cover", "cover-chars-past-cap"], 1, seconds=2, peak_mb=32, stdout=TOO_MANY_CHARS),
+    case(["cover", "verify-cert", "--cover", "cover-chars-past-cap", "--cert", "small-cert"], 1, seconds=2, peak_mb=32,
+         stdout=TOO_MANY_CHARS),
+    # `cover subcover` bounds the certificate from the radius before it builds the net: an 8 KB cover whose
+    # certificate would have 800 MB is refused at once, and the longest certificate it may write stays in bounds
+    case(["cover", "subcover", "--cover", "eight-kb"], 1, seconds=2, peak_mb=32,
+         stdout=f"budget-exceeded certificate of 100001 net lines may need "
+                f"{certificate_bounds(lebesgue_number(parse_cover(FILES['eight-kb']())))[1]} characters, "
+                f"more than MAX_INPUT_CHARS = {MAX_INPUT_CHARS}\n"),
+    case(["cover", "subcover", "--cover", "two", "--modulus", f"const:{WIDEST}"], 0, slow=True, seconds=5, peak_mb=384),
+    case(["cover", "verify-cert", "--cover", "whole", "--cert", "scaled-bits-at-cap"], 0, slow=True, seconds=8,
+         peak_mb=128, stdout="certificate-ok\n"),
+    case(["cover", "verify-cert", "--cover", "whole", "--cert", "scaled-bits-past-cap"], 1, seconds=2, peak_mb=32,
+         stdout=f"budget-exceeded {most_coprime_points() + 1} net points over their common denominator need more than "
+                f"MAX_SCALED_BITS = {MAX_SCALED_BITS} bits beyond the radius's denominator\n"),
 ]
 
 
