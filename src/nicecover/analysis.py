@@ -203,9 +203,7 @@ class Transcript(Sequence[TranscriptRow]):
     def __len__(self) -> int:
         return self._len
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self.row(j) for j in range(self._len)[i]]
+    def __getitem__(self, i: int) -> TranscriptRow:
         return self.row(range(self._len)[i])
 
     def lines(self) -> Iterator[str]:

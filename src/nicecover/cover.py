@@ -16,8 +16,8 @@ needs, and holds only the net's unassigned runs and its claims.
 brute-force O(k^3) reference the Lebesgue sweep is tested against.
 
 No Fraction is built per net point.  A net is ints over its own unit D,
-the least common denominator of the radius and the points (an extracted
-grid has D equal to the radius's denominator); the r-ball around x / D
+the lcm of the radius's denominator and the points' as written (D is the
+radius's denominator for an extracted grid); the r-ball around x / D
 fits element j exactly when x lies between two ints worked out once per
 element (`_ball_bounds`), and certificate text is read into and written
 from those ints.  A net line is read once, by its pieces: the point before
@@ -35,7 +35,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from itertools import accumulate, chain, islice, repeat
-from math import gcd, lcm
+from math import lcm
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, TextIO
@@ -335,26 +335,14 @@ def _ball_bounds(cover: CoverList, r: int, unit: int) -> tuple[list[int], list[i
             [e.hi.numerator * unit // e.hi.denominator - r for e in cover])
 
 
-def _net_over_unit(radius: Rational, numerators: Sequence[int], denominators: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """The net points n / d as ints over their least common denominator
-    with the radius, and that unit; BudgetExceeded past MAX_SCALED_BITS."""
-    scaled = _over_unit(numerators, denominators, radius.denominator, MAX_SCALED_BITS)
-    if scaled is None:
-        raise BudgetExceeded(f"{render(len(numerators))} net points over their common denominator need more than "
-                             f"MAX_SCALED_BITS = {MAX_SCALED_BITS} bits beyond the radius's denominator")
-    points, unit = scaled
-    # points not in lowest terms can make the unit larger than least
-    g = gcd(unit // radius.denominator, *points) if unit != radius.denominator else 1
-    return (tuple(x // g for x in points), unit // g) if g > 1 else (tuple(points), unit)
-
-
 @record
 class SubcoverCertificate:
     """Everything needed to re-check a finite subcover without trusting us.
 
-    Net point k is points[k] / unit, where `unit` is the least common
-    denominator of the radius and the net points; `net` gives the points
-    as rationals.  elements[k] is the index of the cover element whose
+    Net point k is points[k] / unit, where `unit` is the radius's
+    denominator for an extracted net and, for a parsed one, the lcm of it
+    and the point denominators as written; `net` gives the points as
+    rationals.  elements[k] is the index of the cover element whose
     interval contains the radius ball around net point k.  `selected` is
     the deduplicated sorted list of the assigned elements.  The sequences
     are tuples.
@@ -515,7 +503,11 @@ def parse_certificate(source: str | TextIO) -> SubcoverCertificate:
             raise ParseError(f"line {line_no}: {exc}") from None
     if selected is None:
         raise ParseError("certificate ends before its `selected` line")
-    return SubcoverCertificate(radius, *_net_over_unit(radius, numerators, denominators), tuple(elements), selected)
+    if (scaled := _over_unit(numerators, denominators, radius.denominator, MAX_SCALED_BITS)) is None:
+        raise BudgetExceeded(f"{render(len(numerators))} net points over their common denominator need more than "
+                             f"MAX_SCALED_BITS = {MAX_SCALED_BITS} bits beyond the radius's denominator")
+    points, unit = scaled
+    return SubcoverCertificate(radius, tuple(points), unit, tuple(elements), selected)
 
 
 def load_certificate(path: str | Path) -> SubcoverCertificate:

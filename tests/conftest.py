@@ -28,7 +28,8 @@ LOOPER_TEXT = """\
 loop: GOTO loop
 """
 
-# The inner loop closes, but every lap of the outer one runs one by one.
+# Never halts.  Each outer lap sets register 1 to 2 for the inner loop to drain, too few laps to close, so
+# every step runs one by one.
 NEST_TEXT = """\
 outer: INC 1
        INC 1

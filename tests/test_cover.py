@@ -1,7 +1,7 @@
 import re
 import weakref
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count, islice, repeat
 from math import ceil, floor, gcd, lcm
 
 import pytest
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import nicecover.cover as cover_mod
 from conftest import NOT_LINE_ENDS, certificate_bounds
+from nicecover.cli import dispatch
 from nicecover.cover import (
     DEFAULT_SAMPLE_POINTS,
     ConstantModulus,
@@ -53,9 +54,24 @@ GAP_AT_HALF = [OpenInterval(F(0), F(1, 2)), OpenInterval(F(1, 2), F(1))]
 
 
 def certificate_of_net(radius, net, elements, selected):
-    """The certificate of rational net points; BudgetExceeded past MAX_SCALED_BITS."""
-    points, unit = cover_mod._net_over_unit(radius, [c.numerator for c in net], [c.denominator for c in net])
-    return SubcoverCertificate(radius, points, unit, tuple(elements), tuple(selected))
+    """The certificate of rational net points, whose points and unit are read back from the text of the net;
+    BudgetExceeded past MAX_SCALED_BITS."""
+    read = parse_certificate("".join([f"r={render(radius)}\n", *(f"net {render(c)} -> element 0\n" for c in net),
+                                      "selected\n"]))
+    return SubcoverCertificate(radius, read.points, read.unit, tuple(elements), tuple(selected))
+
+
+def unreduced_text(certificate, scales):
+    """The text of `certificate` with net point k written as an equal fraction, its numerator and denominator
+    times scales[k]; with every scale 1, `render_certificate`'s text."""
+    net = (render(c) if s == 1 else f"{c.numerator * s}/{c.denominator * s}" for c, s in zip(certificate.net, scales))
+    return "".join([f"r={render(certificate.radius)}\n",
+                    *(f"net {x} -> element {j}\n" for x, j in zip(net, certificate.elements)),
+                    "selected " + ",".join(map(str, certificate.selected)) + "\n"])
+
+
+# scales for `unreduced_text`: 1 leaves a point as rendered
+UNREDUCING = [1, 2, 3, 7, 10**3]
 
 
 unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=1000)
@@ -351,8 +367,9 @@ class TestCertificateText:
         written = "r=0.1\nnet 000 -> element 0\nnet  2/20 -> element  0\nnet 0.2 -> element 00\n"
         canonical = parse_certificate(self.expected_text())
         cert = parse_certificate(written + self.expected_text().split("\n", 4)[4])
-        # 2/20 is not in lowest terms: the unit is still the least one, 10
-        assert cert == canonical and hash(cert) == hash(canonical) and cert.unit == 10
+        # 2/20 is not in lowest terms, and the unit is the one it is written over, 20
+        assert cert.unit == 20 and (cert.radius, cert.net, cert.elements, cert.selected) == (
+            canonical.radius, canonical.net, canonical.elements, canonical.selected)
 
     def test_net_line_cap(self, monkeypatch):
         monkeypatch.setattr(cover_mod, "MAX_NET_POINTS", 11)
@@ -619,7 +636,12 @@ def sweep_oracles():
             if data.draw(st.booleans()) and selected:
                 selected = selected[1:]
             certificate = certificate_of_net(radius, tuple(net), elements, selected)
-            assert verify_certificate(cover, certificate) == rescan_verify_certificate(cover, certificate)
+            problems = verify_certificate(cover, certificate)
+            assert problems == rescan_verify_certificate(cover, certificate)
+            # with some of its points written over larger denominators, the net reads the same, with the same problems
+            scales = [*map(data.draw(st.randoms()).choice, repeat(UNREDUCING, len(net)))]
+            unreduced = parse_certificate(unreduced_text(certificate, scales))
+            assert unreduced.net == certificate.net and verify_certificate(cover, unreduced) == problems
 
     return SweepsMatchScans
 
@@ -846,6 +868,27 @@ def test_extracted_certificates_survive_their_text(cover, radius):
     except NoContainingElement:
         return
     assert parse_certificate(render_certificate(certificate)) == certificate
+
+
+@pytest.mark.parametrize("damage", ["none", "wrong-element", "sparse", "selected"])
+def test_verify_cert_command_reads_unreduced_net_points_alike(tmp_path, capsys, damage):
+    c = extract_finite_subcover(TWO_INTERVALS, LebesgueModulus(TWO_INTERVALS))
+    net, elements, selected = c.net, c.elements, c.selected
+    if damage == "wrong-element":
+        elements = (1,) + elements[1:]
+    elif damage == "sparse":
+        net, elements = net[:5] + net[6:], elements[:5] + elements[6:]
+    elif damage == "selected":
+        selected = (0,)
+    certificate = certificate_of_net(c.radius, net, elements, selected)
+    assert unreduced_text(certificate, [1] * len(net)) == render_certificate(certificate)
+    (tmp_path / "cover").write_text("".join(f"{render(e.lo)} {render(e.hi)}\n" for e in TWO_INTERVALS))
+    answers = []
+    for scales in ([1] * len(net), [UNREDUCING[k % len(UNREDUCING)] for k in range(len(net))]):
+        (tmp_path / "cert").write_text(unreduced_text(certificate, scales))
+        code = dispatch(["cover", "verify-cert", "--cover", str(tmp_path / "cover"), "--cert", str(tmp_path / "cert")])
+        answers.append((code, *capsys.readouterr()))
+    assert answers[0] == answers[1] and answers[0][0] == (0 if damage == "none" else 1)
 
 
 # The definition the checkers answer to, by brute force and sharing no code

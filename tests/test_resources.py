@@ -1,8 +1,9 @@
 """Resource contract of the commands: hostile input ends in its exact exit
 code within a wall time and an address-space limit, never in a traceback,
 and a refusal (exit 1) names the cap it hit.  Each cap is met at the cap and
-one past it.  A case may also bound its exact stdout (with an empty stderr),
-its wall time below the 10 s default, and its own peak resident memory.
+one past it.  A case may also bound its exact stdout (with an empty stderr,
+unless it gives the stderr too), its wall time below the 10 s default, and
+its own peak resident memory.
 
 Each case runs one at a time, through a small launcher process.  The
 launcher forks a child, sets the limits on it alone, runs the command in it,
@@ -26,12 +27,13 @@ from pathlib import Path
 import pytest
 
 from conftest import COUNTDOWN_TEXT, LOOPER_TEXT, NEST_TEXT, certificate_bounds
-from nicecover.analysis import MAX_BISECT_STEPS
+from nicecover.analysis import MAX_BISECT_STEPS, MAX_WAITING_STEPS
 from nicecover.cover import (MAX_COVER_ELEMENTS, MAX_NET_POINTS, MAX_SCALED_BITS, ConstantModulus,
                              extract_finite_subcover, lebesgue_number, parse_cover, render_certificate)
 from nicecover.expressions import MAX_DEPTH
-from nicecover.machine import MAX_DOVETAIL_INPUTS, MAX_DOVETAIL_REGISTERS, MAX_INSTRUCTIONS
-from nicecover.rational import MAX_INPUT_CHARS, MAX_INPUT_LINES, MAX_LINE_CHARS
+from nicecover.machine import (MAX_DOVETAIL_INPUTS, MAX_DOVETAIL_REGISTERS, MAX_INSTRUCTIONS, MAX_INTERPRETED_STEPS,
+                               MAX_REGISTER, MAX_TRACED_STEPS)
+from nicecover.rational import MAX_INPUT_CHARS, MAX_INPUT_LINES, MAX_LINE_CHARS, render
 
 ADDRESS_SPACE = 512 * 2**20
 WALL_SECONDS = 10
@@ -56,6 +58,20 @@ os.write(int(report), f"{{os.waitstatus_to_exitcode(status)}} {{usage.ru_maxrss}
 
 def labels(count):
     return "".join(f"l{i}:\n" for i in range(count)) + "HALT\n"
+
+
+def transfers(count, length):
+    # `count` loops in a row, loop i moving register i % 2 into the other one, then HALT, padded with HALTs to
+    # `length` instructions: input v halts at step count * (4v + 1) + 1, and each loop header traces one lap
+    loops = "".join(f"l{i}: JZ {i % 2} n{i}\nDEC {i % 2}\nINC {1 - i % 2}\nGOTO l{i}\nn{i}:\n" for i in range(count))
+    return loops + "HALT\n" * (length - 4 * count)
+
+
+# The table of traced laps holds MAX_TRACED_STEPS // length laps for a program of `length` instructions.  HEADERS
+# is the most loops of `transfers` whose laps it holds at once, in a program of TRANSFERS_LENGTH instructions.
+HEADERS = max(h for h in range(1, isqrt(MAX_TRACED_STEPS)) if h * (4 * h + 1) <= MAX_TRACED_STEPS)
+TRANSFERS_LENGTH = MAX_TRACED_STEPS // HEADERS
+TRANSFER_INPUTS = range(10**6, 10**6 + 100)
 
 
 def intervals(count):
@@ -129,8 +145,12 @@ FILES = {
     "past-cap": lambda: "INC 1\n" * MAX_INSTRUCTIONS + "HALT\n",
     # a long program: a dovetail's run states must not grow with its length
     "long": lambda: "INC 1\n" * 3000 + "HALT\n",
-    # the largest register: every run of a dovetail holds 1,024 of them
-    "wide": lambda: "INC 1023\nHALT\n",
+    # the largest register, whose runs each hold 1,024 registers in a dovetail, and one past it
+    "wide": lambda: f"INC {MAX_REGISTER}\nHALT\n",
+    "wider": lambda: f"INC {MAX_REGISTER + 1}\nHALT\n",
+    # as many loop headers as the table of traced laps holds, and one more, in a program of the same length
+    "headers-at-cap": lambda: transfers(HEADERS, TRANSFERS_LENGTH),
+    "headers-past-cap": lambda: transfers(HEADERS + 1, TRANSFERS_LENGTH),
     # label-only lines up to the cap, one past it, and 20 times the cap
     "labels-at-cap": lambda: labels(MAX_INSTRUCTIONS),
     "labels-past-cap": lambda: labels(MAX_INSTRUCTIONS + 1),
@@ -176,13 +196,14 @@ FILES = {
     "scaled-bits-past-cap": lambda: coprime_net(most_coprime_points() + 1),
 }
 LAST = str(MAX_DOVETAIL_INPUTS - 1)
+WIDE_RUNS = MAX_DOVETAIL_REGISTERS // (MAX_REGISTER + 1)
 TOO_LONG = f"budget-exceeded input line 1 has more than MAX_LINE_CHARS = {MAX_LINE_CHARS} characters\n"
 TOO_MANY_LINES = f"budget-exceeded input has more than MAX_INPUT_LINES = {MAX_INPUT_LINES} lines\n"
 TOO_MANY_CHARS = f"budget-exceeded input has more than MAX_INPUT_CHARS = {MAX_INPUT_CHARS} characters\n"
 
 
 def case(argv, code, slow=False, name=None, **bounds):
-    """A case of `run_bounded`; `bounds` are its optional `stdout`, `seconds` and `peak_mb`."""
+    """A case of `run_bounded`; `bounds` are its optional `stdout`, `stderr`, `seconds` and `peak_mb`."""
     return pytest.param(argv, code, bounds, marks=[pytest.mark.slow] if slow else [], id=name or " ".join(argv)[:80])
 
 
@@ -199,11 +220,37 @@ MACHINE_CASES = [
          stdout=f"budget-exceeded {MAX_DOVETAIL_INPUTS} inputs of 1024 registers each need more than "
                 f"MAX_DOVETAIL_REGISTERS = {MAX_DOVETAIL_REGISTERS} registers\n"),
     case(["machine", "dovetail", "--prog", "countdown", "--inputs", f"0..{MAX_DOVETAIL_INPUTS}", "--budget", "1"], 1),
+    # the most runs of the widest program that MAX_DOVETAIL_REGISTERS holds, and one more
+    case(["machine", "dovetail", "--prog", "wide", "--inputs", f"0..{WIDE_RUNS - 1}", "--budget", "1"], 0, stdout="",
+         seconds=2, peak_mb=128),
+    case(["machine", "dovetail", "--prog", "wide", "--inputs", f"0..{WIDE_RUNS}", "--budget", "1"], 1, seconds=2,
+         stdout=f"budget-exceeded {WIDE_RUNS + 1} inputs of {MAX_REGISTER + 1} registers each need more than "
+                f"MAX_DOVETAIL_REGISTERS = {MAX_DOVETAIL_REGISTERS} registers\n"),
     # every run of the widest dovetail advances, to its halt at step 3v + 2
     case(["machine", "dovetail", "--prog", "countdown", "--inputs", "0.." + LAST, "--budget", "1000000000000"], 0,
          slow=True, seconds=5, peak_mb=96,
          stdout="".join(f"input={v} steps={3 * v + 2}\n" for v in range(MAX_DOVETAIL_INPUTS))),
     case(["waiting", "approx", "--prog", "looper", "--input", "0", "--prec", "1000000"], 1),
+    # precision n reads the entry at index n + 1, which runs n + 1 steps
+    case(["waiting", "approx", "--prog", "looper", "--input", "0", "--prec", str(MAX_WAITING_STEPS - 1)], 0, seconds=2,
+         stdout=f"{render(1 - Fraction(1, 2**MAX_WAITING_STEPS))} ± 2^-{MAX_WAITING_STEPS - 1}\n"),
+    case(["waiting", "approx", "--prog", "looper", "--input", "0", "--prec", str(MAX_WAITING_STEPS)], 1, seconds=2,
+         stdout=f"budget-exceeded index {MAX_WAITING_STEPS + 1} needs {MAX_WAITING_STEPS + 1} steps; "
+                f"cap is {MAX_WAITING_STEPS}\n"),
+    case(["machine", "run", "--prog", "wide", "--input", "0", "--budget", "10"], 0, stdout="halted steps=2\n"),
+    case(["machine", "run", "--prog", "wider", "--input", "0", "--budget", "10"], 2, stdout="",
+         stderr=f"error: line 1: register {MAX_REGISTER + 1} is above MAX_REGISTER = {MAX_REGISTER}\n"),
+    # every step of `nest` runs one by one
+    case(["machine", "run", "--prog", "nest", "--input", "0", "--budget", str(MAX_INTERPRETED_STEPS)], 0, slow=True,
+         seconds=5, stdout=f"still-running budget={MAX_INTERPRETED_STEPS}\n"),
+    case(["machine", "run", "--prog", "nest", "--input", "0", "--budget", str(MAX_INTERPRETED_STEPS + 1)], 1, slow=True,
+         seconds=5, stdout=f"budget-exceeded more than MAX_INTERPRETED_STEPS = {MAX_INTERPRETED_STEPS} steps would "
+                           f"run one by one\n"),
+    # all runs of a dovetail share the table, which the program past the cap keeps clearing and tracing again
+    *(case(["machine", "dovetail", "--prog", f"headers-{at}", "--inputs",
+            f"{TRANSFER_INPUTS[0]}..{TRANSFER_INPUTS[-1]}", "--budget", str(10**12)], 0, seconds=2, peak_mb=32,
+           stdout="".join(f"input={v} steps={count * (4 * v + 1) + 1}\n" for v in TRANSFER_INPUTS))
+      for at, count in [("at-cap", HEADERS), ("past-cap", HEADERS + 1)]),
     case(["reduce", "--prog", "nest", "--input", "0", "--prec", "1000000000"], 1, slow=True),
     case(["reduce", "--prog", "countdown", "--input", "9" * 4300, "--prec", "40"], 0),
     case(["machine", "run", "--prog", "labels-at-cap", "--input", "0", "--budget", "10"], 0),
@@ -301,8 +348,8 @@ OTHER_CASES = [
                 f"{certificate_bounds(lebesgue_number(parse_cover(FILES['eight-kb']())))[1]} characters, "
                 f"more than MAX_INPUT_CHARS = {MAX_INPUT_CHARS}\n"),
     case(["cover", "subcover", "--cover", "two", "--modulus", f"const:{WIDEST}"], 0, slow=True, seconds=5, peak_mb=384),
-    case(["cover", "verify-cert", "--cover", "whole", "--cert", "scaled-bits-at-cap"], 0, slow=True, seconds=8,
-         peak_mb=128, stdout="certificate-ok\n"),
+    case(["cover", "verify-cert", "--cover", "whole", "--cert", "scaled-bits-at-cap"], 0, seconds=2, peak_mb=128,
+         stdout="certificate-ok\n"),
     case(["cover", "verify-cert", "--cover", "whole", "--cert", "scaled-bits-past-cap"], 1, seconds=2, peak_mb=32,
          stdout=f"budget-exceeded {most_coprime_points() + 1} net points over their common denominator need more than "
                 f"MAX_SCALED_BITS = {MAX_SCALED_BITS} bits beyond the radius's denominator\n"),
@@ -314,7 +361,7 @@ def folder(tmp_path_factory):
     return tmp_path_factory.mktemp("inputs")
 
 
-def run_bounded(folder, argv, code, stdout=None, seconds=WALL_SECONDS, peak_mb=None):
+def run_bounded(folder, argv, code, stdout=None, stderr="", seconds=WALL_SECONDS, peak_mb=None):
     """Run the command in `folder`, where each input file it names is built first, and hold it to its bounds."""
     for name in set(argv) & FILES.keys():
         if not (folder / name).exists():
@@ -335,7 +382,7 @@ def run_bounded(folder, argv, code, stdout=None, seconds=WALL_SECONDS, peak_mb=N
     if code == 1:
         assert done.stdout.startswith("budget-exceeded ") and CAP_NAMED.search(done.stdout), done.stdout
     if stdout is not None:
-        assert (done.stdout, done.stderr) == (stdout, "")
+        assert (done.stdout, done.stderr) == (stdout, stderr)
     if peak_mb is not None:
         assert peak_kb < peak_mb * 1024, f"peak RSS {peak_kb / 1024:.0f} MB, over {peak_mb} MB"
 
