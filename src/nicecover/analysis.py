@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
 from math import lcm
+from pathlib import Path
 
 from .crn import CRN
 from .errors import BudgetExceeded, NotSeparated, ParseError
-from .machine import Halted, Program, RunOutcome, load_program, run_for
+from .machine import Halted, Program, RunOutcome, parse_program, run_for
 from .rational import ONE, Rational, parse_natural, parse_rational, pow2, record, render, render_ratio
 
 # Row i of a transcript holds rationals of about i bits, so a transcript of
@@ -260,7 +261,7 @@ def _waiting_builtin(args: Sequence[str]) -> CRN:
     if len(args) not in (2, 3):
         raise ParseError("waiting expects (PROG_FILE, INPUT[, TARGETS])")
     try:
-        program = load_program(args[0])
+        program = parse_program(Path(args[0]))
     except OSError as exc:
         raise ParseError(f"cannot read program {args[0]!r}: {exc}") from exc
     input_value = parse_natural(args[1])

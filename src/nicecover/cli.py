@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
@@ -184,7 +185,7 @@ def _cmd_crn_approx(args) -> int:
 
 
 def _cmd_machine_run(args) -> int:
-    program = machine.load_program(args.prog)
+    program = machine.parse_program(Path(args.prog))
     outcome = machine.run_for(program, args.input, args.budget)
     if isinstance(outcome, machine.Halted):
         print(f"halted steps={outcome.steps}")
@@ -194,14 +195,14 @@ def _cmd_machine_run(args) -> int:
 
 
 def _cmd_machine_dovetail(args) -> int:
-    program = machine.load_program(args.prog)
+    program = machine.parse_program(Path(args.prog))
     for input_value, steps in machine.dovetail_enumerate(program, args.inputs, args.budget):
         print(f"input={input_value} steps={steps}")
     return 0
 
 
 def _cmd_waiting_approx(args) -> int:
-    program = machine.load_program(args.prog)
+    program = machine.parse_program(Path(args.prog))
     max_steps = analysis.MAX_WAITING_STEPS if args.max_steps is None else args.max_steps
     value = analysis.waiting_crn(program, args.input, args.targets, max_steps=max_steps)
     print(f"{render(crn.approx_to(value, args.prec))} ± 2^-{args.prec}")
@@ -209,7 +210,7 @@ def _cmd_waiting_approx(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    program = machine.load_program(args.prog)
+    program = machine.parse_program(Path(args.prog))
     verdict = analysis.halting_reduction(program, args.input, args.targets, args.prec)
     # the window, targets.regulator(prec + 1), may have more digits than str() allows
     if isinstance(verdict, machine.Halted):
@@ -234,24 +235,26 @@ def _cmd_bisect(args) -> int:
 
 
 def _cmd_cover_lebesgue(args) -> int:
-    intervals = cover_mod.load_cover(args.cover)
+    intervals = cover_mod.parse_cover(Path(args.cover))
     print(f"lebesgue-number={render(cover_mod.lebesgue_number(intervals))}")
     return 0
 
 
 def _cmd_cover_subcover(args) -> int:
-    intervals = cover_mod.load_cover(args.cover)
+    intervals = cover_mod.parse_cover(Path(args.cover))
     if args.modulus is None:
         modulus = cover_mod.LebesgueModulus(intervals)
     else:
         modulus = cover_mod.ConstantModulus(args.modulus)
     certificate = cover_mod.extract_finite_subcover(intervals, modulus)
-    sys.stdout.write(cover_mod.render_certificate(certificate))
+    lines = cover_mod.render_certificate(certificate)
+    while chunk := "".join(islice(lines, 4096)):
+        sys.stdout.write(chunk)
     return 0
 
 
 def _cmd_cover_verify(args) -> int:
-    intervals = cover_mod.load_cover(args.cover)
+    intervals = cover_mod.parse_cover(Path(args.cover))
     verdict = cover_mod.verify_subcover(intervals, args.selected)
     if isinstance(verdict, cover_mod.Covered):
         print("covered")
@@ -261,8 +264,8 @@ def _cmd_cover_verify(args) -> int:
 
 
 def _cmd_cover_verify_cert(args) -> int:
-    intervals = cover_mod.load_cover(args.cover)
-    certificate = cover_mod.load_certificate(args.cert)
+    intervals = cover_mod.parse_cover(Path(args.cover))
+    certificate = cover_mod.parse_certificate(Path(args.cert))
     problems = cover_mod.verify_certificate(intervals, certificate)
     if not problems:
         print("certificate-ok")

@@ -37,8 +37,7 @@ from collections.abc import Sequence
 from itertools import accumulate, chain, islice, repeat
 from math import lcm
 from operator import itemgetter
-from pathlib import Path
-from typing import Callable, Iterable, TextIO
+from typing import Callable, Iterable, Iterator
 
 from . import rational
 from .errors import (
@@ -49,7 +48,7 @@ from .errors import (
     NotNiceCover,
     ParseError,
 )
-from .rational import ONE, ZERO, Rational, _int, input_lines, parse_ratio, parse_rational, record, render, render_ratio
+from .rational import ONE, ZERO, Rational, Source, _int, input_lines, parse_ratio, parse_rational, record, render, render_ratio
 
 
 @record
@@ -59,7 +58,7 @@ class OpenInterval:
 
     def __post_init__(self):
         if not self.lo < self.hi:
-            raise ValueError(f"interval needs lo < hi, got ({self.lo}, {self.hi})")
+            raise ValueError("interval needs lo < hi")
 
     def contains_point(self, x: Rational) -> bool:
         return self.lo < x < self.hi
@@ -106,13 +105,13 @@ def _common_unit(values: Sequence[Rational]) -> tuple[list, int]:
         list(values), 1)
 
 
-def parse_cover(source: str | TextIO) -> list[OpenInterval]:
-    """One interval per line as `lo hi` (rationals or exact decimals); `#` comments.  `source` is text
-    or an open text file, read by `input_lines`.  More than MAX_COVER_ELEMENTS intervals raise
+def parse_cover(source: Source) -> list[OpenInterval]:
+    """One interval per line as `lo hi` (rationals or exact decimals); `#` comments.  `source` is text,
+    an open text file or a path, read by `input_lines`.  More than MAX_COVER_ELEMENTS intervals raise
     BudgetExceeded before any is read, so a file past the cap is refused even with a malformed line; a
     malformed line raises ParseError naming its line number."""
     lines = ((line_no, code) for line_no, line in input_lines(source) if (code := line.split("#", 1)[0].rstrip()))
-    codes = list(islice(lines, MAX_COVER_ELEMENTS + 1))  # the interval lines, not yet read into ints
+    codes = list(islice(lines, MAX_COVER_ELEMENTS + 1))  # the interval lines, not yet parsed
     if len(codes) > MAX_COVER_ELEMENTS:
         raise BudgetExceeded(f"cover has more than MAX_COVER_ELEMENTS = {MAX_COVER_ELEMENTS} intervals")
     intervals: list[OpenInterval] = []
@@ -121,20 +120,12 @@ def parse_cover(source: str | TextIO) -> list[OpenInterval]:
         try:
             if len(parts) != 2:
                 raise ParseError(f"expected `lo hi`, got {code!r}")
-            (a, b), (c, d) = parse_ratio(parts[0]), parse_ratio(parts[1])
-            if not a * d < c * b:
-                raise ParseError("interval needs lo < hi")
-        except ParseError as exc:
+            intervals.append(OpenInterval(parse_rational(parts[0]), parse_rational(parts[1])))
+        except ValueError as exc:  # a ParseError, or OpenInterval refusing lo >= hi
             raise ParseError(f"line {line_no}: {exc}") from None
-        intervals.append(OpenInterval(Rational(a, b), Rational(c, d)))
     if not intervals:
         raise ParseError("cover file contains no intervals")
     return intervals
-
-
-def load_cover(path: str | Path) -> list[OpenInterval]:
-    with Path(path).open() as lines:
-        return parse_cover(lines)
 
 
 def uniform_radius_at(cover: CoverList, x: Rational) -> Rational:
@@ -463,19 +454,18 @@ def _reach(spans: Iterable[tuple], unit: int) -> Covered | Uncovered:
     return Covered() if reach > unit else Uncovered(Rational(reach, unit))
 
 
-def render_certificate(certificate: SubcoverCertificate) -> str:
-    """The text `parse_certificate` reads."""
+def render_certificate(certificate: SubcoverCertificate) -> Iterator[str]:
+    """The lines of the text `parse_certificate` reads, each with its line end."""
     unit = certificate.unit
-    lines = [f"r={render(certificate.radius)}"]
-    lines += [f"net {render_ratio(x, unit)} -> element {j}" for x, j in zip(certificate.points, certificate.elements)]
-    lines.append("selected " + ",".join(str(j) for j in certificate.selected))
-    return "\n".join(lines) + "\n"
+    yield f"r={render(certificate.radius)}\n"
+    yield from (f"net {render_ratio(x, unit)} -> element {j}\n" for x, j in zip(certificate.points, certificate.elements))
+    yield "selected " + ",".join(str(j) for j in certificate.selected) + "\n"
 
 
-def parse_certificate(source: str | TextIO) -> SubcoverCertificate:
-    """Inverse of `render_certificate`.  `source` is text or an open text file, read once by `input_lines` up
-    to its first bad line: a line out of place or malformed raises ParseError naming its line number, and a
-    net line past MAX_NET_POINTS raises BudgetExceeded."""
+def parse_certificate(source: Source) -> SubcoverCertificate:
+    """Inverse of `render_certificate`.  `source` is text, an open text file or a path, read once by
+    `input_lines` up to its first bad line: a line out of place or malformed raises ParseError naming its
+    line number, and a net line past MAX_NET_POINTS raises BudgetExceeded."""
     radius = selected = None
     numerators, denominators, elements, shared = [], [], [], {}  # `shared`: one int per distinct denominator
     for line_no, line in filter(itemgetter(1), input_lines(source)):  # the lines that are not blank
@@ -508,11 +498,6 @@ def parse_certificate(source: str | TextIO) -> SubcoverCertificate:
                              f"MAX_SCALED_BITS = {MAX_SCALED_BITS} bits beyond the radius's denominator")
     points, unit = scaled
     return SubcoverCertificate(radius, tuple(points), unit, tuple(elements), selected)
-
-
-def load_certificate(path: str | Path) -> SubcoverCertificate:
-    with Path(path).open() as lines:
-        return parse_certificate(lines)
 
 
 def verify_certificate(cover: CoverList, certificate: SubcoverCertificate) -> list[str]:

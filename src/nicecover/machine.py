@@ -21,11 +21,10 @@ import re
 from bisect import bisect_left, insort
 from collections import defaultdict
 from itertools import islice
-from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterable
 
 from .errors import BudgetExceeded, InvalidProgram, ParseError
-from .rational import input_lines, parse_natural, record
+from .rational import Source, input_lines, parse_natural, record
 
 # Per instruction: the kinds of its operands (r a register, l a label),
 # and what it takes, as a wrong operand count is reported.
@@ -76,8 +75,8 @@ class StillRunning:
 RunOutcome = Halted | StillRunning
 
 
-def parse_program(source: str | TextIO) -> Program:
-    """Parse a program, text or an open text file read by `input_lines`: one instruction per line,
+def parse_program(source: Source) -> Program:
+    """Parse a program, text, an open text file or a path, read by `input_lines`: one instruction per line,
     `name:` label prefixes, `#` comments, decimal register indices up to MAX_REGISTER.  More than
     MAX_INSTRUCTIONS instructions, or labels, raise BudgetExceeded before any operand is read."""
     labels: dict[str, int] = {}
@@ -133,11 +132,6 @@ def parse_program(source: str | TextIO) -> Program:
         instructions.append((OPS.index(op), reg, target))
 
     return Program(tuple(instructions), register_count=max(reg for _, reg, _ in instructions) + 1)
-
-
-def load_program(path: str | Path) -> Program:
-    with Path(path).open() as lines:
-        return parse_program(lines)
 
 
 def _repeat_lap(

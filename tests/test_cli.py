@@ -4,6 +4,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from math import ceil, floor, isqrt, prod
+from pathlib import Path
 
 import pytest
 
@@ -479,8 +480,9 @@ class TestCover:
         code, cert_text, _ = run(capsys, "cover", "subcover", "--cover", cover_file, "--modulus", f"const:{radius}")
         cert = tmp_path / "cert.txt"
         cert.write_text(cert_text)
-        extracted = cover_mod.extract_finite_subcover(cover_mod.load_cover(cover_file), cover_mod.ConstantModulus(radius))
-        assert code == 0 and cover_mod.load_certificate(cert) == extracted
+        extracted = cover_mod.extract_finite_subcover(cover_mod.parse_cover(Path(cover_file)),
+                                                      cover_mod.ConstantModulus(radius))
+        assert code == 0 and cover_mod.parse_certificate(cert) == extracted
 
     @pytest.mark.slow
     def test_prime_denominator_cover_round_trip(self, capsys, tmp_path):
@@ -816,8 +818,8 @@ ANALYSIS_RAN = "0 analysis cli crn errors machine rational"
 def test_command_runs_only_the_layers_it_uses(countdown_file, cover_file, tmp_path, argv, ran):
     cert = tmp_path / "cert.txt"
     intervals = cover_mod.parse_cover(TWO_INTERVAL_COVER)
-    cert.write_text(cover_mod.render_certificate(
-        cover_mod.extract_finite_subcover(intervals, cover_mod.LebesgueModulus(intervals))))
+    cert.write_text("".join(cover_mod.render_certificate(
+        cover_mod.extract_finite_subcover(intervals, cover_mod.LebesgueModulus(intervals)))))
     argv = [arg.format(prog=countdown_file, cover=cover_file, cert=cert) for arg in argv]
     result = subprocess.run([sys.executable, "-c", LAYERS_RUN, *argv], capture_output=True, text=True)
     assert result.stderr == ""

@@ -26,8 +26,6 @@ from nicecover.cover import (
     find_containing_element,
     lebesgue_candidates,
     lebesgue_number,
-    load_certificate,
-    load_cover,
     parse_certificate,
     parse_cover,
     render_certificate,
@@ -122,7 +120,12 @@ class TestParsing:
     def test_load_cover(self, tmp_path):
         path = tmp_path / "cov.txt"
         path.write_text("-1/10 6/10\n4/10 11/10\n")
-        assert load_cover(path) == TWO_INTERVALS
+        assert parse_cover(path) == TWO_INTERVALS
+
+    @pytest.mark.parametrize("line", ["1 0", "1/2 1/2", "0.5 1/2", "2/4 0.5", "-0 0"])
+    def test_ends_out_of_order_name_their_line(self, line):
+        with pytest.raises(ParseError, match="^line 2: interval needs lo < hi$"):
+            parse_cover(f"-1 2\n{line}\n")
 
     def test_interval_cap(self, monkeypatch):
         monkeypatch.setattr(cover_mod, "MAX_COVER_ELEMENTS", 3)
@@ -139,13 +142,13 @@ class TestParsing:
         path = tmp_path / "cov.txt"
         text = f"# note{char}0 1\r\n-1/10 6/10{char}\r4/10 11/10\n"
         path.write_bytes(text.encode())
-        assert parse_cover(text) == load_cover(path) == TWO_INTERVALS
+        assert parse_cover(text) == parse_cover(path) == TWO_INTERVALS
         for text, error in [(f"-1/10 6/10{char}4/10 11/10\n", "line 1: expected `lo hi`"),
                             (f"#{char}\n1 0\n", "line 2: interval needs lo < hi")]:
             path.write_bytes(text.encode())
-            for source, read in [(text, parse_cover), (path, load_cover)]:
+            for source in (text, path):
                 with pytest.raises(ParseError, match=f"^{re.escape(error)}"):
-                    read(source)
+                    parse_cover(source)
 
 
 class TestLebesgue:
@@ -327,11 +330,11 @@ class TestCertificateText:
 
     def test_render(self):
         cert = extract_finite_subcover(TWO_INTERVALS, LebesgueModulus(TWO_INTERVALS))
-        assert render_certificate(cert) == self.expected_text()
+        assert "".join(render_certificate(cert)) == self.expected_text()
 
     def test_round_trip(self):
         cert = extract_finite_subcover(TWO_INTERVALS, LebesgueModulus(TWO_INTERVALS))
-        assert parse_certificate(render_certificate(cert)) == cert
+        assert parse_certificate("".join(render_certificate(cert))) == cert
 
     def test_parse_is_exact_about_shape(self):
         assert parse_certificate(self.expected_text()) == extract_finite_subcover(
@@ -390,12 +393,12 @@ class TestCertificateText:
         path = tmp_path / "cert.txt"
         text = self.expected_text().replace("\n", f"{char}\r\n")
         path.write_bytes(text.encode())
-        assert parse_certificate(text) == load_certificate(path) == parse_certificate(self.expected_text())
+        assert parse_certificate(text) == parse_certificate(path) == parse_certificate(self.expected_text())
         text = self.expected_text().replace("element 0\n", f"element 0{char}", 1)
         path.write_bytes(text.encode())
-        for source, read in [(text, parse_certificate), (path, load_certificate)]:
+        for source in (text, path):
             with pytest.raises(ParseError, match="^line 2: bad net line: 'net 0 -> element 0"):
-                read(source)
+                parse_certificate(source)
 
     @given(st.lists(st.sampled_from(["", " ", "\t\xa0", "\u2003", "\u3000"]), min_size=4, max_size=4),
            st.sampled_from(["0", "-7", "07/3", "7/0", "-0.25", "\u0663/\u0667", "\u0661/\u0662", "\u0661.\u0665",
@@ -440,7 +443,7 @@ class TestCertificateText:
                 OpenInterval(x - radius * 4 / 3, x + radius * 4 / 3) for x in build_eps_net(radius)]
         else:
             cover = [OpenInterval(F(-2), F(3))]
-        text = render_certificate(extract_finite_subcover(cover, ConstantModulus(radius)))
+        text = "".join(render_certificate(extract_finite_subcover(cover, ConstantModulus(radius))))
         longest, chars = certificate_bounds(radius)
         *lines, selected = text.splitlines()  # `selected` has at most 5 digits and a comma a net point
         assert max(map(len, lines)) <= longest and len(selected) <= 8 + 6 * (len(lines) - 1) and len(text) <= chars
@@ -575,17 +578,21 @@ def outcome(fn, *args):
 
 
 @st.composite
+def ends(draw):
+    """A fraction of [-1, 2] over at most 12, as `st.fractions` draws it, from strategies that Hypothesis builds
+    once: `st.fractions` builds a strategy per fraction, which would take most of the time of the tests below."""
+    denominator = draw(st.integers(1, 12))
+    return F(draw(st.integers(-denominator, 2 * denominator)), denominator)
+
+
+@st.composite
 def covers(draw, max_size=10):
     """Few distinct endpoints, so nested, touching and repeated intervals are common."""
-    pool = draw(
-        st.lists(st.fractions(min_value=-1, max_value=2, max_denominator=12),
-                 min_size=2, max_size=8, unique=True)
-    )
-    pairs = draw(
-        st.lists(st.lists(st.sampled_from(pool), min_size=2, max_size=2, unique=True),
-                 min_size=1, max_size=max_size)
-    )
-    return [OpenInterval(min(p), max(p)) for p in pairs]
+    pool = draw(st.lists(ends(), min_size=2, max_size=8, unique=True))
+    # two distinct ends of the pool, as an index and a nonzero step from it
+    n = len(pool)
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)), min_size=1, max_size=max_size))
+    return [OpenInterval(*sorted((pool[i], pool[(i + step) % n]))) for i, step in pairs]
 
 
 radii = st.fractions(min_value="1/24", max_value="3/2", max_denominator=24)
@@ -610,36 +617,38 @@ def sweep_oracles():
             for elements in (cover, iter(cover)):
                 assert outcome(extract_finite_subcover, elements, ConstantModulus(radius)) == expected
 
-        @given(covers(), radii, st.data())
-        def test_verify_certificate_on_damaged_nets(self, cover, radius, data):
+        # one Random draws the damage: a strategy built per net point would take most of the test's time
+        @given(covers(), radii, st.randoms(use_true_random=True))
+        def test_verify_certificate_on_damaged_nets(self, cover, radius, rng):
             net = build_eps_net(radius)
             elements = []
             for point in net:
                 try:
                     elements.append(find_containing_element(cover, point, radius))
                 except NoContainingElement:
-                    elements.append(data.draw(st.integers(0, len(cover))))  # may be out of range
-            damage = data.draw(st.sampled_from(["none", "shuffle", "drop", "repeat", "shift"]))
+                    elements.append(rng.randint(0, len(cover)))  # may be out of range
+            damage = rng.choice(["none", "shuffle", "drop", "repeat", "shift"])
             if damage == "shuffle":
-                net = data.draw(st.permutations(net))
+                rng.shuffle(net)
             elif damage == "drop" and len(net) > 2:
-                del net[data.draw(st.integers(0, len(net) - 1))]
+                del net[rng.randrange(len(net))]
             elif damage == "repeat":
-                net.append(data.draw(st.sampled_from(net)))
+                net.append(rng.choice(net))
                 elements.append(0)
             elif damage == "shift":
-                i = data.draw(st.integers(0, len(net) - 1))
-                net[i] += data.draw(st.fractions(min_value=-radius, max_value=radius, max_denominator=90))
-            radius *= data.draw(st.sampled_from([1, 1, F(1, 2), F(3, 2)]))
+                denominator = rng.randint(1, 90)  # a fraction of [-radius, radius] over at most 90
+                net[rng.randrange(len(net))] += F(rng.randint(ceil(-radius * denominator), floor(radius * denominator)),
+                                                  denominator)
+            radius *= rng.choice([1, 1, F(1, 2), F(3, 2)])
             elements = tuple(elements[: len(net)])
             selected = tuple(sorted(set(elements)))
-            if data.draw(st.booleans()) and selected:
+            if rng.random() < 0.5 and selected:
                 selected = selected[1:]
             certificate = certificate_of_net(radius, tuple(net), elements, selected)
             problems = verify_certificate(cover, certificate)
             assert problems == rescan_verify_certificate(cover, certificate)
             # with some of its points written over larger denominators, the net reads the same, with the same problems
-            scales = [*map(data.draw(st.randoms()).choice, repeat(UNREDUCING, len(net)))]
+            scales = [*map(rng.choice, repeat(UNREDUCING, len(net)))]
             unreduced = parse_certificate(unreduced_text(certificate, scales))
             assert unreduced.net == certificate.net and verify_certificate(cover, unreduced) == problems
 
@@ -773,7 +782,7 @@ class TestHostileDenominators:
         radius = F(10**90 + 1, 99 * 10**90)
         certificate = extract_finite_subcover(TWO_INTERVALS, ConstantModulus(radius))
         assert len(certificate.points) == 100 and certificate.unit == radius.denominator
-        assert parse_certificate(render_certificate(certificate)) == certificate
+        assert parse_certificate("".join(render_certificate(certificate))) == certificate
         rebuilt = certificate_of_net(radius, certificate.net, certificate.elements, certificate.selected)
         assert rebuilt == certificate and verify_certificate(TWO_INTERVALS, rebuilt) == []
 
@@ -785,7 +794,7 @@ class TestHostileDenominators:
         elements = [find_containing_element(TWO_INTERVALS, point, radius) for point in net]
         whole = certificate_of_net(radius, net, elements, (0, 1))
         assert verify_certificate(TWO_INTERVALS, whole) == []
-        text = render_certificate(whole)
+        text = "".join(render_certificate(whole))
         assert parse_certificate(text) == whole
         elements[7] = 1  # its ball is not inside element 1
         damaged = certificate_of_net(radius, net[:40] + net[42:], elements[:40] + elements[42:], (0, 1))
@@ -867,7 +876,7 @@ def test_extracted_certificates_survive_their_text(cover, radius):
         certificate = extract_finite_subcover(cover, ConstantModulus(radius))
     except NoContainingElement:
         return
-    assert parse_certificate(render_certificate(certificate)) == certificate
+    assert parse_certificate("".join(render_certificate(certificate))) == certificate
 
 
 @pytest.mark.parametrize("damage", ["none", "wrong-element", "sparse", "selected"])
@@ -881,7 +890,7 @@ def test_verify_cert_command_reads_unreduced_net_points_alike(tmp_path, capsys, 
     elif damage == "selected":
         selected = (0,)
     certificate = certificate_of_net(c.radius, net, elements, selected)
-    assert unreduced_text(certificate, [1] * len(net)) == render_certificate(certificate)
+    assert unreduced_text(certificate, [1] * len(net)) == "".join(render_certificate(certificate))
     (tmp_path / "cover").write_text("".join(f"{render(e.lo)} {render(e.hi)}\n" for e in TWO_INTERVALS))
     answers = []
     for scales in ([1] * len(net), [UNREDUCING[k % len(UNREDUCING)] for k in range(len(net))]):

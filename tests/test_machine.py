@@ -16,7 +16,6 @@ from nicecover.machine import (
     MachineState,
     StillRunning,
     dovetail_enumerate,
-    load_program,
     parse_program,
     run_for,
 )
@@ -217,20 +216,20 @@ class TestParsing:
             parse_program(text)
 
     def test_load_program(self, countdown_file):
-        assert load_program(countdown_file) == parse_program(COUNTDOWN_TEXT)
+        assert parse_program(countdown_file) == parse_program(COUNTDOWN_TEXT)
 
     @pytest.mark.parametrize("char", NOT_LINE_ENDS)
     def test_lines_end_as_in_a_file(self, tmp_path, char):
         path = tmp_path / "prog.cm"
         text = f"# note{char}HALT\r\nloop: DEC 0{char}\rJZ 0 loop\n"
         path.write_bytes(text.encode())
-        assert parse_program(text) == load_program(path) == parse_program("loop: DEC 0\nJZ 0 loop\n")
+        assert parse_program(text) == parse_program(path) == parse_program("loop: DEC 0\nJZ 0 loop\n")
         for text, error in [(f"INC 0{char}HALT\n", "line 1: INC takes one register"),
                             (f"#{char}\nNOP\n", "line 2: unknown instruction 'NOP'")]:
             path.write_bytes(text.encode())
-            for source, read in [(text, parse_program), (path, load_program)]:
+            for source in (text, path):
                 with pytest.raises(InvalidProgram, match=f"^{error}$"):
-                    read(source)
+                    parse_program(source)
 
     def test_non_ascii_digit_register_is_invalid(self):
         with pytest.raises(InvalidProgram, match="^line 1: bad register '²'$"):

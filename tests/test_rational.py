@@ -1,3 +1,4 @@
+import re
 import sys
 from fractions import Fraction
 
@@ -8,11 +9,11 @@ from hypothesis import strategies as st
 from conftest import NOT_LINE_ENDS
 from nicecover import rational
 from nicecover.analysis import TranscriptRow
-from nicecover.cover import Covered, OpenInterval
+from nicecover.cover import Covered, OpenInterval, parse_certificate, parse_cover
 from nicecover.crn import CRN
-from nicecover.errors import BudgetExceeded, ParseError, ZeroDenominator
+from nicecover.errors import BudgetExceeded, InvalidProgram, ParseError, ZeroDenominator
 from nicecover.expressions import eval_rational, parse_expression
-from nicecover.machine import Halted, StillRunning
+from nicecover.machine import Halted, StillRunning, parse_program
 from nicecover.rational import (
     MAX_INPUT_CHARS,
     MAX_INPUT_LINES,
@@ -280,3 +281,22 @@ class TestInputLines:
                     next(lines)
         with pytest.raises(BudgetExceeded):
             list(input_lines("vwxyz"))
+
+    @pytest.mark.parametrize("parse,text,error", [
+        (parse_certificate, "r=1/2\nnet x -> element 0\n" + "net 0 -> element 0\n" * 10 + "selected 0\n",
+         ParseError("line 2: not a rational: 'x'")),
+        (parse_program, "a: HALT\na: HALT\n" + "HALT\n" * 10, InvalidProgram("line 2: duplicate label 'a'")),
+        (parse_cover, "-1 2\n1 0\n" + "-1 2\n" * 10, ParseError("line 2: interval needs lo < hi")),
+    ], ids=["certificate", "program", "cover"])
+    def test_a_path_is_closed_when_its_reader_stops(self, tmp_path, monkeypatch, parse, text, error):
+        opened = []
+        monkeypatch.setattr(rational, "open", lambda path: opened.append(open(path)) or opened[-1], raising=False)
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
+            parse(path)
+        lines = input_lines(path)
+        assert next(lines) == (1, text.split("\n")[0]) and next(lines)[0] == 2
+        del lines  # stopped at line 2
+        assert list(input_lines(path))[-1][0] == text.count("\n")  # read to the end
+        assert len(opened) == 3 and all(file.closed for file in opened)

@@ -2,8 +2,8 @@
 code within a wall time and an address-space limit, never in a traceback,
 and a refusal (exit 1) names the cap it hit.  Each cap is met at the cap and
 one past it.  A case may also bound its exact stdout (with an empty stderr,
-unless it gives the stderr too), its wall time below the 10 s default, and
-its own peak resident memory.
+unless it gives the stderr too) or the length and SHA-256 of a long stdout,
+its wall time below the 10 s default, and its own peak resident memory.
 
 Each case runs one at a time, through a small launcher process.  The
 launcher forks a child, sets the limits on it alone, runs the command in it,
@@ -14,6 +14,7 @@ large pytest has grown.  Cases that take about a second or more are marked
 `slow` and run apart from tier-1: `pytest -m slow`.
 """
 
+import hashlib
 import os
 import re
 import resource
@@ -165,8 +166,8 @@ FILES = {
     "cert-at-cap": lambda: certificate(MAX_NET_POINTS - 1),
     "cert-past-cap": lambda: certificate(MAX_NET_POINTS),
     # what `cover subcover` prints for `two` at a net of MAX_NET_POINTS points
-    "two-cert-at-cap": lambda: render_certificate(
-        extract_finite_subcover(parse_cover(FILES["two"]()), ConstantModulus(Fraction(1, MAX_NET_POINTS - 1)))),
+    "two-cert-at-cap": lambda: "".join(render_certificate(
+        extract_finite_subcover(parse_cover(FILES["two"]()), ConstantModulus(Fraction(1, MAX_NET_POINTS - 1))))),
     # comment or blank lines before a valid body: MAX_INPUT_LINES lines in all, one more, and 10^7 in all
     "cover-comments-at-cap": lambda: padded("#\n", "-1 2\n", 0),
     "cover-comments-past-cap": lambda: padded("#\n", "-1 2\n", 1),
@@ -203,7 +204,7 @@ TOO_MANY_CHARS = f"budget-exceeded input has more than MAX_INPUT_CHARS = {MAX_IN
 
 
 def case(argv, code, slow=False, name=None, **bounds):
-    """A case of `run_bounded`; `bounds` are its optional `stdout`, `stderr`, `seconds` and `peak_mb`."""
+    """A case of `run_bounded`; `bounds` are its optional `stdout`, `stderr`, `digest`, `seconds` and `peak_mb`."""
     return pytest.param(argv, code, bounds, marks=[pytest.mark.slow] if slow else [], id=name or " ".join(argv)[:80])
 
 
@@ -309,8 +310,9 @@ OTHER_CASES = [
     case(["bisect", "--steps", str(MAX_BISECT_STEPS), *BISECT], 0, slow=True, peak_mb=64,
          stdout=f"steps={MAX_BISECT_STEPS}\nlo={LO}\nhi={LO + WIDTH}\nwidth={WIDTH}\n"),
     case(["bisect", "--steps", str(MAX_BISECT_STEPS + 1), *BISECT], 1),
-    # nets of MAX_NET_POINTS points and of one more
-    case(["cover", "subcover", "--cover", "two", "--modulus", f"const:1/{MAX_NET_POINTS - 1}"], 0, slow=True),
+    # nets of MAX_NET_POINTS points and of one more; the certificate is written a few thousand lines at a time
+    case(["cover", "subcover", "--cover", "two", "--modulus", f"const:1/{MAX_NET_POINTS - 1}"], 0, slow=True, peak_mb=100,
+         digest=(30115060, "3aae890815f3f907558537e7bda69e173039c0efaf5e9fe33a8eb2a5913ae0c7")),
     case(["cover", "subcover", "--cover", "two", "--modulus", f"const:1/{MAX_NET_POINTS}"], 1,
          stdout=f"budget-exceeded net spacing 1/{MAX_NET_POINTS} needs {MAX_NET_POINTS + 1} points, "
                 f"more than MAX_NET_POINTS = {MAX_NET_POINTS}\n"),
@@ -347,7 +349,7 @@ OTHER_CASES = [
          stdout=f"budget-exceeded certificate of 100001 net lines may need "
                 f"{certificate_bounds(lebesgue_number(parse_cover(FILES['eight-kb']())))[1]} characters, "
                 f"more than MAX_INPUT_CHARS = {MAX_INPUT_CHARS}\n"),
-    case(["cover", "subcover", "--cover", "two", "--modulus", f"const:{WIDEST}"], 0, slow=True, seconds=5, peak_mb=384),
+    case(["cover", "subcover", "--cover", "two", "--modulus", f"const:{WIDEST}"], 0, slow=True, seconds=5, peak_mb=128),
     case(["cover", "verify-cert", "--cover", "whole", "--cert", "scaled-bits-at-cap"], 0, seconds=2, peak_mb=128,
          stdout="certificate-ok\n"),
     case(["cover", "verify-cert", "--cover", "whole", "--cert", "scaled-bits-past-cap"], 1, seconds=2, peak_mb=32,
@@ -361,7 +363,7 @@ def folder(tmp_path_factory):
     return tmp_path_factory.mktemp("inputs")
 
 
-def run_bounded(folder, argv, code, stdout=None, stderr="", seconds=WALL_SECONDS, peak_mb=None):
+def run_bounded(folder, argv, code, stdout=None, stderr="", digest=None, seconds=WALL_SECONDS, peak_mb=None):
     """Run the command in `folder`, where each input file it names is built first, and hold it to its bounds."""
     for name in set(argv) & FILES.keys():
         if not (folder / name).exists():
@@ -383,6 +385,8 @@ def run_bounded(folder, argv, code, stdout=None, stderr="", seconds=WALL_SECONDS
         assert done.stdout.startswith("budget-exceeded ") and CAP_NAMED.search(done.stdout), done.stdout
     if stdout is not None:
         assert (done.stdout, done.stderr) == (stdout, stderr)
+    if digest is not None:
+        assert (len(done.stdout), hashlib.sha256(done.stdout.encode()).hexdigest(), done.stderr) == (*digest, stderr)
     if peak_mb is not None:
         assert peak_kb < peak_mb * 1024, f"peak RSS {peak_kb / 1024:.0f} MB, over {peak_mb} MB"
 
