@@ -106,10 +106,10 @@ def _common_unit(values: Sequence[Rational]) -> tuple[list, int]:
 
 
 def parse_cover(source: Source) -> list[OpenInterval]:
-    """One interval per line as `lo hi` (rationals or exact decimals); `#` comments.  `source` is text,
-    an open text file or a path, read by `input_lines`.  More than MAX_COVER_ELEMENTS intervals raise
-    BudgetExceeded before any is read, so a file past the cap is refused even with a malformed line; a
-    malformed line raises ParseError naming its line number."""
+    """One interval per line as `lo hi` (rationals or exact decimals); `#` comments.  `source` is text or a
+    path, read by `input_lines`.  More than MAX_COVER_ELEMENTS intervals raise BudgetExceeded before any is
+    read, so a file past the cap is refused even with a malformed line; a malformed line raises ParseError
+    naming its line number."""
     lines = ((line_no, code) for line_no, line in input_lines(source) if (code := line.split("#", 1)[0].rstrip()))
     codes = list(islice(lines, MAX_COVER_ELEMENTS + 1))  # the interval lines, not yet parsed
     if len(codes) > MAX_COVER_ELEMENTS:
@@ -214,43 +214,29 @@ def lebesgue_number(cover: CoverList) -> Rational:
     return Rational(best, one)
 
 
-class ConstantModulus:
-    """Containment-radius oracle that answers the same radius everywhere."""
-
-    def __init__(self, radius: Rational):
-        self.radius = radius
-
-    def radius_at(self, x: Rational) -> Rational:
-        return self.radius
-
-
-class LebesgueModulus(ConstantModulus):
-    """Radius oracle derived from the cover itself: its exact Lebesgue number.
-
-    The number is computed when the oracle is built, so by construction the
-    answer is identical at every point.
-    """
-
-    def __init__(self, cover: CoverList):
-        super().__init__(lebesgue_number(cover))
-
-
+@record
 class OracleModulus:
-    """Arbitrary radius procedure, for adversarial testing of the pipeline."""
+    """A containment-radius oracle: `radius_at` is the procedure it was given.  A uniform modulus answers
+    one radius everywhere, as the oracles of `ConstantModulus` and `LebesgueModulus` do; any other procedure
+    tests the pipeline adversarially, and `extract_constant_radius` refuses it once two samples disagree."""
 
-    def __init__(self, fn: Callable[[Rational], Rational]):
-        self._fn = fn
-
-    def radius_at(self, x: Rational) -> Rational:
-        return self._fn(x)
+    radius_at: Callable[[Rational], Rational]
 
 
-NiceModulus = ConstantModulus | LebesgueModulus | OracleModulus
+def ConstantModulus(radius: Rational) -> OracleModulus:
+    """The oracle that answers `radius` everywhere."""
+    return OracleModulus(lambda x: radius)
+
+
+def LebesgueModulus(cover: CoverList) -> OracleModulus:
+    """The oracle that answers the cover's exact Lebesgue number everywhere, computed here, once."""
+    return ConstantModulus(lebesgue_number(cover))
+
 
 DEFAULT_SAMPLE_POINTS: tuple[Rational, ...] = (ZERO, Rational(1, 2), ONE)
 
 
-def extract_constant_radius(modulus: NiceModulus) -> Rational:
+def extract_constant_radius(modulus: OracleModulus) -> Rational:
     """Sample the radius oracle at DEFAULT_SAMPLE_POINTS and insist on one positive answer.
 
     A legitimate uniform modulus answers identically everywhere, so any
@@ -354,7 +340,7 @@ class SubcoverCertificate:
         return tuple(Rational(x, self.unit) for x in self.points)
 
 
-def extract_finite_subcover(cover: Iterable[OpenInterval], modulus: NiceModulus) -> SubcoverCertificate:
+def extract_finite_subcover(cover: Iterable[OpenInterval], modulus: OracleModulus) -> SubcoverCertificate:
     """The whole pipeline: radius, net, per-point assignment, certificate.
 
     Each net point is assigned the smallest index whose element contains
@@ -463,9 +449,9 @@ def render_certificate(certificate: SubcoverCertificate) -> Iterator[str]:
 
 
 def parse_certificate(source: Source) -> SubcoverCertificate:
-    """Inverse of `render_certificate`.  `source` is text, an open text file or a path, read once by
-    `input_lines` up to its first bad line: a line out of place or malformed raises ParseError naming its
-    line number, and a net line past MAX_NET_POINTS raises BudgetExceeded."""
+    """Inverse of `render_certificate`.  `source` is text or a path, read once by `input_lines` up to its
+    first bad line: a line out of place or malformed raises ParseError naming its line number, and a net
+    line past MAX_NET_POINTS raises BudgetExceeded."""
     radius = selected = None
     numerators, denominators, elements, shared = [], [], [], {}  # `shared`: one int per distinct denominator
     for line_no, line in filter(itemgetter(1), input_lines(source)):  # the lines that are not blank

@@ -1,21 +1,14 @@
 """Exception types shared across the library.
 
-Parse-level problems (malformed text, bad program files) and run-time
-domain failures (mathematical preconditions that do not hold) are kept in
-separate hierarchies so the CLI can map them to distinct exit codes.
+One ParseError covers all malformed text, machine programs included, and
+run-time domain failures (mathematical preconditions that do not hold) have
+a hierarchy of their own, so the CLI can map them to distinct exit codes.
 """
 
 
 class ParseError(ValueError):
-    """Malformed textual input: rational, expression, oracle, cover or certificate."""
-
-
-class ZeroDenominator(ParseError):
-    """A rational was given a zero denominator."""
-
-
-class InvalidProgram(ValueError):
-    """A machine program failed to load: bad instruction, label, or register."""
+    """Malformed textual input: a rational (a zero denominator too), expression, oracle, cover,
+    certificate or machine program."""
 
 
 class DomainError(Exception):

@@ -23,7 +23,7 @@ from collections import defaultdict
 from itertools import islice
 from typing import Iterable
 
-from .errors import BudgetExceeded, InvalidProgram, ParseError
+from .errors import BudgetExceeded, ParseError
 from .rational import Source, input_lines, parse_natural, record
 
 # Per instruction: the kinds of its operands (r a register, l a label),
@@ -76,9 +76,9 @@ RunOutcome = Halted | StillRunning
 
 
 def parse_program(source: Source) -> Program:
-    """Parse a program, text, an open text file or a path, read by `input_lines`: one instruction per line,
-    `name:` label prefixes, `#` comments, decimal register indices up to MAX_REGISTER.  More than
-    MAX_INSTRUCTIONS instructions, or labels, raise BudgetExceeded before any operand is read."""
+    """Parse a program, text or a path, read by `input_lines`: one instruction per line, `name:` label
+    prefixes, `#` comments, decimal register indices up to MAX_REGISTER.  A malformed program raises
+    ParseError, and more than MAX_INSTRUCTIONS instructions, or labels, BudgetExceeded before any operand."""
     labels: dict[str, int] = {}
     raw: list[tuple[str, list[str], int]] = []  # (op, args, source line)
     for line_no, line in input_lines(source):
@@ -89,7 +89,7 @@ def parse_program(source: Source) -> Program:
                 break
             name = m.group(1)
             if name in labels:
-                raise InvalidProgram(f"line {line_no}: duplicate label {name!r}")
+                raise ParseError(f"line {line_no}: duplicate label {name!r}")
             if len(labels) == MAX_INSTRUCTIONS:
                 raise BudgetExceeded(f"program has more than MAX_INSTRUCTIONS = {MAX_INSTRUCTIONS} labels")
             labels[name] = len(raw)
@@ -102,33 +102,33 @@ def parse_program(source: Source) -> Program:
         raw.append((tokens[0].upper(), tokens[1:], line_no))
 
     if not raw:
-        raise InvalidProgram("program has no instructions")
+        raise ParseError("program has no instructions")
     for name, index in labels.items():
         if index >= len(raw):
-            raise InvalidProgram(f"label {name!r} points past the last instruction")
+            raise ParseError(f"label {name!r} points past the last instruction")
 
     instructions: list[tuple[int, int, int]] = []
     for op, args, line_no in raw:
         if op not in _OPERANDS:
-            raise InvalidProgram(f"line {line_no}: unknown instruction {op!r}")
+            raise ParseError(f"line {line_no}: unknown instruction {op!r}")
         kinds, takes = _OPERANDS[op]
         if len(args) != len(kinds):
-            raise InvalidProgram(f"line {line_no}: {op} takes {takes}")
+            raise ParseError(f"line {line_no}: {op} takes {takes}")
         reg = target = 0
         for kind, token in zip(kinds, args):
             if kind == "l":
                 if token not in labels:
-                    raise InvalidProgram(f"line {line_no}: unknown label {token!r}")
+                    raise ParseError(f"line {line_no}: unknown label {token!r}")
                 target = labels[token]
             elif not token.isdecimal():
-                raise InvalidProgram(f"line {line_no}: bad register {token!r}")
+                raise ParseError(f"line {line_no}: bad register {token!r}")
             else:
                 try:
                     reg = parse_natural(token)
                 except ParseError as exc:
-                    raise InvalidProgram(f"line {line_no}: {exc}") from None
+                    raise ParseError(f"line {line_no}: {exc}") from None
                 if reg > MAX_REGISTER:
-                    raise InvalidProgram(f"line {line_no}: register {reg} is above MAX_REGISTER = {MAX_REGISTER}")
+                    raise ParseError(f"line {line_no}: register {reg} is above MAX_REGISTER = {MAX_REGISTER}")
         instructions.append((OPS.index(op), reg, target))
 
     return Program(tuple(instructions), register_count=max(reg for _, reg, _ in instructions) + 1)

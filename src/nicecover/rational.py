@@ -10,15 +10,14 @@ and `input_lines` reads the lines of every input file.
 from __future__ import annotations
 
 import sys
-from contextlib import nullcontext
 from fractions import Fraction
 from functools import partial
 from io import StringIO
 from math import gcd
 from os import PathLike
-from typing import Iterator, TextIO
+from typing import Iterator
 
-from .errors import BudgetExceeded, ParseError, ZeroDenominator
+from .errors import BudgetExceeded, ParseError
 
 Rational = Fraction
 
@@ -70,7 +69,7 @@ def parse_ratio(text: str) -> tuple[int, int]:
     if mark == ".":
         numerator, denominator = numerator * 10 ** len(part) + denominator, 10 ** len(part)
     elif denominator == 0:
-        raise ZeroDenominator(s)
+        raise ParseError(s)
     return (-numerator if negative else numerator), denominator
 
 
@@ -151,18 +150,16 @@ MAX_LINE_CHARS = 10**6
 # cover.MAX_NET_POINTS + 1 net lines, the largest input the tests read.  `cover subcover` writes no certificate
 # that could be longer, and peaks near 85 MB on the longest it may write, 4,096 lines at a time.
 MAX_INPUT_CHARS = 2**26
-Source = str | TextIO | PathLike  # what `input_lines` reads
+Source = str | PathLike  # what `input_lines` reads: text, or a path
 
 
 def input_lines(source: Source) -> Iterator[tuple[int, str]]:
-    """(line number, line stripped of surrounding whitespace) for each line of `source`: text, an open text
-    file, or a path, opened here and closed when its lines end or the caller stops reading them.  A line ends
-    at a line feed, a carriage return or both, as `open` splits a file by default, and at nothing else.  A line
-    past MAX_INPUT_LINES, longer than MAX_LINE_CHARS, or past MAX_INPUT_CHARS characters of input, line ends
+    """(line number, line stripped of surrounding whitespace) for each line of `source`: text, or a path,
+    opened here and closed when its lines end or the caller stops reading them.  A line ends at a line feed,
+    a carriage return or both, as `open` splits a file by default, and at nothing else.  A line past
+    MAX_INPUT_LINES, longer than MAX_LINE_CHARS, or past MAX_INPUT_CHARS characters of input, line ends
     included, raises BudgetExceeded before it is yielded, and no more than MAX_LINE_CHARS + 1 of it are read."""
-    if isinstance(source, str):
-        source = StringIO(source, newline=None)
-    with open(source) if isinstance(source, PathLike) else nullcontext(source) as lines:
+    with StringIO(source, newline=None) if isinstance(source, str) else open(source) as lines:
         chars = 0
         for line_no, line in enumerate(iter(partial(lines.readline, MAX_LINE_CHARS + 1), ""), 1):
             chars += len(line)

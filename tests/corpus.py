@@ -130,9 +130,9 @@ def write_files(files: dict, directory: str) -> None:
         Path(directory, name).write_bytes(data)
 
 
-def replay(corpus: dict | None = None) -> str | None:
+def replay() -> str | None:
     """Run every stored case; a report of the first that differs, with a diff, or None when none does."""
-    corpus = corpus if corpus is not None else load()
+    corpus = load()
     with tempfile.TemporaryDirectory() as directory:
         write_files(corpus["files"], directory)
         for case in corpus["cases"]:
@@ -206,8 +206,10 @@ def _certificates(directory: str) -> dict[str, str]:
     for name, cover, modulus in CERTIFICATES:
         out = io.StringIO()
         with redirect_stdout(out):
-            assert dispatch(["cover", "subcover", "--cover", str(Path(directory, cover))]
-                            + (["--modulus", modulus] if modulus else [])) == 0
+            code = dispatch(["cover", "subcover", "--cover", str(Path(directory, cover))]
+                            + (["--modulus", modulus] if modulus else []))
+        if code != 0:
+            raise RuntimeError(f"no certificate for {cover} at {modulus or 'lebesgue'}: exit {code}")
         files[name] = out.getvalue()
     lines = files["two-lebesgue.cert"].splitlines(keepends=True)  # r=, 11 net lines, selected
     mutants = {
@@ -240,10 +242,10 @@ def _certificates(directory: str) -> dict[str, str]:
     }
     files.update((f"two-{name}.cert", "".join(text)) for name, text in mutants.items())
     rng = random.Random(SEED)
-    text = files["two-twentieth.cert"]
-    for k in range(24):
-        files[f"two-twentieth-mangled-{k:02d}.cert"] = text = _mangle(rng, text if k % 3 else files["two-twentieth.cert"],
-                                                                   "0123456789/-.,>\n x")
+    valid = text = files["two-twentieth.cert"]
+    for k in range(24):  # runs of three edits, each run from the valid text
+        text = _mangle(rng, text if k % 3 else valid, "0123456789/-.,>\n x")
+        files[f"two-twentieth-mangled-{k:02d}.cert"] = text
     return files
 
 
@@ -277,7 +279,8 @@ def make() -> dict:
         if rng.random() < 0.5:
             return _literal(rng)
         if rng.random() < 0.5:
-            return f"waiting({DIR}/{rng.choice(['countdown.cm', 'looper.cm', 'mod3.cm', 'double.cm'])}, {rng.randrange(6)})"
+            program = rng.choice(["countdown.cm", "looper.cm", "mod3.cm", "double.cm"])
+            return f"waiting({DIR}/{program}, {rng.randrange(6)})"
         return f"bisect_limit({_oracle(rng)}, {_ratio(rng, -1, 1)}, {_ratio(rng, 1, 2)})"
 
     for text, prec in [("1/3", "10"), ("1/0", "4"), (f"waiting({DIR}/countdown.cm, 2)", "10"),
@@ -298,21 +301,24 @@ def make() -> dict:
     # machine run and machine dovetail
     for name in bad_programs + ["missing.cm", "", "register-at-cap.cm"]:
         add("machine run", "machine", "run", "--prog", f"{DIR}/{name}", "--input", "3", "--budget", "100")
-        add("machine dovetail", "machine", "dovetail", "--prog", f"{DIR}/{name}", "--inputs", "0..3", "--budget", "100")
-    for flags in [("--input", "x", "--budget", "1"), ("--input", "1", "--budget", "-1"), ("--input", "1/2", "--budget", "1"),
-                  ("--input", "9" * 4301, "--budget", "1"), ("--input", "1"), ("--budget", "1"),
-                  ("--input", "1", "--budget", "10000000000000000")]:
+        add("machine dovetail", "machine", "dovetail", "--prog", f"{DIR}/{name}", "--inputs", "0..3",
+            "--budget", "100")
+    for flags in [("--input", "x", "--budget", "1"), ("--input", "1", "--budget", "-1"),
+                  ("--input", "1/2", "--budget", "1"), ("--input", "9" * 4301, "--budget", "1"), ("--input", "1"),
+                  ("--budget", "1"), ("--input", "1", "--budget", "10000000000000000")]:
         add("machine run", "machine", "run", "--prog", f"{DIR}/countdown.cm", *flags)
     for _ in range(45):
         add("machine run", "machine", "run", "--prog", f"{DIR}/{rng.choice(programs)}", "--input",
             str(rng.randrange(40)), "--budget", str(rng.choice([0, 1, 5, 10, 100, 1000, 10**6, 10**12])))
     for inputs, budget in [("3..1", "10"), ("a..b", "10"), ("1..", "10"), ("0..3", "0"), ("0..100000", "1"),
                            ("0..99999", "1"), ("5..5", "100"), ("0.." + "9" * 4301, "1")]:
-        add("machine dovetail", "machine", "dovetail", "--prog", f"{DIR}/countdown.cm", "--inputs", inputs, "--budget", budget)
+        add("machine dovetail", "machine", "dovetail", "--prog", f"{DIR}/countdown.cm", "--inputs", inputs,
+            "--budget", budget)
     for _ in range(35):
         first = rng.randrange(12)
         add("machine dovetail", "machine", "dovetail", "--prog", f"{DIR}/{rng.choice(programs)}",
-            "--inputs", f"{first}..{first + rng.randrange(10)}", "--budget", str(rng.choice([1, 7, 50, 300, 2000, 10**5])))
+            "--inputs", f"{first}..{first + rng.randrange(10)}",
+            "--budget", str(rng.choice([1, 7, 50, 300, 2000, 10**5])))
 
     # waiting approx and reduce
     for name in bad_programs[:6] + ["missing.cm"]:
@@ -321,8 +327,8 @@ def make() -> dict:
     for flags in [("--targets", "harmonic"), ("--max-steps", "0"), ("--max-steps", "5"), ("--max-steps", "x"),
                   ("--prec", "x"), ("--prec", "1/0")]:
         add("waiting approx", "waiting", "approx", "--prog", f"{DIR}/looper.cm", "--input", "2", "--prec", "8", *flags)
-    for flags in [("--targets", "harmonic"), ("--oracle", "step@1/0"), ("--oracle", "jump@1/2"), ("--oracle", "stair:"),
-                  ("--oracle", "stair:1/4,3/4"), ("--prec", "x"), ("--input", "-1")]:
+    for flags in [("--targets", "harmonic"), ("--oracle", "step@1/0"), ("--oracle", "jump@1/2"),
+                  ("--oracle", "stair:"), ("--oracle", "stair:1/4,3/4"), ("--prec", "x"), ("--input", "-1")]:
         add("reduce", "reduce", "--prog", f"{DIR}/looper.cm", "--input", "2", "--prec", "8", *flags)
     for _ in range(38):
         add("waiting approx", "waiting", "approx", "--prog", f"{DIR}/{rng.choice(programs)}",

@@ -21,7 +21,7 @@ from nicecover.analysis import (
 )
 from nicecover import analysis
 from nicecover.crn import approx_to, validate_regulator
-from nicecover.errors import BudgetExceeded, NotSeparated, ParseError, ZeroDenominator
+from nicecover.errors import BudgetExceeded, NotSeparated, ParseError
 from nicecover.machine import Halted, StillRunning, run_for
 from nicecover.rational import pow2, render
 
@@ -67,7 +67,7 @@ class TestDiscreteMaps:
             parse_oracle(spec)
 
     def test_parse_oracle_zero_denominator(self):
-        with pytest.raises(ZeroDenominator):
+        with pytest.raises(ParseError, match="^1/0$"):
             parse_oracle("step@1/0")
 
 

@@ -20,3 +20,10 @@ def test_the_corpus_covers_every_command_path():
     counts = {path: sum(case["id"].rsplit("-", 1)[0] == path for case in cases) for path in PATHS}
     assert len(cases) >= 500 and min(counts.values()) >= 10, counts
     assert {case["exit"] for case in cases} == {0, 1, 2}
+
+
+def test_the_generator_makes_the_stored_cases_and_files():
+    made, stored = corpus.make(), corpus.load()
+    assert made["files"] == stored["files"]
+    assert [(case["id"], case["argv"]) for case in made["cases"]] == [
+        (case["id"], case["argv"]) for case in stored["cases"]]

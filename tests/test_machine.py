@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import COUNTDOWN_TEXT, LOOPER_TEXT, MOD3_TEXT, NEST_TEXT, NOT_LINE_ENDS
 from nicecover import machine
-from nicecover.errors import BudgetExceeded, InvalidProgram
+from nicecover.errors import BudgetExceeded, ParseError
 from nicecover.machine import (
     MAX_DOVETAIL_INPUTS,
     MAX_DOVETAIL_REGISTERS,
@@ -212,7 +212,7 @@ class TestParsing:
         ],
     )
     def test_rejected(self, text):
-        with pytest.raises(InvalidProgram):
+        with pytest.raises(ParseError):
             parse_program(text)
 
     def test_load_program(self, countdown_file):
@@ -228,18 +228,18 @@ class TestParsing:
                             (f"#{char}\nNOP\n", "line 2: unknown instruction 'NOP'")]:
             path.write_bytes(text.encode())
             for source in (text, path):
-                with pytest.raises(InvalidProgram, match=f"^{error}$"):
+                with pytest.raises(ParseError, match=f"^{error}$"):
                     parse_program(source)
 
     def test_non_ascii_digit_register_is_invalid(self):
-        with pytest.raises(InvalidProgram, match="^line 1: bad register '²'$"):
+        with pytest.raises(ParseError, match="^line 1: bad register '²'$"):
             parse_program("INC ²\n")
 
     def test_register_cap(self):
         assert parse_program(f"INC {MAX_REGISTER}\n").register_count == MAX_REGISTER + 1
-        with pytest.raises(InvalidProgram, match="^line 2: register 1024 is above MAX_REGISTER = 1023$"):
+        with pytest.raises(ParseError, match="^line 2: register 1024 is above MAX_REGISTER = 1023$"):
             parse_program("HALT\nJZ 1024 end\nend: HALT\n")
-        with pytest.raises(InvalidProgram, match="MAX_REGISTER"):
+        with pytest.raises(ParseError, match="MAX_REGISTER"):
             parse_program("INC 1000000000\n")
 
     def test_instruction_cap(self, monkeypatch):

@@ -11,7 +11,7 @@ from nicecover import rational
 from nicecover.analysis import TranscriptRow
 from nicecover.cover import Covered, OpenInterval, parse_certificate, parse_cover
 from nicecover.crn import CRN
-from nicecover.errors import BudgetExceeded, InvalidProgram, ParseError, ZeroDenominator
+from nicecover.errors import BudgetExceeded, ParseError
 from nicecover.expressions import eval_rational, parse_expression
 from nicecover.machine import Halted, StillRunning, parse_program
 from nicecover.rational import (
@@ -68,7 +68,7 @@ class TestParseRational:
             parse_rational(text)
 
     def test_zero_denominator(self):
-        with pytest.raises(ZeroDenominator):
+        with pytest.raises(ParseError, match="^1/0$"):
             parse_rational("1/0")
 
     @given(rationals)
@@ -237,8 +237,7 @@ class TestInputLines:
         text = f"a{char}b\r\nc{char}\rd{char}\n"
         path = tmp_path / "lines.txt"
         path.write_bytes(text.encode())
-        with path.open() as lines:
-            assert list(input_lines(text)) == list(input_lines(lines)) == [(1, f"a{char}b"), (2, "c"), (3, "d")]
+        assert list(input_lines(text)) == list(input_lines(path)) == [(1, f"a{char}b"), (2, "c"), (3, "d")]
 
     def test_every_line_counts_against_the_cap(self, monkeypatch):
         assert MAX_INPUT_LINES == 2 * 10**6
@@ -256,8 +255,7 @@ class TestInputLines:
         text = f" a{end}{end}bc{end}"  # a line's end counts as one character, as a file is read
         path = tmp_path / "lines.txt"
         path.write_bytes(text.encode())
-        with path.open() as file:
-            assert list(input_lines(text)) == list(input_lines(file)) == [(1, "a"), (2, ""), (3, "bc")]
+        assert list(input_lines(text)) == list(input_lines(path)) == [(1, "a"), (2, ""), (3, "bc")]
         assert list(input_lines(text + "d")) == [(1, "a"), (2, ""), (3, "bc"), (4, "d")]
         lines = input_lines(text + "de")
         assert [next(lines) for _ in range(3)] == [(1, "a"), (2, ""), (3, "bc")]
@@ -273,19 +271,18 @@ class TestInputLines:
         text = f"{at_cap}{end}vwxyz{end}"
         path = tmp_path / "lines.txt"
         path.write_bytes(text.encode())
-        with path.open() as file:
-            for source in (text, file):
-                lines = input_lines(source)
-                assert next(lines) == (1, "ab") and next(lines) == (2, "wxyz")
-                with pytest.raises(BudgetExceeded, match="^input line 3 has more than MAX_LINE_CHARS = 4 characters$"):
-                    next(lines)
+        for source in (text, path):
+            lines = input_lines(source)
+            assert next(lines) == (1, "ab") and next(lines) == (2, "wxyz")
+            with pytest.raises(BudgetExceeded, match="^input line 3 has more than MAX_LINE_CHARS = 4 characters$"):
+                next(lines)
         with pytest.raises(BudgetExceeded):
             list(input_lines("vwxyz"))
 
     @pytest.mark.parametrize("parse,text,error", [
         (parse_certificate, "r=1/2\nnet x -> element 0\n" + "net 0 -> element 0\n" * 10 + "selected 0\n",
          ParseError("line 2: not a rational: 'x'")),
-        (parse_program, "a: HALT\na: HALT\n" + "HALT\n" * 10, InvalidProgram("line 2: duplicate label 'a'")),
+        (parse_program, "a: HALT\na: HALT\n" + "HALT\n" * 10, ParseError("line 2: duplicate label 'a'")),
         (parse_cover, "-1 2\n1 0\n" + "-1 2\n" * 10, ParseError("line 2: interval needs lo < hi")),
     ], ids=["certificate", "program", "cover"])
     def test_a_path_is_closed_when_its_reader_stops(self, tmp_path, monkeypatch, parse, text, error):
