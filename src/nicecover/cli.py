@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from itertools import islice
+from itertools import islice, takewhile
 from pathlib import Path
 from typing import Sequence
 
@@ -277,16 +277,15 @@ def _cmd_cover_verify_cert(args) -> int:
 
 def dispatch(argv: Sequence[str]) -> int:
     """Route argv to a command; returns the exit status instead of exiting."""
+    # an option's value may not be "--" (`--lo=--`); after a bare "--" every argument is an operand
+    if any(arg.startswith("--") and arg.partition("=")[2] == "--" for arg in takewhile("--".__ne__, argv)):
+        print('error: "--" is not accepted as an argument value', file=sys.stderr)
+        return 2
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    # argparse before 3.13 drops a lone "--" value (as in `--lo=--`) and
-    # stores [] without calling the type; no type here returns [] itself
-    if any(value == [] for value in vars(args).values()):
-        print('error: "--" is not accepted as an argument value', file=sys.stderr)
-        return 2
 
     try:
         return args.run(args)

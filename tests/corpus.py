@@ -97,19 +97,22 @@ def stored(text: str) -> str | dict:
 
 def run(argv: list[str], directory: str) -> dict:
     """What `nicecover *argv` gives with the input files in `directory`, which stands as {dir} in argv and output.
-    Each file it writes there is read and removed.  Runs as a fresh process would: 80 columns for argparse's
-    usage text, and the default limit of 4300 digits on int-string conversion."""
+    It runs in `directory`, so each file it writes there, by a relative path too, is read and removed.  Runs as a
+    fresh process would, with the default limit of 4300 digits on int-string conversion, and 200 columns for
+    argparse's usage text: at 80 columns, Python 3.11 and 3.13 wrap the longest usage lines at other places."""
     before = set(os.listdir(directory))
     out, err = io.StringIO(), io.StringIO()
-    columns, digits = os.environ.get("COLUMNS"), sys.get_int_max_str_digits()
+    cwd, columns, digits = os.getcwd(), os.environ.get("COLUMNS"), sys.get_int_max_str_digits()
     os.environ["COLUMNS"] = "200"
     sys.set_int_max_str_digits(4300)
     try:
+        os.chdir(directory)
         with redirect_stdout(out), redirect_stderr(err):
             code = dispatch([arg.replace(DIR, directory) for arg in argv])
     except Exception as exc:  # escaped dispatch: stored as it is, so that a change to it shows
         code = f"uncaught {type(exc).__name__}: {exc}"
     finally:
+        os.chdir(cwd)
         sys.set_int_max_str_digits(digits)
         if columns is None:
             del os.environ["COLUMNS"]
@@ -310,6 +313,7 @@ def make() -> dict:
     for _ in range(45):
         add("machine run", "machine", "run", "--prog", f"{DIR}/{rng.choice(programs)}", "--input",
             str(rng.randrange(40)), "--budget", str(rng.choice([0, 1, 5, 10, 100, 1000, 10**6, 10**12])))
+    add("machine run", "machine", "run", "--prog", f"{DIR}/countdown.cm", "--input", "2", "--budget", "100")
     for inputs, budget in [("3..1", "10"), ("a..b", "10"), ("1..", "10"), ("0..3", "0"), ("0..100000", "1"),
                            ("0..99999", "1"), ("5..5", "100"), ("0.." + "9" * 4301, "1")]:
         add("machine dovetail", "machine", "dovetail", "--prog", f"{DIR}/countdown.cm", "--inputs", inputs,
@@ -392,6 +396,16 @@ def make() -> dict:
                         ("two.txt", "missing.cert"), ("two.txt", ""), ("two.txt", "two.txt"),
                         ("two.txt", "not-utf8.txt"), ("farey.txt", "three-lebesgue.cert")]:
         add("cover verify-cert", "cover", "verify-cert", "--cover", f"{DIR}/{cover}", "--cert", f"{DIR}/{cert}")
+
+    # a lone "--" option value is a usage error, and after a bare "--" it is an operand
+    add("bisect", "bisect", "--oracle", "step@1/3", "--lo=--", "--hi", "1", "--steps", "4")
+    add("bisect transcript", "bisect", "--oracle", "step@1/3", "--lo", "0", "--hi", "1", "--steps", "2",
+        "--transcript=--")
+    add("cover lebesgue", "cover", "lebesgue", "--cover=--")
+    add("crn approx", "crn", "approx", "--expr", "1/2", "--prec=--")
+    add("crn approx", "crn", "approx", "--expr=--", "--prec", "4")
+    add("rat", "rat", "--", "--x=--")
+    add("rat", "rat", "1", "--x=--")
 
     # no command path: usage errors
     for argv in [[], ["frobnicate"], ["cover"], ["machine", "halt"], ["rat"], ["crn", "approx", "--expr", "1"],

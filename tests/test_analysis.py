@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import COUNTDOWN_TEXT
 from nicecover.analysis import (
     MAX_BISECT_STEPS,
     MAX_WAITING_STEPS,
@@ -19,9 +20,9 @@ from nicecover.analysis import (
     parse_targets,
     waiting_crn,
 )
-from nicecover import analysis
+from nicecover import analysis, cover, crn, machine
 from nicecover.crn import approx_to, validate_regulator
-from nicecover.errors import BudgetExceeded, NotSeparated, ParseError
+from nicecover.errors import BudgetExceeded, NonpositiveRadius, NotSeparated, ParseError
 from nicecover.machine import Halted, StillRunning, run_for
 from nicecover.rational import pow2, render
 
@@ -421,3 +422,26 @@ class TestExpressionBuiltins:
     def test_bisect_builtin_keeps_stair_commas(self):
         value = expression_builtins()["bisect_limit"](["stair:1/4", "3/4", "0", "1"])
         assert abs(approx_to(value, 12) - Fraction(3, 4)) <= pow2(-12)
+
+
+# Argument checks of the library that no command reaches: each call raises its own exception and message.
+COUNTDOWN = machine.parse_program(COUNTDOWN_TEXT)
+HALF = crn.from_rational(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: cover.lebesgue_number([]), ValueError, "cover must be nonempty"),
+    (lambda: cover.find_containing_element(cover.parse_cover("-1 2\n"), THIRD, Fraction(0)), NonpositiveRadius,
+     "ball radius 0 is not positive"),
+    (lambda: crn.approx_to(HALF, -1), ValueError, "precision level must be non-negative"),
+    (lambda: crn.compare_apart(HALF, HALF, -1), ValueError, "precision level must be non-negative"),
+    (lambda: crn.validate_regulator(HALF, levels=range(3), probes_per_level=1), ValueError,
+     "probes_per_level must be at least 2"),
+    (lambda: machine.MachineState(COUNTDOWN, -1), ValueError, "input must be a natural number"),
+    (lambda: machine.run_for(COUNTDOWN, 0, -1), ValueError, "budget must be a natural number"),
+], ids=["lebesgue_number", "find_containing_element", "approx_to", "compare_apart", "validate_regulator",
+        "MachineState", "run_for"])
+def test_library_argument_checks(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert (type(raised.value), str(raised.value)) == (error, message)
