@@ -77,8 +77,14 @@ def _parse_oracle(text: str):
     return analysis.parse_oracle(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    def _check_value(self, action, value):  # choices quoted, as by argparse on Python 3.10-3.13.0, not 3.13.13
+        if action.choices is not None and value not in action.choices:
+            raise argparse.ArgumentError(action, f"invalid choice: {value!r} (choose from {', '.join(map(repr, action.choices))})")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nicecover",
         description="Exact constructive analysis on [0,1]: computable reals, "
         "a step-counted machine sandbox, bisection, and verified finite subcovers.",

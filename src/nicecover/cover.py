@@ -22,9 +22,9 @@ fits element j exactly when x lies between two ints worked out once per
 element (`_ball_bounds`), and certificate text is read into and written
 from those ints.  A net line is read once, by its pieces: the point before
 the first ` -> element `, read by `parse_ratio`, and a decimal element
-index after it.  Sweeps that compare cover ends with each other write
-them over their least common denominator, or compare the Fractions past
-_END_BITS, as pairwise coprime denominators reach.  A certificate is
+index after it.  The sweeps over cover ends compare ints: each value v as
+floor(2^k·v), with k chosen from the cover's denominators so that those
+keys order the values exactly (`lebesgue_number`).  A certificate is
 refused at its first net line past MAX_NET_POINTS, and when its points
 would take more than MAX_SCALED_BITS bits beyond the radius's denominator
 over their common one, before any point is built.
@@ -73,36 +73,22 @@ CoverList = Sequence[OpenInterval]
 
 MAX_SCALED_BITS = 2**28
 MAX_COVER_ELEMENTS = 10**5
-# Past this many bits of ends over their common denominator, the sweeps
-# compare the Fractions: on covers with a distinct prime denominator per
-# end, that is as fast at about 2^22 bits and faster beyond.
-_END_BITS = 2**21
 
 
-def _over_unit(numerators: Sequence[int], denominators: Sequence[int], unit: int, cap: int) -> tuple[list[int], int] | None:
-    """The rationals n / d as ints over their least common unit with `unit`,
-    and that unit; None when those ints would need more than `cap` bits
-    beyond what they need over `unit` alone."""
+def _over_unit(numerators: Sequence[int], denominators: Sequence[int], unit: int) -> tuple[list[int], int]:
+    """The net points n / d as ints over their least common unit with `unit`,
+    and that unit; BudgetExceeded when those ints would need more than
+    MAX_SCALED_BITS bits beyond what they need over `unit` alone."""
     scale = dict.fromkeys(denominators)
     bits = unit.bit_length()
     for d in scale:
         unit = lcm(unit, d)
-        if len(numerators) * (unit.bit_length() - bits) > cap:
-            return None
+        if len(numerators) * (unit.bit_length() - bits) > MAX_SCALED_BITS:
+            raise BudgetExceeded(f"{render(len(numerators))} net points over their common denominator need more "
+                                 f"than MAX_SCALED_BITS = {MAX_SCALED_BITS} bits beyond the radius's denominator")
     for d in scale:
         scale[d] = unit // d
     return [n * scale[d] for n, d in zip(numerators, denominators)], unit
-
-
-def _common_unit(values: Sequence[Rational]) -> tuple[list, int]:
-    """The values as ints over their least common denominator, and that unit.
-
-    Past _END_BITS the values come back unchanged with unit 1, so a sweep
-    that compares them only with each other, 0 and `unit` needs one body
-    for both kinds.
-    """
-    return _over_unit([v.numerator for v in values], [v.denominator for v in values], 1, _END_BITS) or (
-        list(values), 1)
 
 
 def parse_cover(source: Source) -> list[OpenInterval]:
@@ -163,6 +149,22 @@ def lebesgue_candidates(cover: CoverList) -> list[Rational]:
     return sorted(candidates)
 
 
+def _ratios(elements: CoverList) -> tuple[list[tuple[int, int, int, int]], int]:
+    """Each element's ends as ints (a, p, c, q), lo = a/p and hi = c/q, and B, the largest denominator's bit length."""
+    ratios = [e.lo.as_integer_ratio() + e.hi.as_integer_ratio() for e in elements]
+    return ratios, max(chain.from_iterable(map(itemgetter(1, 3), ratios)), default=0).bit_length()
+
+
+def _bottom(a, b, left, right):
+    """The least value of max(x - 2a, 2b - x) on [left, right], and its point: the V's bottom a + b moved into
+    [left, right].  Without a, 2b - x is least at right; without b, x - 2a at left.  Keys or exact ints alike."""
+    if a is not None and (b is None or a + b < left):
+        return left - 2 * a, left
+    if a is None or a + b > right:
+        return 2 * b - right, right
+    return b - a, a + b
+
+
 def lebesgue_number(cover: CoverList) -> Rational:
     """Exact uniform containment radius of the cover over [0, 1].
 
@@ -180,38 +182,40 @@ def lebesgue_number(cover: CoverList) -> Rational:
     minimum on the piece is at that bottom clamped to the piece.  Before
     the first midpoint the envelope is x - A and after the last it is
     B - x, so there the minimum is at 0 or at 1.  One sort, a suffix
-    minimum and a prefix maximum make this O(k log k).  The candidates
-    ascend and `min` keeps the first of equal values, so the witness is the
-    smallest minimiser, as in a scan of the sorted `lebesgue_candidates`.
+    minimum and a prefix maximum make this O(k log k).  The pieces ascend
+    and the first least value is taken, so the witness is the smallest
+    minimiser, as in a scan of the sorted `lebesgue_candidates`.
     """
     if not cover:
         raise ValueError("cover must be nonempty")
-    ends, unit = _common_unit([v for e in cover for v in (e.lo, e.hi)])
-    # In doubled coordinates, point x is 2·x·unit: a midpoint is lo + hi
-    # and a V's bottom a + b, so nothing is divided.
-    order = sorted(zip(ends[::2], ends[1::2]), key=sum)
-    mids = [lo + hi for lo, hi in order]
-    ahead_lo = list(accumulate((lo for lo, _ in reversed(order)), min))[::-1]
-    passed_hi = list(accumulate((hi for _, hi in order), max))
-    one = 2 * unit
-    candidates = []
-    if mids[0] >= 0:
-        candidates.append((0, -2 * ahead_lo[0]))
-    for i in range(1, len(order)):
-        left, right = max(mids[i - 1], 0), min(mids[i], one)
-        if left <= right:
-            a, b = ahead_lo[i], passed_hi[i - 1]
-            x = min(max(a + b, left), right)
-            candidates.append((x, max(x - 2 * a, 2 * b - x)))
-    if mids[-1] <= one:
-        candidates.append((one, 2 * passed_hi[-1] - one))
-    witness, best = min(candidates, key=itemgetter(1))
+    ratios, bits = _ratios(cover)
+    # Points are doubled: a midpoint is lo + hi, and 1 is 2.  With B-bit denominators a piece's value, a sum of up
+    # to three ends, has a denominator below 2^3B, so distinct values lie over 2^-6B apart, 8 key units at
+    # k = 6B + 3: keys order ends and midpoints (their ends' keys and the carry of the remainders) exactly, and as a
+    # value's sum of keys is under 2 units off, the pieces of least value are those within 4 units of the least sum.
+    k = 6 * bits + 3
+    keyed = [(lo + hi + (r * q + t * p >= p * q), lo, hi, e)
+             for (a, p, c, q), e in zip(ratios, cover) for (lo, r), (hi, t) in [(divmod(a << k, p), divmod(c << k, q))]]
+    mids, los, his, elements = zip(*sorted(keyed, key=itemgetter(0)))
+    # piece i, before midpoint i, reads ahead[i] and passed[i], None where no element is ahead or passed
+    ahead, passed = [*accumulate(reversed(los), min)][::-1] + [None], [None, *accumulate(his, max)]
+    # the pieces that meet [0, 2] are those from `start` to `stop`, split at `cuts`
+    start, stop = bisect_left(mids, 0), bisect_right(mids, 2 << k)
+    cuts = [0, *mids[start:stop], 2 << k]
+    values = [v for v, _ in map(_bottom, ahead[start : stop + 1], passed[start : stop + 1], cuts, cuts[1:])]
+    least = min(values)
+    i = start + next(j for j, v in enumerate(values) if v < least + 4)
+    # piece i again, exactly: its a, b, left and right as ints over their common denominator u
+    exact = (elements[los.index(ahead[i])].lo if i < len(los) else None,
+             elements[his.index(passed[i])].hi if i else None,
+             elements[i - 1].lo + elements[i - 1].hi if i > start else 0,
+             elements[i].lo + elements[i].hi if i < stop else 2)
+    u = lcm(*(v.denominator for v in exact if v is not None))
+    best, witness = _bottom(*(None if v is None else v.numerator * (u // v.denominator) for v in exact))
     if best <= 0:
-        raise NotACover(
-            f"point {render(Rational(witness, one))} of [0,1] has no interior margin "
-            f"(best radius {render(Rational(best, one))})"
-        )
-    return Rational(best, one)
+        raise NotACover(f"point {render(Rational(witness, 2 * u))} of [0,1] has no interior margin "
+                        f"(best radius {render(Rational(best, 2 * u))})")
+    return Rational(best, 2 * u)
 
 
 @record
@@ -411,25 +415,24 @@ def verify_subcover(cover: CoverList, selected: Sequence[int]) -> Covered | Unco
     range raises ValueError.  See `_reach` for the sweep and its witness.
     O(k log k) for k selected elements.
     """
-    chosen = []
-    for index in selected:
-        if not 0 <= index < len(cover):
-            raise ValueError(f"selected index {index} out of range")
-        chosen += (cover[index].lo, cover[index].hi)
-    scaled, unit = _common_unit(chosen)
-    return _reach(sorted(zip(scaled[::2], scaled[1::2])), unit)
+    if out := [index for index in selected if not 0 <= index < len(cover)]:
+        raise ValueError(f"selected index {out[0]} out of range")
+    ratios, bits = _ratios([cover[index] for index in selected])
+    k = 2 * bits + 1  # distinct ends, 0 and 1 differ by over 2^-2B, 2 key units: their keys order them exactly
+    reach = _reach(sorted(((a << k) // p, (c << k) // q) for a, p, c, q in ratios))
+    if reach > 1 << k:
+        return Covered()
+    return Uncovered(next((Rational(c, q) for _, _, c, q in ratios if (c << k) // q == reach), ZERO))
 
 
-def _reach(spans: Iterable[tuple], unit: int) -> Covered | Uncovered:
-    """Whether the open intervals (lo, hi) over `unit`, in order of lo, cover [0, 1].
+def _reach(spans: Iterable[tuple[int, int]]) -> int:
+    """The least point >= 0 outside the open intervals (lo, hi), given in order of lo.
 
     Walks the intervals keeping `reach`: [0, reach) lies inside the
     intervals walked so far and none of them extends past reach.  An
     interval with lo < reach moves reach up to its hi when that is further.
     The first interval with lo >= reach ends the walk, and every later one
-    starts at least as far, so no interval contains reach: it is the least
-    point >= 0 outside all of them.  That point (0, a gap endpoint, or 1)
-    is the witness, unless it lies past 1.
+    starts at least as far, so no interval contains reach.
     """
     reach = 0
     for lo, hi in spans:
@@ -437,7 +440,7 @@ def _reach(spans: Iterable[tuple], unit: int) -> Covered | Uncovered:
             break
         if hi > reach:
             reach = hi
-    return Covered() if reach > unit else Uncovered(Rational(reach, unit))
+    return reach
 
 
 def render_certificate(certificate: SubcoverCertificate) -> Iterator[str]:
@@ -479,10 +482,7 @@ def parse_certificate(source: Source) -> SubcoverCertificate:
             raise ParseError(f"line {line_no}: {exc}") from None
     if selected is None:
         raise ParseError("certificate ends before its `selected` line")
-    if (scaled := _over_unit(numerators, denominators, radius.denominator, MAX_SCALED_BITS)) is None:
-        raise BudgetExceeded(f"{render(len(numerators))} net points over their common denominator need more than "
-                             f"MAX_SCALED_BITS = {MAX_SCALED_BITS} bits beyond the radius's denominator")
-    points, unit = scaled
+    points, unit = _over_unit(numerators, denominators, radius.denominator)
     return SubcoverCertificate(radius, tuple(points), unit, tuple(elements), selected)
 
 
@@ -524,9 +524,8 @@ def verify_certificate(cover: CoverList, certificate: SubcoverCertificate) -> li
     if certificate.selected != tuple(assigned):
         problems.append("selected list does not match the set of assigned elements")
 
-    density = _reach(((x - r_int, x + r_int) for x in sorted(points)), unit)
-    if isinstance(density, Uncovered):
-        problems.append(f"net with radius {render(r)} leaves {render(density.witness)} uncovered")
+    if (reach := _reach((x - r_int, x + r_int) for x in sorted(points))) <= unit:
+        problems.append(f"net with radius {render(r)} leaves {render(Rational(reach, unit))} uncovered")
 
     coverage = verify_subcover(cover, [j for j in assigned if 0 <= j < k])
     if isinstance(coverage, Uncovered):

@@ -507,9 +507,10 @@ class TestCertificateVerification:
 # a per-point first match for assignment.
 
 
-def scan_lebesgue_number(cover):
+def scan_lebesgue_number(cover, points=None):
+    """The least radius over `points`, by default every candidate, as `lebesgue_number` reports it."""
     best = witness = None
-    for x in lebesgue_candidates(cover):
+    for x in lebesgue_candidates(cover) if points is None else points:
         value = uniform_radius_at(cover, x)
         if best is None or value < best:
             best, witness = value, x
@@ -584,10 +585,20 @@ def ends(draw):
     return F(draw(st.integers(-denominator, 2 * denominator)), denominator)
 
 
+# ends that agree far past their 64th bit, around the points where the sweeps compare them with 0, 1 and each other
+NEAR_TIES = sorted({c + j * F(1, 2**e) for c in (F(-1), F(0), F(1, 3), F(1, 2), F(1), F(2))
+                    for j in range(-2, 3) for e in (65, 200)})
+
+
+POOLS = (st.lists(ends(), min_size=2, max_size=8, unique=True)
+         | st.lists(st.sampled_from(NEAR_TIES), min_size=2, max_size=8, unique=True))
+
+
 @st.composite
 def covers(draw, max_size=10):
-    """Few distinct endpoints, so nested, touching and repeated intervals are common."""
-    pool = draw(st.lists(ends(), min_size=2, max_size=8, unique=True))
+    """Few distinct endpoints, so nested, touching and repeated intervals are common: small fractions, or ends
+    a hair apart."""
+    pool = draw(POOLS)
     # two distinct ends of the pool, as an index and a nonzero step from it
     n = len(pool)
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)), min_size=1, max_size=max_size))
@@ -595,77 +606,86 @@ def covers(draw, max_size=10):
 
 
 radii = st.fractions(min_value="1/24", max_value="3/2", max_denominator=24)
+TINY = F(1, 2**200)
+# covers whose answers turn on exact ties: ends a hair apart, equal midpoints, and ends at 0 and at 1
+TIES = {
+    "overlap-2^-65": [OpenInterval(F(-1), F(1, 3) + F(1, 2**65)), OpenInterval(F(1, 3) - F(1, 2**65), F(2))],
+    "overlap-2^-200": [OpenInterval(F(-1), F(1, 3) + TINY), OpenInterval(F(1, 3) - TINY, F(2))],
+    "gap-2^-200": [OpenInterval(F(-1), F(1, 3) - TINY), OpenInterval(F(1, 3) + TINY, F(2))],
+    "touching-at-1/3": [OpenInterval(F(-1), F(1, 3)), OpenInterval(F(1, 3), F(2))],
+    "ends-2^-200-apart": [OpenInterval(F(-1), F(1, 3) + TINY), OpenInterval(F(-1), F(1, 3) + 2 * TINY),
+                          OpenInterval(F(1, 3) - TINY, F(2)), OpenInterval(F(1, 3), F(2))],
+    "equal-midpoints": [OpenInterval(F(-1), F(2)), OpenInterval(F(-1, 2), F(3, 2)), OpenInterval(F(1, 4), F(3, 4))],
+    "equal-midpoints-in-a-chain": [OpenInterval(F(-1, 3), F(2, 3)), OpenInterval(F(0), F(1, 3)),
+                                   OpenInterval(F(1, 4), F(2)), OpenInterval(F(1, 2), F(3, 2))],
+    "zero-to-one": [OpenInterval(F(0), F(1))],
+    "ends-at-0-and-1": [OpenInterval(F(-1), F(1)), OpenInterval(F(0), F(2))],
+    "hi-at-1": [OpenInterval(F(-1), F(1, 2)), OpenInterval(F(1, 4), F(1))],
+    # least radii 1/546 apart, and one least radius at both 0 and 1: only exact values order them
+    "radii-1/546-apart": [OpenInterval(F(-4, 7), F(1, 3)), OpenInterval(F(-4, 5), F(1, 3)),
+                          OpenInterval(F(-2, 7), F(17, 13)), OpenInterval(F(2, 11), F(5, 11))],
+    "least-at-0-and-1": [OpenInterval(F(-7, 11), F(-7, 13)), OpenInterval(F(1, 5), F(4, 5))],
+    "midpoints-at-0-and-1": [OpenInterval(F(-1), F(1)), OpenInterval(F(-1, 2), F(1, 2)), OpenInterval(F(1, 2), F(3, 2))],
+}
 
 
-def sweep_oracles():
-    """The sweeps-against-scans properties as a fresh class: Hypothesis ties each @given test to one class."""
+class TestSweepsMatchScans:
+    @given(covers())
+    def test_lebesgue_number(self, cover):
+        assert outcome(lebesgue_number, cover) == outcome(scan_lebesgue_number, cover)
 
-    class SweepsMatchScans:
-        @given(covers())
-        def test_lebesgue_number(self, cover):
-            assert outcome(lebesgue_number, cover) == outcome(scan_lebesgue_number, cover)
+    @given(covers(), st.data())
+    def test_verify_subcover(self, cover, data):
+        selected = data.draw(st.lists(st.integers(0, len(cover) - 1), max_size=2 * len(cover)))
+        assert verify_subcover(cover, selected) == rescan_verify_subcover(cover, selected)
 
-        @given(covers(), st.data())
-        def test_verify_subcover(self, cover, data):
-            selected = data.draw(st.lists(st.integers(0, len(cover) - 1), max_size=2 * len(cover)))
+    @pytest.mark.parametrize("cover", TIES.values(), ids=TIES.keys())
+    def test_ties(self, cover):
+        assert outcome(lebesgue_number, cover) == outcome(scan_lebesgue_number, cover)
+        for mask in range(2 ** len(cover)):  # every selection, the empty one first
+            selected = [j for j in range(len(cover)) if mask >> j & 1]
             assert verify_subcover(cover, selected) == rescan_verify_subcover(cover, selected)
 
-        @given(covers(), radii)
-        def test_assignment(self, cover, radius):
-            expected = outcome(scan_subcover, cover, radius)
-            for elements in (cover, iter(cover)):
-                assert outcome(extract_finite_subcover, elements, ConstantModulus(radius)) == expected
+    @given(covers(), radii)
+    def test_assignment(self, cover, radius):
+        expected = outcome(scan_subcover, cover, radius)
+        for elements in (cover, iter(cover)):
+            assert outcome(extract_finite_subcover, elements, ConstantModulus(radius)) == expected
 
-        # one Random draws the damage: a strategy built per net point would take most of the test's time
-        @given(covers(), radii, st.randoms(use_true_random=True))
-        def test_verify_certificate_on_damaged_nets(self, cover, radius, rng):
-            net = build_eps_net(radius)
-            elements = []
-            for point in net:
-                try:
-                    elements.append(find_containing_element(cover, point, radius))
-                except NoContainingElement:
-                    elements.append(rng.randint(0, len(cover)))  # may be out of range
-            damage = rng.choice(["none", "shuffle", "drop", "repeat", "shift"])
-            if damage == "shuffle":
-                rng.shuffle(net)
-            elif damage == "drop" and len(net) > 2:
-                del net[rng.randrange(len(net))]
-            elif damage == "repeat":
-                net.append(rng.choice(net))
-                elements.append(0)
-            elif damage == "shift":
-                denominator = rng.randint(1, 90)  # a fraction of [-radius, radius] over at most 90
-                net[rng.randrange(len(net))] += F(rng.randint(ceil(-radius * denominator), floor(radius * denominator)),
-                                                  denominator)
-            radius *= rng.choice([1, 1, F(1, 2), F(3, 2)])
-            elements = tuple(elements[: len(net)])
-            selected = tuple(sorted(set(elements)))
-            if rng.random() < 0.5 and selected:
-                selected = selected[1:]
-            certificate = certificate_of_net(radius, tuple(net), elements, selected)
-            problems = verify_certificate(cover, certificate)
-            assert problems == rescan_verify_certificate(cover, certificate)
-            # with some of its points written over larger denominators, the net reads the same, with the same problems
-            scales = [*map(rng.choice, repeat(UNREDUCING, len(net)))]
-            unreduced = parse_certificate(unreduced_text(certificate, scales))
-            assert unreduced.net == certificate.net and verify_certificate(cover, unreduced) == problems
-
-    return SweepsMatchScans
-
-
-class TestSweepsMatchScans(sweep_oracles()):
-    pass
-
-
-class TestSweepsMatchScansOnFractions(sweep_oracles()):
-    """The same properties with _END_BITS at 0, so every sweep over cover ends compares the Fractions."""
-
-    @pytest.fixture(autouse=True, scope="class")
-    def fractions_only(self):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cover_mod, "_END_BITS", 0)
-            yield
+    # one Random draws the damage: a strategy built per net point would take most of the test's time
+    @given(covers(), radii, st.randoms(use_true_random=True))
+    def test_verify_certificate_on_damaged_nets(self, cover, radius, rng):
+        net = build_eps_net(radius)
+        elements = []
+        for point in net:
+            try:
+                elements.append(find_containing_element(cover, point, radius))
+            except NoContainingElement:
+                elements.append(rng.randint(0, len(cover)))  # may be out of range
+        damage = rng.choice(["none", "shuffle", "drop", "repeat", "shift"])
+        if damage == "shuffle":
+            rng.shuffle(net)
+        elif damage == "drop" and len(net) > 2:
+            del net[rng.randrange(len(net))]
+        elif damage == "repeat":
+            net.append(rng.choice(net))
+            elements.append(0)
+        elif damage == "shift":
+            denominator = rng.randint(1, 90)  # a fraction of [-radius, radius] over at most 90
+            net[rng.randrange(len(net))] += F(rng.randint(ceil(-radius * denominator), floor(radius * denominator)),
+                                              denominator)
+        radius *= rng.choice([1, 1, F(1, 2), F(3, 2)])
+        elements = tuple(elements[: len(net)])
+        selected = tuple(sorted(set(elements)))
+        if rng.random() < 0.5 and selected:
+            selected = selected[1:]
+        certificate = certificate_of_net(radius, tuple(net), elements, selected)
+        problems = verify_certificate(cover, certificate)
+        assert problems == rescan_verify_certificate(cover, certificate)
+        # with some of its points written over larger denominators, the net reads the same, with the same problems
+        scales = [*map(rng.choice, repeat(UNREDUCING, len(net)))]
+        unreduced = parse_certificate(unreduced_text(certificate, scales))
+        assert unreduced.net == certificate.net and verify_certificate(cover, unreduced) == problems
 
 
 def primes_above(start, count):
@@ -735,19 +755,16 @@ class TestHostileDenominators:
         assert verify_subcover(cover, everything) == rescan_verify_subcover(cover, everything)
         assert isinstance(verify_subcover(cover, everything), Uncovered)
 
-    def test_cover_past_the_end_bits_is_answered_over_fractions(self):
+    def test_prime_chain_of_240_elements_matches_the_scans(self):
         cover = prime_chain(240)
-        ends = [v for e in cover for v in (e.lo, e.hi)]
-        assert len(ends) * lcm(*(v.denominator for v in ends)).bit_length() > cover_mod._END_BITS
         gapped = cover[:100] + cover[101:]
-        answers = [outcome(lebesgue_number, c) for c in (cover, gapped)]
-        assert answers[0] > 0 and answers[1][0] == "NotACover"
         for c in (cover, gapped):
+            # only neighbours overlap, so the envelope is least at 0, at 1 or midway across an overlap or a gap
+            dips = [F(0), F(1), *((a.hi + b.lo) / 2 for a, b in zip(c, c[1:]))]
+            assert outcome(lebesgue_number, c) == outcome(scan_lebesgue_number, c, sorted(dips))
             everything = range(len(c))
             assert verify_subcover(c, everything) == rescan_verify_subcover(c, everything)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cover_mod, "_END_BITS", 2**40)
-            assert [outcome(lebesgue_number, c) for c in (cover, gapped)] == answers
+        assert lebesgue_number(cover) > 0 and outcome(lebesgue_number, gapped)[0] == "NotACover"
 
     @pytest.mark.parametrize("cover", [TWO_INTERVALS, prime_chain(40)], ids=["two-intervals", "prime-chain"])
     def test_certificate_with_prime_denominators(self, cover):

@@ -80,6 +80,11 @@ def intervals(count):
     return "".join(f"-1/{i + 1} {i + 2}/{i + 1}\n" for i in range(1, count + 1))
 
 
+def grid(count):
+    # element i is ((10i - 3)/10^6, (10i + 13)/10^6): every overlap and both ends give the least radius, 3/10^6
+    return "".join(f"{10 * i - 3}/1000000 {10 * i + 13}/1000000\n" for i in range(count))
+
+
 def certificate(unit):
     # the net of radius 1/unit, each point assigned to element 0
     return f"r=1/{unit}\n" + "".join(f"net {x}/{unit} -> element 0\n" for x in range(unit + 1)) + "selected 0\n"
@@ -161,6 +166,7 @@ FILES = {
     "cover-at-cap": lambda: intervals(MAX_COVER_ELEMENTS),
     "cover-past-cap": lambda: intervals(MAX_COVER_ELEMENTS + 1),
     "cover-1e6": lambda: intervals(10**6),
+    "grid-1e5": lambda: grid(10**5),
     "small-cert": lambda: certificate(4),
     # net lines up to the cap, and one past it
     "cert-at-cap": lambda: certificate(MAX_NET_POINTS - 1),
@@ -323,6 +329,8 @@ OTHER_CASES = [
     # ten times the cap is refused as soon, by a command that needs one element and one that needs all
     *(case(["cover", *command, "--cover", "cover-1e6"], 1, slow=True, seconds=2, stdout=TOO_MANY_INTERVALS)
       for command in COVER_COMMANDS[:2]),
+    # 10^5 intervals over one denominator, 2 * 10^5 ends of 20 bits, whose 10^5 least radii tie exactly
+    case(["cover", "lebesgue", "--cover", "grid-1e5"], 0, slow=True, seconds=2, stdout="lebesgue-number=3/1000000\n"),
     case(["cover", "verify-cert", "--cover", "whole", "--cert", "cert-at-cap"], 0, slow=True),
     case(["cover", "verify-cert", "--cover", "whole", "--cert", "cert-past-cap"], 1),
     *(case(["cover", "lebesgue", "--cover", f"cover-{pad}-{at}"], code)
