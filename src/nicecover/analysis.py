@@ -96,7 +96,7 @@ def waiting_crn(
 
     def entry(i: int) -> Rational:
         if i > max_steps:
-            raise BudgetExceeded(f"index {render(i)} needs {render(i)} steps; cap is {max_steps}")
+            raise BudgetExceeded(f"index {render(i)} needs {render(i)} steps; cap is {render(max_steps)}")
         outcome = run_for(program, input_value, i)
         if isinstance(outcome, Halted):
             return targets.approx(outcome.steps)
@@ -169,7 +169,7 @@ class Transcript(Sequence[TranscriptRow]):
             raise ValueError("steps must be a natural number")
         if steps > MAX_BISECT_STEPS:
             raise BudgetExceeded(
-                f"transcript of {steps} steps is longer than MAX_BISECT_STEPS = {MAX_BISECT_STEPS}"
+                f"transcript of {render(steps)} steps is longer than MAX_BISECT_STEPS = {MAX_BISECT_STEPS}"
             )
         if not lo < hi:
             raise ValueError("bisection needs lo < hi")

@@ -186,7 +186,7 @@ def _cmd_crn_approx(args) -> int:
     value = expressions.evaluate(node, lambda: analysis.expression_builtins())  # runs analysis only at a call
     if not isinstance(value, Rational):  # a call-free expression folds to its exact value
         value = crn.approx_to(value, args.prec)
-    print(f"{render(value)} ± 2^-{args.prec}")
+    print(f"{render(value)} ± 2^-{render(args.prec)}")
     return 0
 
 
@@ -194,16 +194,16 @@ def _cmd_machine_run(args) -> int:
     program = machine.parse_program(Path(args.prog))
     outcome = machine.run_for(program, args.input, args.budget)
     if isinstance(outcome, machine.Halted):
-        print(f"halted steps={outcome.steps}")
+        print(f"halted steps={render(outcome.steps)}")
     else:
-        print(f"still-running budget={outcome.budget}")
+        print(f"still-running budget={render(outcome.budget)}")
     return 0
 
 
 def _cmd_machine_dovetail(args) -> int:
     program = machine.parse_program(Path(args.prog))
     for input_value, steps in machine.dovetail_enumerate(program, args.inputs, args.budget):
-        print(f"input={input_value} steps={steps}")
+        print(f"input={render(input_value)} steps={render(steps)}")
     return 0
 
 
@@ -211,14 +211,13 @@ def _cmd_waiting_approx(args) -> int:
     program = machine.parse_program(Path(args.prog))
     max_steps = analysis.MAX_WAITING_STEPS if args.max_steps is None else args.max_steps
     value = analysis.waiting_crn(program, args.input, args.targets, max_steps=max_steps)
-    print(f"{render(crn.approx_to(value, args.prec))} ± 2^-{args.prec}")
+    print(f"{render(crn.approx_to(value, args.prec))} ± 2^-{render(args.prec)}")
     return 0
 
 
 def _cmd_reduce(args) -> int:
     program = machine.parse_program(Path(args.prog))
     verdict = analysis.halting_reduction(program, args.input, args.targets, args.prec)
-    # the window, targets.regulator(prec + 1), may have more digits than str() allows
     if isinstance(verdict, machine.Halted):
         print(f"halts-at steps={render(verdict.steps)}")
     else:

@@ -416,7 +416,7 @@ def verify_subcover(cover: CoverList, selected: Sequence[int]) -> Covered | Unco
     O(k log k) for k selected elements.
     """
     if out := [index for index in selected if not 0 <= index < len(cover)]:
-        raise ValueError(f"selected index {out[0]} out of range")
+        raise ValueError(f"selected index {render(out[0])} out of range")
     ratios, bits = _ratios([cover[index] for index in selected])
     k = 2 * bits + 1  # distinct ends, 0 and 1 differ by over 2^-2B, 2 key units: their keys order them exactly
     reach = _reach(sorted(((a << k) // p, (c << k) // q) for a, p, c, q in ratios))

@@ -24,7 +24,7 @@ from itertools import islice
 from typing import Iterable
 
 from .errors import BudgetExceeded, ParseError
-from .rational import Source, input_lines, parse_natural, record
+from .rational import Source, input_lines, parse_natural, record, render
 
 # Per instruction: the kinds of its operands (r a register, l a label),
 # and what it takes, as a wrong operand count is reported.
@@ -128,7 +128,7 @@ def parse_program(source: Source) -> Program:
                 except ParseError as exc:
                     raise ParseError(f"line {line_no}: {exc}") from None
                 if reg > MAX_REGISTER:
-                    raise ParseError(f"line {line_no}: register {reg} is above MAX_REGISTER = {MAX_REGISTER}")
+                    raise ParseError(f"line {line_no}: register {render(reg)} is above MAX_REGISTER = {MAX_REGISTER}")
         instructions.append((OPS.index(op), reg, target))
 
     return Program(tuple(instructions), register_count=max(reg for _, reg, _ in instructions) + 1)

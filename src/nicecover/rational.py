@@ -9,7 +9,6 @@ and `input_lines` reads the lines of every input file.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from functools import partial
 from io import StringIO
@@ -27,10 +26,12 @@ ONE = Fraction(1)
 
 # CPython (3.11, and 3.10.7 on) refuses to convert an int to or from more
 # decimal digits than sys.get_int_max_str_digits(): 4300 by default, 640
-# at the least.  Longer numbers are converted in pieces of at most
-# _PIECE_DIGITS digits, or _PIECE_BITS bits, which no setting refuses.
+# at the least.  Every number is read by `_int` and written by `render` in
+# pieces of at most _PIECE_DIGITS digits, or _PIECE_BITS bits, which no
+# setting refuses, so no answer depends on the setting.
 _PIECE_DIGITS = 600
 _PIECE_BITS = 1900  # 2^1900 < 10^600
+_NATURAL_DIGITS = 4300  # read by `parse_natural`: CPython's default limit, not in sys.int_info before 3.10.7
 
 
 def _int(digits: str) -> int:
@@ -55,7 +56,7 @@ def parse_ratio(text: str) -> tuple[int, int]:
     (numerator, positive denominator), exactly but not in lowest terms.
 
     p is an optional `-` and decimal digits; q and the decimal places are
-    digits.  Parts past the interpreter's digit limit are converted in pieces.
+    digits, of any length.
     """
     s = text.strip()
     negative = s.startswith("-")
@@ -80,19 +81,17 @@ def parse_rational(text: str) -> Rational:
 
 
 def parse_natural(text: str) -> int:
-    """Parse a decimal natural number (no sign) that the interpreter can convert."""
+    """Parse a decimal natural number (no sign) of at most _NATURAL_DIGITS digits."""
     s = text.strip()
     if not s.isdecimal():
         raise ParseError(f"not a natural number: {text!r}")
-    try:
-        return int(s)
-    except ValueError:  # more digits than sys.get_int_max_str_digits()
-        raise ParseError(f"natural number of {len(s)} digits is over the interpreter's"
-                         f" limit of {sys.get_int_max_str_digits()}") from None
+    if len(s) > _NATURAL_DIGITS:
+        raise ParseError(f"natural number of {len(s)} digits is over the interpreter's limit of {_NATURAL_DIGITS}")
+    return _int(s)
 
 
-def render(q: Rational) -> str:
-    """Canonical text `p/q`; a denominator of 1 is elided."""
+def render(q: Rational | int) -> str:
+    """Canonical text `p/q`; a denominator of 1 is elided, so an int prints as str() would."""
     return _render(q.numerator, q.denominator)
 
 
@@ -104,11 +103,10 @@ def render_ratio(numerator: int, denominator: int) -> str:
 
 def _render(numerator: int, denominator: int) -> str:
     """`render` of numerator / denominator in lowest terms, a positive denominator."""
-    try:
+    if numerator.bit_length() <= _PIECE_BITS and denominator.bit_length() <= _PIECE_BITS:
         return f"{numerator}" if denominator == 1 else f"{numerator}/{denominator}"
-    except ValueError:  # a part longer than the interpreter's digit limit
-        text = ("-" if numerator < 0 else "") + _decimal(abs(numerator))
-        return text if denominator == 1 else f"{text}/{_decimal(denominator)}"
+    text = ("-" if numerator < 0 else "") + _decimal(abs(numerator))
+    return text if denominator == 1 else f"{text}/{_decimal(denominator)}"
 
 
 def pow2(exp: int) -> Rational:

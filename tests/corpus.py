@@ -97,14 +97,13 @@ def stored(text: str) -> str | dict:
 
 def run(argv: list[str], directory: str) -> dict:
     """What `nicecover *argv` gives with the input files in `directory`, which stands as {dir} in argv and output.
-    It runs in `directory`, so each file it writes there, by a relative path too, is read and removed.  Runs as a
-    fresh process would, with the default limit of 4300 digits on int-string conversion, and 200 columns for
-    argparse's usage text: at 80 columns, Python 3.11 and 3.13 wrap the longest usage lines at other places."""
+    It runs in `directory`, so each file it writes there, by a relative path too, is read and removed.  Runs with
+    200 columns for argparse's usage text: at 80 columns, Python 3.11 and 3.13 wrap the longest usage lines at
+    other places.  The interpreter's limit on int-string conversion is left as it is: no answer depends on it."""
     before = set(os.listdir(directory))
     out, err = io.StringIO(), io.StringIO()
-    cwd, columns, digits = os.getcwd(), os.environ.get("COLUMNS"), sys.get_int_max_str_digits()
+    cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
     os.environ["COLUMNS"] = "200"
-    sys.set_int_max_str_digits(4300)
     try:
         os.chdir(directory)
         with redirect_stdout(out), redirect_stderr(err):
@@ -113,7 +112,6 @@ def run(argv: list[str], directory: str) -> dict:
         code = f"uncaught {type(exc).__name__}: {exc}"
     finally:
         os.chdir(cwd)
-        sys.set_int_max_str_digits(digits)
         if columns is None:
             del os.environ["COLUMNS"]
         else:
@@ -133,12 +131,13 @@ def write_files(files: dict, directory: str) -> None:
         Path(directory, name).write_bytes(data)
 
 
-def replay() -> str | None:
-    """Run every stored case; a report of the first that differs, with a diff, or None when none does."""
+def replay(path: str | None = None) -> str | None:
+    """Run every stored case, or those of one command path, such as `cover-verify` or `usage`, as case ids begin;
+    a report of the first that differs, with a diff, or None when none does."""
     corpus = load()
     with tempfile.TemporaryDirectory() as directory:
         write_files(corpus["files"], directory)
-        for case in corpus["cases"]:
+        for case in (case for case in corpus["cases"] if path in (None, command_path(case))):
             got = {"id": case["id"], "argv": case["argv"], **run(case["argv"], directory)}
             if got != case:
                 expected, actual = (json.dumps(c, indent=1, ensure_ascii=False).splitlines() for c in (case, got))
@@ -149,6 +148,11 @@ def replay() -> str | None:
 
 def load() -> dict:
     return json.loads(CORPUS.read_text(encoding="utf-8"))
+
+
+def command_path(case: dict) -> str:
+    """The command path a case's id begins with: `cover-verify` for `cover-verify-007`."""
+    return case["id"].rsplit("-", 1)[0]
 
 
 # Making the corpus: input files and seeded cases.

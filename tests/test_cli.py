@@ -665,10 +665,48 @@ class TestNumbersPastTheDigitLimit:
             "",
         )
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit on this interpreter")
+    @pytest.mark.parametrize("limit", [4300, 640, 0])
+    def test_numbers_at_the_edge_whatever_the_interpreter_limit(self, capsys, tmp_path, countdown_file,
+                                                                 looper_file, cover_file, limit):
+        """Natural numbers of 4,300 digits, the most `parse_natural` reads, are read and printed, and one of
+        4,301 digits is refused, in the same bytes under the default limit on int-string conversion (4300),
+        its least (640) and none (0)."""
+        edge, nines, steps = digits(10**4299), self.NINES, digits(3 * 10**4299 + 2)  # countdown halts at 3v + 2
+        wide = tmp_path / "wide.cm"
+        wide.write_text(f"INC {nines}\nHALT\n")
+        countdown, looper = str(countdown_file), str(looper_file)
+        cases = [
+            (["machine", "run", "--prog", countdown, "--input", edge, "--budget", nines],
+             (0, f"halted steps={steps}\n", "")),
+            (["machine", "run", "--prog", looper, "--input", edge, "--budget", nines],
+             (0, f"still-running budget={nines}\n", "")),
+            (["machine", "dovetail", "--prog", countdown, "--inputs", f"{edge}..{edge}", "--budget", nines],
+             (0, f"input={edge} steps={steps}\n", "")),
+            (["machine", "run", "--prog", str(wide), "--input", "0", "--budget", "1"],
+             (2, "", f"error: line 1: register {nines} is above MAX_REGISTER = 1023\n")),
+            (["crn", "approx", "--expr", "1/3", "--prec", nines], (0, f"1/3 ± 2^-{nines}\n", "")),
+            (["bisect", "--oracle", "step@1/3", "--lo", "0", "--hi", "1", "--steps", nines],
+             (1, f"budget-exceeded transcript of {nines} steps is longer than MAX_BISECT_STEPS = 10000\n", "")),
+            (["cover", "verify", "--cover", cover_file, "--selected", "0," + nines],
+             (2, "", f"error: selected index {nines} out of range\n")),
+            (["waiting", "approx", "--prog", looper, "--input", "0", "--prec", nines, "--max-steps", nines],
+             (1, f"budget-exceeded index {self.TEN_POW} needs {self.TEN_POW} steps; cap is {nines}\n", "")),
+            (["crn", "approx", "--expr", f"waiting({countdown}, 9{nines})", "--prec", "3"],
+             (2, "", "error: natural number of 4301 digits is over the interpreter's limit of 4300\n")),
+        ]
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            got = [run(capsys, *argv) for argv, _ in cases]
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert got == [want for _, want in cases]
+
 
 # Every exit-2 path with its exact stderr; `{prog}`, `{cover}` and `{missing}`
 # stand for an existing program, an existing cover and a path that does not exist.
-LONG = "1" * 5000  # past the interpreter's default limit of 4,300 digits for int()
+LONG = "1" * 5000  # past the 4,300 digits that `parse_natural` reads, CPython's default limit
 TOO_LONG = "natural number of 5000 digits is over the interpreter's limit of 4300\n"
 
 USAGE_ERRORS = [
@@ -742,7 +780,7 @@ USAGE_ERRORS = [
      "error: cannot read program '{missing}': [Errno 2] No such file or directory: '{missing}'\n"),
     (["crn", "approx", "--expr", "bisect_limit(step@1/3, 0)", "--prec", "3"],
      "error: bisect_limit expects (ORACLE, LO, HI)\n"),
-    # numbers longer than the interpreter converts are refused without echoing them
+    # natural numbers of more than 4,300 digits are refused without echoing them
     (["machine", "run", "--prog", "{prog}", "--input", LONG, "--budget", "1"],
      "usage: nicecover machine run [-h] --prog PROG --input INPUT --budget BUDGET\n"
      "nicecover machine run: error: argument --input: " + TOO_LONG),
