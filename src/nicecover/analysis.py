@@ -204,8 +204,9 @@ class Transcript(Sequence[TranscriptRow]):
     def __len__(self) -> int:
         return self._len
 
-    def __getitem__(self, i: int) -> TranscriptRow:
-        return self.row(range(self._len)[i])
+    def __getitem__(self, i: int | slice) -> TranscriptRow | list[TranscriptRow]:
+        found = range(self._len)[i]  # a slice gives a list of rows, as list(self)[i] does
+        return list(map(self.row, found)) if isinstance(i, slice) else self.row(found)
 
     def lines(self) -> Iterator[str]:
         """The rows as TSV lines `index lo hi branch`.  A row renders only the

@@ -20,21 +20,6 @@ from .errors import DomainError, ParseError
 from .rational import Rational, parse_natural, parse_rational, render
 
 
-def _flag(parse):
-    """Adapt a parser to argparse; its error message is kept as it is.
-
-    argparse would turn a bare ValueError into "invalid ... value".
-    """
-
-    def flag(text: str):
-        try:
-            return parse(text)
-        except ParseError as exc:
-            raise argparse.ArgumentTypeError(str(exc))
-
-    return flag
-
-
 def _parse_inputs(text: str) -> range:
     m = re.fullmatch(r"(\d+)\.\.(\d+)", text.strip())
     if m is None:
@@ -52,13 +37,14 @@ def _parse_selected(text: str) -> list[int]:
     return [parse_natural(p) for p in parts]
 
 
-def _parse_modulus(text: str) -> Rational | None:
-    """`lebesgue` gives None; `const:<r>` gives the constant radius r."""
+def _parse_modulus(text: str):
+    """`lebesgue` or `const:<r>`, as a function from a cover to its modulus; cover is read only in that call."""
     s = text.strip()
     if s == "lebesgue":
-        return None
+        return lambda intervals: cover_mod.LebesgueModulus(intervals)
     if s.startswith("const:"):
-        return parse_rational(s[len("const:") :])
+        radius = parse_rational(s[len("const:") :])
+        return lambda intervals: cover_mod.ConstantModulus(radius)
     raise ParseError(f"expected `lebesgue` or `const:<rational>`, got {text!r}")
 
 
@@ -78,6 +64,21 @@ def _parse_oracle(text: str):
 
 
 class _Parser(argparse.ArgumentParser):
+    """The CLI's one adapter of argparse: a refused value in its parser's words, quoted choices, no lone "--"."""
+
+    def parse_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        # an option's value may not be "--" (`--lo=--`); after a bare "--" every argument is an operand
+        if any(arg.startswith("--") and arg.partition("=")[2] == "--" for arg in takewhile("--".__ne__, args)):
+            self.exit(2, 'error: "--" is not accepted as an argument value\n')
+        return super().parse_args(args, namespace)
+
+    def _get_value(self, action, text):  # argparse would turn a ParseError into "invalid ... value"
+        try:
+            return text if action.type is None else action.type(text)
+        except ParseError as exc:
+            raise argparse.ArgumentError(action, str(exc))
+
     def _check_value(self, action, value):  # choices quoted, as by argparse on Python 3.10-3.13.0, not 3.13.13
         if action.choices is not None and value not in action.choices:
             raise argparse.ArgumentError(action, f"invalid choice: {value!r} (choose from {', '.join(map(repr, action.choices))})")
@@ -100,49 +101,49 @@ def build_parser() -> argparse.ArgumentParser:
     crn_approx = crn_sub.add_parser("approx", help="approximate a value expression")
     crn_approx.set_defaults(run=_cmd_crn_approx)
     crn_approx.add_argument("--expr", required=True, help="value expression; builtins: waiting(...), bisect_limit(...)")
-    crn_approx.add_argument("--prec", required=True, type=_flag(parse_natural), help="precision level n; answer is within 2^-n")
+    crn_approx.add_argument("--prec", required=True, type=parse_natural, help="precision level n; answer is within 2^-n")
 
     machine_cmd = commands.add_parser("machine", help="counter-machine sandbox")
     machine_sub = machine_cmd.add_subparsers(dest="subcommand", required=True)
     machine_run = machine_sub.add_parser("run", help="run a program under a step budget")
     machine_run.set_defaults(run=_cmd_machine_run)
     machine_run.add_argument("--prog", required=True, help="program file")
-    machine_run.add_argument("--input", required=True, type=_flag(parse_natural))
-    machine_run.add_argument("--budget", required=True, type=_flag(parse_natural))
+    machine_run.add_argument("--input", required=True, type=parse_natural)
+    machine_run.add_argument("--budget", required=True, type=parse_natural)
     machine_dovetail = machine_sub.add_parser("dovetail", help="enumerate halting inputs")
     machine_dovetail.set_defaults(run=_cmd_machine_dovetail)
     machine_dovetail.add_argument("--prog", required=True, help="program file")
-    machine_dovetail.add_argument("--inputs", required=True, type=_flag(_parse_inputs), help="inclusive range A..B")
-    machine_dovetail.add_argument("--budget", required=True, type=_flag(parse_natural), help="total steps across all runs")
+    machine_dovetail.add_argument("--inputs", required=True, type=_parse_inputs, help="inclusive range A..B")
+    machine_dovetail.add_argument("--budget", required=True, type=parse_natural, help="total steps across all runs")
 
     waiting_cmd = commands.add_parser("waiting", help="waiting-sequence values")
     waiting_sub = waiting_cmd.add_subparsers(dest="subcommand", required=True)
     waiting_approx = waiting_sub.add_parser("approx", help="approximate a waiting value")
     waiting_approx.set_defaults(run=_cmd_waiting_approx)
     waiting_approx.add_argument("--prog", required=True, help="monitored program file")
-    waiting_approx.add_argument("--input", required=True, type=_flag(parse_natural))
-    waiting_approx.add_argument("--targets", default="geometric", type=_flag(_parse_targets))
-    waiting_approx.add_argument("--prec", required=True, type=_flag(parse_natural))
+    waiting_approx.add_argument("--input", required=True, type=parse_natural)
+    waiting_approx.add_argument("--targets", default="geometric", type=_parse_targets)
+    waiting_approx.add_argument("--prec", required=True, type=parse_natural)
     waiting_approx.add_argument(
-        "--max-steps", type=_flag(parse_natural), default=None,
+        "--max-steps", type=parse_natural, default=None,
         help="cap on machine steps per entry (default 100000)",  # analysis.MAX_WAITING_STEPS, pinned by a test
     )
 
     reduce_cmd = commands.add_parser("reduce", help="step-certified halting probe of a waiting value")
     reduce_cmd.set_defaults(run=_cmd_reduce)
     reduce_cmd.add_argument("--prog", required=True, help="monitored program file")
-    reduce_cmd.add_argument("--input", required=True, type=_flag(parse_natural))
-    reduce_cmd.add_argument("--prec", required=True, type=_flag(parse_natural), help="probe precision level")
-    reduce_cmd.add_argument("--targets", default="geometric", type=_flag(_parse_targets))
-    reduce_cmd.add_argument("--oracle", default="step@1/2", type=_flag(_parse_oracle),
+    reduce_cmd.add_argument("--input", required=True, type=parse_natural)
+    reduce_cmd.add_argument("--prec", required=True, type=parse_natural, help="probe precision level")
+    reduce_cmd.add_argument("--targets", default="geometric", type=_parse_targets)
+    reduce_cmd.add_argument("--oracle", default="step@1/2", type=_parse_oracle,
                             help="validated, but does not change the verdict")
 
     bisect_cmd = commands.add_parser("bisect", help="bisection search for a discontinuity")
     bisect_cmd.set_defaults(run=_cmd_bisect)
-    bisect_cmd.add_argument("--oracle", required=True, type=_flag(_parse_oracle), help="step@<r> or stair:<r1>,...")
-    bisect_cmd.add_argument("--lo", required=True, type=_flag(parse_rational))
-    bisect_cmd.add_argument("--hi", required=True, type=_flag(parse_rational))
-    bisect_cmd.add_argument("--steps", required=True, type=_flag(parse_natural))
+    bisect_cmd.add_argument("--oracle", required=True, type=_parse_oracle, help="step@<r> or stair:<r1>,...")
+    bisect_cmd.add_argument("--lo", required=True, type=parse_rational)
+    bisect_cmd.add_argument("--hi", required=True, type=parse_rational)
+    bisect_cmd.add_argument("--steps", required=True, type=parse_natural)
     bisect_cmd.add_argument("--transcript", default=None, help="write the transcript to this TSV file")
 
     cover_cmd = commands.add_parser("cover", help="interval covers and finite subcovers")
@@ -153,15 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
     cover_subcover = cover_sub.add_parser("subcover", help="extract a certified finite subcover")
     cover_subcover.set_defaults(run=_cmd_cover_subcover)
     cover_subcover.add_argument("--cover", required=True, help="cover file")
-    cover_subcover.add_argument("--modulus", default=None, type=_flag(_parse_modulus), help="lebesgue | const:<r>")
-    cover_subcover.add_argument(
-        "--samples", default=None, type=_flag(_parse_samples),
-        help="constancy sample points, comma-separated",
-    )
+    cover_subcover.add_argument("--modulus", default="lebesgue", type=_parse_modulus, help="lebesgue | const:<r>")
+    cover_subcover.add_argument("--samples", type=_parse_samples, help="validated, but does not change the certificate")
     cover_verify = cover_sub.add_parser("verify", help="check that selected elements cover [0,1]")
     cover_verify.set_defaults(run=_cmd_cover_verify)
     cover_verify.add_argument("--cover", required=True, help="cover file")
-    cover_verify.add_argument("--selected", required=True, type=_flag(_parse_selected))
+    cover_verify.add_argument("--selected", required=True, type=_parse_selected)
     cover_verify_cert = cover_sub.add_parser("verify-cert", help="re-check a subcover certificate")
     cover_verify_cert.set_defaults(run=_cmd_cover_verify_cert)
     cover_verify_cert.add_argument("--cover", required=True, help="cover file")
@@ -247,11 +245,7 @@ def _cmd_cover_lebesgue(args) -> int:
 
 def _cmd_cover_subcover(args) -> int:
     intervals = cover_mod.parse_cover(Path(args.cover))
-    if args.modulus is None:
-        modulus = cover_mod.LebesgueModulus(intervals)
-    else:
-        modulus = cover_mod.ConstantModulus(args.modulus)
-    certificate = cover_mod.extract_finite_subcover(intervals, modulus)
+    certificate = cover_mod.extract_finite_subcover(intervals, args.modulus(intervals))
     lines = cover_mod.render_certificate(certificate)
     while chunk := "".join(islice(lines, 4096)):
         sys.stdout.write(chunk)
@@ -282,15 +276,10 @@ def _cmd_cover_verify_cert(args) -> int:
 
 def dispatch(argv: Sequence[str]) -> int:
     """Route argv to a command; returns the exit status instead of exiting."""
-    # an option's value may not be "--" (`--lo=--`); after a bare "--" every argument is an operand
-    if any(arg.startswith("--") and arg.partition("=")[2] == "--" for arg in takewhile("--".__ne__, argv)):
-        print('error: "--" is not accepted as an argument value', file=sys.stderr)
-        return 2
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return exc.code
 
     try:
         return args.run(args)

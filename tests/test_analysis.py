@@ -399,6 +399,12 @@ class TestBisectToPrecision:
         listed = list(rows)
         assert [r.index for r in listed] == [0, 1, 2, 3, 4]
 
+    @pytest.mark.parametrize("part", [slice(1, 3), slice(-4, -1), slice(-2, None), slice(None, None, 2),
+                                      slice(None, None, -2), slice(-1, 0, -3), slice(3, 1), slice(-1, -3)], ids=str)
+    def test_a_slice_is_a_list_of_rows(self, part):
+        _, rows = bisect_to_precision(StepMap(THIRD), Fraction(0), Fraction(1), 5)
+        assert rows[part] == list(rows)[part]
+
     def test_lazy_rows_past_the_cap_are_refused(self):
         value = bisect_limit(StepMap(THIRD), Fraction(0), Fraction(1))
         n = MAX_BISECT_STEPS - 2  # reads row n + 2, the last one allowed

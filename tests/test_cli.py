@@ -1,4 +1,6 @@
+import argparse
 import random
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -10,7 +12,8 @@ import pytest
 
 from conftest import certificate_bounds
 from nicecover import analysis, cover as cover_mod, crn, machine, rational
-from nicecover.cli import dispatch
+from nicecover.cli import build_parser, dispatch
+from nicecover.errors import ParseError
 
 TWO_INTERVAL_COVER = "-1/10 6/10\n4/10 11/10\n"
 
@@ -809,6 +812,45 @@ def test_usage_error_stderr(capsys, monkeypatch, tmp_path, countdown_file, cover
     paths = {"prog": str(countdown_file), "cover": cover_file, "missing": str(tmp_path / "missing"), "wide": str(wide)}
     argv = [arg.format(**paths) for arg in argv]
     assert run(capsys, *argv) == (2, "", stderr.format(**paths))
+
+
+def _typed_options(parser, path=()):
+    """(command path, its parser, the option) for every option with a type, subcommands included."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _typed_options(sub, (*path, name))
+        elif action.option_strings and action.type is not None:
+            yield path, parser, action
+
+
+TYPED_OPTIONS = list(_typed_options(build_parser()))
+# a value each required option accepts; a new required option needs one here
+VALID = {"--prog": "p.cm", "--cover": "c.txt", "--cert": "c.cert", "--expr": "1/2", "--input": "0", "--prec": "3",
+         "--budget": "1", "--inputs": "0..1", "--selected": "0", "--oracle": "step@1/3", "--lo": "0", "--hi": "1",
+         "--steps": "1"}
+
+
+def test_the_walk_reaches_every_typed_option():
+    named = {" ".join((*path, *action.option_strings)) for path, _, action in TYPED_OPTIONS}
+    assert len(named) == len(TYPED_OPTIONS) >= 20
+    assert {"reduce --input", "bisect --steps", "waiting approx --max-steps", "cover subcover --samples"} <= named
+
+
+@pytest.mark.parametrize("path,parser,action", TYPED_OPTIONS,
+                         ids=[" ".join((*path, *action.option_strings)) for path, _, action in TYPED_OPTIONS])
+def test_a_refused_value_is_reported_in_its_parsers_words(capsys, monkeypatch, path, parser, action):
+    """`x`, which every parser of the CLI refuses, is reported after the usage line in the message of the
+    parser that refused it, never as argparse's "invalid ... value", with the other required options valid."""
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(ParseError) as refused:
+        action.type("x")
+    others = [arg for other in parser._actions if other.required and other.option_strings and other is not action
+              for arg in (other.option_strings[0], VALID[other.option_strings[0]])]
+    code, out, err = run(capsys, *path, *others, action.option_strings[0], "x")
+    assert (code, out) == (2, "")
+    assert err.endswith(f": error: argument {'/'.join(action.option_strings)}: {refused.value}\n")
+    assert re.search(r"invalid .* value", err) is None
 
 
 def test_module_entry_point():
