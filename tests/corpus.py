@@ -85,6 +85,13 @@ BAD_COVERS = {
 # (certificate file, cover it was made from, --modulus or None); made by `cover subcover` when written
 CERTIFICATES = [("two-lebesgue.cert", "two.txt", None), ("two-twentieth.cert", "two.txt", "const:1/20"),
                 ("three-lebesgue.cert", "three.txt", None), ("farey-sixteenth.cert", "farey.txt", "const:1/16")]
+# certificates for `two.txt` whose net points are written over denominators that do not divide the radius's:
+# a valid one, and one whose ball around 2/3 is outside its element 0
+SCATTERED = "".join(f"net {x} -> element {j}\n" for x, j in [
+    ("0", 0), ("1/7", 0), ("2/7", 0), ("3/7", 0), ("1/2", 0), ("3/5", 1), ("2/3", 1), ("7/9", 1), ("8/9", 1), ("1", 1)])
+SCATTERED_CERTIFICATES = {
+    "two-scattered.cert": f"r=1/10\n{SCATTERED}selected 0,1\n",
+    "two-scattered-outside.cert": f"r=1/10\n{SCATTERED.replace('2/3 -> element 1', '2/3 -> element 0')}selected 0,1\n"}
 MODULI = ["lebesgue", "const:1/10", "const:1/8", "const:1/64", "const:1/2", "const:0", "const:-1/3"]
 
 
@@ -415,6 +422,14 @@ def make() -> dict:
     for argv in [[], ["frobnicate"], ["cover"], ["machine", "halt"], ["rat"], ["crn", "approx", "--expr", "1"],
                  ["cover", "verify", "--cover"], ["bisect", "--oracle", "step@1/3"]]:
         add("usage", *argv)
+    # appended, so that the cases above keep their ids: net points over denominators that do not divide the
+    # radius's, and `cover verify` where the element whose end is the witness is repeated and listed last
+    files.update(SCATTERED_CERTIFICATES)
+    for name in SCATTERED_CERTIFICATES:
+        add("cover verify-cert", "cover", "verify-cert", "--cover", f"{DIR}/two.txt", "--cert", f"{DIR}/{name}")
+    for name, selected in [("two.txt", "1,1"), ("gap.txt", "1,0,0"), ("three.txt", "2,0,0"), ("farey.txt", "2,0,0"),
+                           ("farey.txt", "8,6,4,2,0,4,0"), ("long-ends.txt", "0,0")]:
+        add("cover verify", "cover", "verify", "--cover", f"{DIR}/{name}", "--selected", selected)
     return {"files": _encoded(files), "cases": [{"id": f"{path.replace(' ', '-')}-{i:03d}", "argv": argv}
                                                 for path, argvs in cases.items() for i, argv in enumerate(argvs)]}
 
