@@ -3,6 +3,7 @@
 Everything here computes with unbounded-integer rationals; there is no
 floating point anywhere. The layers, bottom up:
 
+- :mod:`nicecover.errors`: the exception types; it imports no other layer.
 - :mod:`nicecover.rational`: exact rational carrier, parsing, rendering.
 - :mod:`nicecover.crn`: computable reals as approximation programs paired
   with precision regulators, plus arithmetic and regulator validation.

@@ -48,7 +48,7 @@ from .errors import (
     NotNiceCover,
     ParseError,
 )
-from .rational import ONE, ZERO, Rational, Source, _int, input_lines, parse_ratio, parse_rational, record, render, render_ratio
+from .rational import ONE, ZERO, Rational, Source, _decimal, _int, input_lines, parse_ratio, parse_rational, record, render, render_ratio
 
 
 @record
@@ -73,22 +73,6 @@ CoverList = Sequence[OpenInterval]
 
 MAX_SCALED_BITS = 2**28
 MAX_COVER_ELEMENTS = 10**5
-
-
-def _over_unit(numerators: Sequence[int], denominators: Sequence[int], unit: int) -> tuple[list[int], int]:
-    """The net points n / d as ints over their least common unit with `unit`,
-    and that unit; BudgetExceeded when those ints would need more than
-    MAX_SCALED_BITS bits beyond what they need over `unit` alone."""
-    scale = dict.fromkeys(denominators)
-    bits = unit.bit_length()
-    for d in scale:
-        unit = lcm(unit, d)
-        if len(numerators) * (unit.bit_length() - bits) > MAX_SCALED_BITS:
-            raise BudgetExceeded(f"{render(len(numerators))} net points over their common denominator need more "
-                                 f"than MAX_SCALED_BITS = {MAX_SCALED_BITS} bits beyond the radius's denominator")
-    for d in scale:
-        scale[d] = unit // d
-    return [n * scale[d] for n, d in zip(numerators, denominators)], unit
 
 
 def parse_cover(source: Source) -> list[OpenInterval]:
@@ -247,11 +231,11 @@ def extract_constant_radius(modulus: OracleModulus) -> Rational:
     two samples that disagree expose the oracle as no such thing; the
     disagreeing pair is reported as the NotNiceCover witness.
     """
-    first = modulus.radius_at(DEFAULT_SAMPLE_POINTS[0])
+    at, first = DEFAULT_SAMPLE_POINTS[0], modulus.radius_at(DEFAULT_SAMPLE_POINTS[0])
     for p in DEFAULT_SAMPLE_POINTS[1:]:
-        value = modulus.radius_at(p)
-        if value != first:
-            raise NotNiceCover(DEFAULT_SAMPLE_POINTS[0], p, first, value)
+        if (value := modulus.radius_at(p)) != first:
+            raise NotNiceCover(f"radius oracle disagrees: {render(first)} at {render(at)} vs {render(value)} at "
+                               f"{render(p)}", at, p, first, value)
     if first <= 0:
         raise NonpositiveRadius(f"common radius {render(first)} is not positive")
     return first
@@ -419,10 +403,10 @@ def verify_subcover(cover: CoverList, selected: Sequence[int]) -> Covered | Unco
         raise ValueError(f"selected index {render(out[0])} out of range")
     ratios, bits = _ratios([cover[index] for index in selected])
     k = 2 * bits + 1  # distinct ends, 0 and 1 differ by over 2^-2B, 2 key units: their keys order them exactly
-    reach = _reach(sorted(((a << k) // p, (c << k) // q) for a, p, c, q in ratios))
+    reach = _reach(sorted(keys := [((a << k) // p, (c << k) // q) for a, p, c, q in ratios]))
     if reach > 1 << k:
         return Covered()
-    return Uncovered(next((Rational(c, q) for _, _, c, q in ratios if (c << k) // q == reach), ZERO))
+    return Uncovered(next((cover[index].hi for index, (_, hi) in zip(selected, keys) if hi == reach), ZERO))
 
 
 def _reach(spans: Iterable[tuple[int, int]]) -> int:
@@ -445,10 +429,10 @@ def _reach(spans: Iterable[tuple[int, int]]) -> int:
 
 def render_certificate(certificate: SubcoverCertificate) -> Iterator[str]:
     """The lines of the text `parse_certificate` reads, each with its line end."""
-    unit = certificate.unit
     yield f"r={render(certificate.radius)}\n"
-    yield from (f"net {render_ratio(x, unit)} -> element {j}\n" for x, j in zip(certificate.points, certificate.elements))
-    yield "selected " + ",".join(str(j) for j in certificate.selected) + "\n"
+    for x, j in zip(certificate.points, certificate.elements):
+        yield f"net {render_ratio(x, certificate.unit)} -> element {_decimal(j)}\n"
+    yield "selected " + ",".join(map(_decimal, certificate.selected)) + "\n"
 
 
 def parse_certificate(source: Source) -> SubcoverCertificate:
@@ -456,7 +440,7 @@ def parse_certificate(source: Source) -> SubcoverCertificate:
     first bad line: a line out of place or malformed raises ParseError naming its line number, and a net
     line past MAX_NET_POINTS raises BudgetExceeded."""
     radius = selected = None
-    numerators, denominators, elements, shared = [], [], [], {}  # `shared`: one int per distinct denominator
+    numerators, denominators, elements, shared = [], [], [], {}  # `shared`: each distinct denominator, to its scale
     for line_no, line in filter(itemgetter(1), input_lines(source)):  # the lines that are not blank
         try:
             if not line.startswith(("r=",) if radius is None else ("net ", "selected") if selected is None else ()):
@@ -482,8 +466,16 @@ def parse_certificate(source: Source) -> SubcoverCertificate:
             raise ParseError(f"line {line_no}: {exc}") from None
     if selected is None:
         raise ParseError("certificate ends before its `selected` line")
-    points, unit = _over_unit(numerators, denominators, radius.denominator)
-    return SubcoverCertificate(radius, tuple(points), unit, tuple(elements), selected)
+    unit, bits = radius.denominator, radius.denominator.bit_length()
+    for d in shared:
+        unit = lcm(unit, d)
+        if len(numerators) * (unit.bit_length() - bits) > MAX_SCALED_BITS:
+            raise BudgetExceeded(f"{render(len(numerators))} net points over their common denominator need more "
+                                 f"than MAX_SCALED_BITS = {MAX_SCALED_BITS} bits beyond the radius's denominator")
+    for d in shared:
+        shared[d] = unit // d
+    points = tuple(n * shared[d] for n, d in zip(numerators, denominators))
+    return SubcoverCertificate(radius, points, unit, tuple(elements), selected)
 
 
 def verify_certificate(cover: CoverList, certificate: SubcoverCertificate) -> list[str]:

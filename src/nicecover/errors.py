@@ -1,4 +1,4 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library.  This module imports none of it: an error is worded where raised.
 
 One ParseError covers all malformed text, machine programs included, and
 run-time domain failures (mathematical preconditions that do not hold) have
@@ -34,19 +34,11 @@ class NotACover(DomainError):
 
 
 class NotNiceCover(DomainError):
-    """A containment-radius oracle answered differently at two points."""
+    """A containment-radius oracle answered radius_p at p and radius_q, a different radius, at q."""
 
-    def __init__(self, p, q, radius_p, radius_q):
-        from .rational import render  # rational imports this module
-
-        super().__init__(
-            f"radius oracle disagrees: {render(radius_p)} at {render(p)} "
-            f"vs {render(radius_q)} at {render(q)}"
-        )
-        self.p = p
-        self.q = q
-        self.radius_p = radius_p
-        self.radius_q = radius_q
+    def __init__(self, message, p, q, radius_p, radius_q):
+        super().__init__(message)
+        self.p, self.q, self.radius_p, self.radius_q = p, q, radius_p, radius_q
 
 
 class NonpositiveRadius(DomainError):

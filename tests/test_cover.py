@@ -1,4 +1,5 @@
 import re
+import sys
 import weakref
 from fractions import Fraction
 from itertools import count, islice, repeat
@@ -364,6 +365,23 @@ class TestCertificateText:
         ones = "1" * 5000  # int() refuses more than 4,300 digits on CPython 3.10.7 and later
         cert = parse_certificate(f"r=1/2\nnet 0 -> element {ones}\nselected {ones}\n")
         assert cert.elements == ((10**5000 - 1) // 9,) and cert.selected == ((10**5000 - 1) // 9,)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit on this interpreter")
+    @pytest.mark.parametrize("limit", [4300, 640, 0])
+    def test_indices_longer_than_4300_digits_round_trip(self, limit):
+        """Parsed, written and parsed again in the same bytes under the default limit on int-string conversion
+        (4300), its least (640) and none (0)."""
+        ones = "1" * 5000
+        text = f"r=1/2\nnet 0 -> element {ones}\nnet 1/2 -> element 0\nnet 1 -> element {ones}\nselected 0,{ones}\n"
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            cert = parse_certificate(text)
+            written = "".join(render_certificate(cert))
+            again = parse_certificate(written)
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert written == text and again == cert
 
     def test_net_lines_in_any_accepted_form(self):
         written = "r=0.1\nnet 000 -> element 0\nnet  2/20 -> element  0\nnet 0.2 -> element 00\n"
